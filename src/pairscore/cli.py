@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -449,12 +450,9 @@ def cmd_predict(args, config) -> int:
     def scores() -> list[tuple[str, float]]:
         out = []
         for record in records:
+            candidate = tokenize(record.candidate, vocab)
             candidates = [
-                RatedExample(
-                    SentencePair(tokenize(ref, vocab), tokenize(record.candidate, vocab)),
-                    0.0,
-                    record.source_id,
-                )
+                RatedExample(SentencePair(tokenize(ref, vocab), candidate), 0.0, record.source_id)
                 for ref in record.references
             ]
             per_ref = predict_ratings(params, candidates, vocab)
@@ -483,7 +481,13 @@ def cmd_evaluate(args, config) -> int:
         cols = line.split("\t")
         if len(cols) != 2:
             raise DataError(f"{args.predictions}:{lineno}: expected `source_id<TAB>score`")
-        predictions.append((cols[0], float(cols[1])))
+        try:
+            score = float(cols[1])
+        except ValueError:
+            raise DataError(f"{args.predictions}:{lineno}: score {cols[1]!r} is not a number") from None
+        if not math.isfinite(score):
+            raise DataError(f"{args.predictions}:{lineno}: score {cols[1]!r} is not finite")
+        predictions.append((cols[0], score))
     records, problems, _ = read_rating_records(
         args.ratings, _ratings_format(args.ratings, args.format), require_rating=True
     )
@@ -502,6 +506,11 @@ def cmd_evaluate(args, config) -> int:
         human.append(record.rating)
         metric.append(score)
         groups.append(record.source_id if config["eval_grouping"] == "source" else "all")
+    if config["eval_grouping"] == "source" and len(set(groups)) == len(groups) > 1:
+        raise DataError(
+            f"input-empty: every group has one record (all {len(groups)} source_ids differ), "
+            "so there are no within-group pairs; try `pairscore --set eval_grouping=all evaluate ...`"
+        )
     report = darr(human, metric, groups, threshold=config["darr_threshold"])
     meta = {"config_hash": chash, "n_records": len(records)}
     _atomic_write(Path(args.out), lambda p: save_report(report, p, meta=meta))

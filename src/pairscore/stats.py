@@ -9,11 +9,29 @@ Pairs tied on the metric score are discarded from both counts.
 Note: this pairwise Kendall is not tau-b; it handles ties by discarding
 rather than by denominator correction.  Reports carry a ``variant`` field so
 downstream consumers know which definition produced the number.
+
+The pairs are counted without listing them (Knight 1966, JASA 61:436).  Each
+group is sorted by human score and swept once in that order.  For item k,
+the partners whose human score is below h_k by at least the threshold form
+a prefix of the sorted order, and that prefix only grows as k advances, so
+they enter a Fenwick tree over the group's metric ranks as the sweep reaches
+them.  The tree then tells how many admitted partners score below, level
+with and above m_k on the metric: concordant, metric-tied and discordant
+pairs.  Human ties, counted only when the threshold does not filter them,
+come from the counts of equal scores; every other pair was filtered.
+That is O(n log n) time and O(n) memory per call.  ``_walk_pairs``, which
+classifies every pair in turn, is kept as the reference the tests compare
+against.
+
+Human and metric values must be finite: a NaN has no place in a sort, so
+``kendall_pairwise`` and ``darr`` raise ``DataError`` on NaN or infinity.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -112,11 +130,61 @@ def _walk_pairs(human, metric, groups, threshold: float):
     return concordant, discordant, filtered, ties, total
 
 
+def _count_pairs(human, metric, groups, threshold: float):
+    """The counts of ``_walk_pairs`` from one sorted sweep per group."""
+    if len(human) != len(metric) or len(human) != len(groups):
+        raise DataError("human, metric, and groups must have equal length")
+    for name, values in (("human", human), ("metric", metric)):
+        if not all(map(math.isfinite, values)):
+            raise DataError(f"{name} scores must be finite (no NaN or infinity)")
+    by_group: dict = {}
+    for i, g in enumerate(groups):
+        by_group.setdefault(g, []).append(i)
+    concordant = discordant = ties = total = 0
+    # A human tie is a pair with |dh| == 0, which the threshold filters when positive.
+    if not 0.0 < threshold:
+        ties = sum(c * (c - 1) // 2 for c in Counter(zip(groups, human)).values())
+    for members in by_group.values():
+        size = len(members)
+        total += size * (size - 1) // 2
+        if size < 2:
+            continue
+        members.sort(key=human.__getitem__)
+        h = [human[i] for i in members]
+        m = [metric[i] for i in members]
+        rank_of = {v: r for r, v in enumerate(sorted(set(m)), start=1)}
+        ranks = [rank_of[v] for v in m]
+        top = len(rank_of) + 1
+        tree = [0] * top  # Fenwick tree: admitted partners per metric rank
+        level = [0] * top  # admitted partners at exactly this rank
+        admitted = 0
+        for k in range(size):
+            hk = h[k]
+            # The oracle's own float expression, so boundary pairs fall the same way.
+            while admitted < k and not abs(hk - h[admitted]) < threshold and h[admitted] != hk:
+                r = ranks[admitted]
+                level[r] += 1
+                while r < top:
+                    tree[r] += 1
+                    r += r & -r
+                admitted += 1
+            r = ranks[k]
+            below = 0
+            q = r - 1
+            while q:
+                below += tree[q]
+                q -= q & -q
+            concordant += below
+            discordant += admitted - below - level[r]
+            ties += level[r]
+    return concordant, discordant, total - concordant - discordant - ties, ties, total
+
+
 def kendall_pairwise(human: Sequence[float], metric: Sequence[float], groups: Sequence) -> float:
     """Pairwise Kendall over within-group pairs with distinct human scores."""
     if len(human) < 2:
         raise DataError("need at least 2 items")
-    concordant, discordant, _, _, _ = _walk_pairs(human, metric, groups, threshold=0.0)
+    concordant, discordant, _, _, _ = _count_pairs(human, metric, groups, threshold=0.0)
     if concordant + discordant == 0:
         raise DataError("no usable pairs (all tied or singleton groups)")
     return (concordant - discordant) / (concordant + discordant)
@@ -134,18 +202,16 @@ def darr(
     discarded before counting concordant/discordant pairs.  With threshold 0
     the darr value equals kendall_pairwise on the same inputs.
     """
-    if len(human) != len(metric):
-        raise DataError("human and metric must have equal length")
-    if len(human) < 2 or not _group_pairs(groups):
-        raise DataError("input-empty: no within-group pairs to compare")
-    concordant, discordant, filtered, ties, total = _walk_pairs(human, metric, groups, threshold)
+    concordant, discordant, filtered, ties, total = _count_pairs(human, metric, groups, threshold)
+    if total == 0:
+        raise DataError("input-empty: no within-group pairs to compare (every group has one record)")
     if concordant + discordant == 0:
         raise NumericError(
             f"filtered-empty: {total} pairs existed but none survived "
             f"(filtered={filtered}, ties={ties})"
         )
     value = (concordant - discordant) / (concordant + discordant)
-    kc, kd, _, _, _ = _walk_pairs(human, metric, groups, threshold=0.0)
+    kc, kd, _, _, _ = _count_pairs(human, metric, groups, threshold=0.0)
     kendall = (kc - kd) / (kc + kd) if kc + kd else float("nan")
     return CorrelationReport(
         kendall=kendall,

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from pairscore.cli import DEFAULTS, config_hash, load_config, main, render_config
-from pairscore.demo import demo_sentences
+from pairscore.demo import demo_sentences, load_demo_ratings_path
 from pairscore.errors import UsageError
 
 
@@ -223,6 +223,37 @@ class TestCommandContracts:
         preds.write_text("s0\t0.5\n")
         rc = run_cli("evaluate", preds, ratings, workdir / "mism_report.json")
         assert rc == 3
+
+    @pytest.mark.parametrize("score", ["abc", "", "nan", "inf", "-Infinity"])
+    def test_bad_score_is_data_error(self, workdir, capsys, score):
+        ratings = workdir / "badscore.tsv"
+        ratings.write_text("s0\ta\tb\t1.0\ns1\ta\tb\t2.0\ns2\ta\tb\t3.0\n")
+        preds = workdir / "badscore_preds.tsv"
+        preds.write_text(f"s0\t0.5\ns1\t{score}\ns2\t0.7\n")
+        report = workdir / "badscore_report.json"
+        capsys.readouterr()
+        rc = run_cli("--set", "eval_grouping=all", "evaluate", preds, ratings, report)
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.count("\n") == 1
+        assert f"{preds}:2:" in err
+        assert not report.exists()
+
+    def test_default_grouping_on_demo_ratings_hints_all(self, workdir, capsys):
+        ratings = load_demo_ratings_path()
+        ids = [line.split("\t")[0] for line in ratings.read_text().splitlines() if line.strip()]
+        preds = workdir / "demo_preds.tsv"
+        preds.write_text("".join(f"{sid}\t{i % 7 / 7}\n" for i, sid in enumerate(ids)))
+        report = workdir / "demo_report.json"
+        capsys.readouterr()
+        rc = run_cli("evaluate", preds, ratings, report)
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.count("\n") == 1
+        assert "every group has one record" in err
+        assert "--set eval_grouping=all" in err
+        assert not report.exists()
+        assert run_cli("--set", "eval_grouping=all", "evaluate", preds, ratings, report) == 0
 
     def test_usage_error_exit_2(self, capsys):
         rc = run_cli("--set", "bogus=1", "gen-pairs", "x", "y")

@@ -7,6 +7,8 @@ from pairscore.metrics import sentence_bleu
 from pairscore.stats import (
     CorrelationReport,
     SkewConfig,
+    _count_pairs,
+    _walk_pairs,
     darr,
     expected_train_fraction,
     kendall_pairwise,
@@ -187,6 +189,75 @@ class TestDarr:
                 kendall=0.0, pearson=0.0, darr=0.0, pairs_total=3, pairs_filtered=1,
                 ties_discarded=0, concordant=1, discordant=0, threshold=25.0,
             )
+
+
+def assert_counts_match(human, metric, groups, threshold):
+    want = _walk_pairs(human, metric, groups, threshold)
+    assert _count_pairs(human, metric, groups, threshold) == want
+    return want
+
+
+class TestSweepMatchesWalk:
+    """The sorted sweep gives all five counts of the pair walk, bit for bit."""
+
+    def test_many_groups_with_singletons_and_ties(self):
+        rng = np.random.default_rng(21)
+        for _ in range(150):
+            sizes = rng.integers(1, 12, size=int(rng.integers(1, 8)))
+            human = (rng.integers(0, 11, size=sizes.sum()) * 10.0).tolist()
+            metric = np.round(rng.uniform(0, 1, size=sizes.sum()), 1).tolist()
+            groups = np.repeat(np.arange(len(sizes)), sizes).tolist()
+            for threshold in (0.0, 10.0, 25.0, -5.0):
+                assert_counts_match(human, metric, groups, threshold)
+            try:
+                tau = kendall_pairwise(human, metric, groups)
+            except DataError:
+                continue
+            assert darr(human, metric, groups, threshold=0.0).darr == tau
+
+    def test_one_large_group(self):
+        rng = np.random.default_rng(22)
+        human = np.round(rng.uniform(0, 100, size=600), 1).tolist()
+        metric = np.round(rng.uniform(0, 1, size=600), 2).tolist()
+        for threshold in (0.0, 25.0):
+            conc, disc, filtered, ties, total = assert_counts_match(human, metric, [0] * 600, threshold)
+            assert total == 600 * 599 // 2
+            assert conc and disc and ties
+            assert (filtered > 0) == (threshold > 0)
+
+    def test_float_boundary_on_a_tenth_grid(self):
+        # 32.3 - 7.3 rounds below 25 and is filtered; 25.1 - 0.1 is exactly 25.0 and kept.
+        assert 32.3 - 7.3 < 25 and 25.1 - 0.1 == 25
+        grid = [round(0.1 * k, 1) for k in range(0, 1001, 5)]
+        metric = [((k * 37) % 11) / 10 for k in range(len(grid))]
+        assert_counts_match(grid, metric, [0] * len(grid), 25.0)
+        assert assert_counts_match([0.1, 25.1], [0.2, 0.1], [0, 0], 25.0) == (0, 1, 0, 0, 1)
+        assert assert_counts_match([7.3, 32.3], [0.2, 0.1], [0, 0], 25.0) == (0, 0, 1, 0, 1)
+
+    def test_negative_threshold_and_key_types(self):
+        rng = np.random.default_rng(23)
+        human = rng.integers(0, 5, size=60).astype(float).tolist()
+        metric = rng.integers(0, 4, size=60).astype(float).tolist()
+        int_keys = rng.integers(0, 6, size=60).tolist()
+        str_keys = [f"seg{k}" for k in int_keys]
+        for threshold in (-1.0, 0.0, 1.0, 2.5):
+            assert assert_counts_match(human, metric, int_keys, threshold) == _count_pairs(
+                human, metric, str_keys, threshold
+            )
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(DataError):
+            _count_pairs([1.0, 2.0], [0.1, 0.2], [0], 0.0)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejected(self, bad):
+        for human, metric in (([1.0, bad, 3.0], [0.1, 0.2, 0.3]), ([1.0, 2.0, 3.0], [0.1, bad, 0.3])):
+            with pytest.raises(DataError, match="finite"):
+                kendall_pairwise(human, metric, [0, 0, 0])
+            with pytest.raises(DataError, match="finite"):
+                darr(human, metric, [0, 0, 0], threshold=0.5)
 
 
 class TestPearson:
