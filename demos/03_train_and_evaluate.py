@@ -42,7 +42,6 @@ def main():
     params = init_model(encoder)
     pre_cfg = TrainConfig(
         total_steps=1500, eval_every=500, batch_size=32, learning_rate=2e-3, seed=0,
-        stage="pretrain",
     )
     print(f"pre-training {pre_cfg.total_steps} steps...")
     params, history = pretrain(params, synthetic, default_task_specs(), pre_cfg, vocab)
@@ -57,7 +56,6 @@ def main():
 
     ft_cfg = TrainConfig(
         total_steps=400, eval_every=100, batch_size=32, learning_rate=5e-4, seed=0,
-        stage="finetune",
     )
     print(f"fine-tuning {ft_cfg.total_steps} steps...")
     params, history = finetune(params, train, validation, ft_cfg, vocab)

@@ -43,7 +43,7 @@ def main():
         pretrain_config=TrainConfig(total_steps=120, eval_every=60, batch_size=32,
                                     learning_rate=2e-3, seed=0),
         finetune_config=TrainConfig(total_steps=80, eval_every=40, batch_size=32,
-                                    learning_rate=5e-4, seed=0, stage="finetune"),
+                                    learning_rate=5e-4, seed=0),
     )
     for mode in ("single-task", "leave-one-out"):
         print(f"\n== {mode} ==")

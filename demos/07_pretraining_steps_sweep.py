@@ -46,7 +46,6 @@ def main():
     init = init_model(encoder)
     ft_cfg = TrainConfig(
         total_steps=300, eval_every=100, batch_size=32, learning_rate=3e-4, seed=0,
-        stage="finetune",
     )
 
     print(f"{'pretrain steps':>14} {'test kendall':>13}")
@@ -56,7 +55,7 @@ def main():
         else:
             pre_cfg = TrainConfig(
                 total_steps=steps, eval_every=max(steps // 4, 1), batch_size=32,
-                learning_rate=2e-3, seed=0, stage="pretrain",
+                learning_rate=2e-3, seed=0,
             )
             start, _ = pretrain(init, synthetic, default_task_specs(), pre_cfg, vocab)
         tuned, _ = finetune(start, train, validation, ft_cfg, vocab)

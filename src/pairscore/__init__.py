@@ -27,6 +27,7 @@ from .text import (
     ingest_ratings,
     serialize_ratings,
     split_no_leak,
+    split_tokens,
     tokenize,
 )
 from .metrics import PRF, EmbeddingTable, rouge_n, sentence_bleu, soft_overlap

@@ -9,6 +9,7 @@ error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -25,10 +26,10 @@ from .errors import DataError, NumericError, PairscoreError, UsageError
 from .experiments import AblationPipeline, ablation_to_csv, run_ablation
 from .metrics import BLEU_SMOOTHING, EmbeddingTable
 from .signals import (
+    WEIGHT_GROUPS,
     BaselineEntailment,
     ExternalEntailment,
     ExternalLikelihoodScorer,
-    ExternalScorer,
     SignalProviders,
     UnigramScorer,
     apply_normalization,
@@ -42,6 +43,7 @@ from .synth import (
     BigramLM,
     ExternalRoundTripTranslator,
     GenerationConfig,
+    LineClient,
     StubBacktranslator,
     generate_corpus,
     read_synthetic,
@@ -56,12 +58,13 @@ from .text import (
     read_rating_records,
     serialize_ratings,
     split_no_leak,
+    split_tokens,
     tokenize,
 )
 from .training import (
     TrainConfig,
     finetune,
-    params_digest,
+    manifest_entry,
     predict_ratings,
     pretrain,
     save_manifest,
@@ -233,7 +236,14 @@ def _read_corpus(path: str) -> list[str]:
     return lines
 
 
-def _providers(config: Mapping, segments) -> SignalProviders:
+def _child(children: contextlib.ExitStack, command: str) -> LineClient:
+    """A client for ``command`` that is closed when ``children`` unwinds."""
+    client = LineClient(command.split())
+    children.callback(client.close)
+    return client
+
+
+def _providers(config: Mapping, segments, children: contextlib.ExitStack) -> SignalProviders:
     if config["embedding_file"]:
         embeddings = EmbeddingTable.from_file(config["embedding_file"])
     else:
@@ -242,12 +252,11 @@ def _providers(config: Mapping, segments) -> SignalProviders:
         )
     scorer_command = os.environ.get(SCORER_COMMAND_ENV, "") or config["scorer_command"]
     if scorer_command:
-        proc = ExternalScorer(scorer_command.split())
-        likelihood = ExternalLikelihoodScorer(proc)
+        likelihood = ExternalLikelihoodScorer(_child(children, scorer_command))
     else:
         likelihood = UnigramScorer.train(segments)
     if config["entailment_command"]:
-        entailment = ExternalEntailment(ExternalScorer(config["entailment_command"].split()))
+        entailment = ExternalEntailment(_child(children, config["entailment_command"]))
     else:
         entailment = BaselineEntailment()
     return SignalProviders(embeddings=embeddings, likelihood=likelihood, entailment=entailment)
@@ -265,19 +274,38 @@ def _train_config(config: Mapping, stage: str) -> TrainConfig:
         beta2=config["adam_beta2"],
         adam_eps=config["adam_eps"],
         seed=config["seed"],
-        stage=stage,
     )
 
 
 def _task_weights(config: Mapping):
     return set_task_weights(
-        [
-            ("bleu", "rouge", "soft_overlap"),
-            ("bt_en_fr_ref", "bt_en_fr_cand", "bt_en_de_ref", "bt_en_de_cand"),
-            ("entailment", "bt_flag"),
-        ],
+        WEIGHT_GROUPS,
         [config["gamma_metrics"], config["gamma_likelihood"], config["gamma_semantic"]],
     )
+
+
+def _encoder_config(config: Mapping, vocab: Vocabulary) -> EncoderConfig:
+    return EncoderConfig(
+        vocab_size=len(vocab),
+        d_model=config["d_model"],
+        n_layers=config["n_layers"],
+        n_heads=config["n_heads"],
+        d_ff=config["d_ff"],
+        max_seq_len=config["max_seq_len"],
+        dropout=config["dropout"],
+        init_seed=config["seed"],
+    )
+
+
+def _save_stage(args, chash: str, stage: str, params, vocab: Vocabulary, steps: int, history) -> None:
+    """Write a training stage's checkpoint and, with --manifest, its one-stage manifest."""
+    meta = {"config_hash": chash, "vocab": list(vocab.tokens), "stage": stage}
+    _atomic_write(Path(args.out), lambda p: save_checkpoint(params, p, meta=meta))
+    if args.manifest:
+        entry = manifest_entry(stage, stage, steps, history, params, args.out)
+        _atomic_write(
+            Path(args.manifest), lambda p: save_manifest([entry], p, meta={"config_hash": chash})
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -288,19 +316,16 @@ def _task_weights(config: Mapping):
 def cmd_gen_pairs(args, config) -> int:
     corpus = load_demo_corpus() if args.corpus == "demo" else _read_corpus(args.corpus)
     chash = config_hash(config)
-    token_lists = [s.split() for s in corpus]
     vocab = Vocabulary.build(
-        token_lists, min_count=config["vocab_min_count"], size_cap=config["vocab_size_cap"]
+        [split_tokens(s) for s in corpus],
+        min_count=config["vocab_min_count"],
+        size_cap=config["vocab_size_cap"],
     )
     segments = [tokenize(s, vocab) for s in corpus]
     segments = [s for s in segments if len(s) > 0]
     lm = BigramLM.train(
         segments, vocab, add_k=config["lm_add_k"], interpolation=config["lm_interpolation"]
     )
-    if config["translator_command"]:
-        translator = ExternalRoundTripTranslator(config["translator_command"].split())
-    else:
-        translator = StubBacktranslator()
     gen_config = GenerationConfig(
         n_scatter=config["n_scatter"],
         n_contiguous=config["n_contiguous"],
@@ -308,7 +333,12 @@ def cmd_gen_pairs(args, config) -> int:
         word_drop_rate=config["word_drop_rate"],
         beam_width=config["beam_width"],
     )
-    examples = generate_corpus(segments, gen_config, lm, translator, vocab, seed=config["seed"])
+    with contextlib.ExitStack() as children:
+        if config["translator_command"]:
+            translator = ExternalRoundTripTranslator(_child(children, config["translator_command"]))
+        else:
+            translator = StubBacktranslator()
+        examples = generate_corpus(segments, gen_config, lm, translator, vocab, seed=config["seed"])
     meta = {"config_hash": chash, "tokenizer": TOKENIZER_VERSION, "translator": translator.label}
     _atomic_write(Path(args.out), lambda p: write_synthetic(examples, p, meta=meta))
     _atomic_write(Path(args.vocab_out), lambda p: vocab.save(p))
@@ -330,11 +360,9 @@ def cmd_compute_signals(args, config) -> int:
     examples, header = read_synthetic(args.pairs, vocab)
     if not examples:
         raise DataError(f"no synthetic examples in {args.pairs}")
-    segments = [ex.z for ex in examples]
-    providers = _providers(config, segments)
-    pairs, problems = compute_signals_corpus(
-        examples, providers, jobs=args.jobs, skip_failures=True
-    )
+    with contextlib.ExitStack() as children:
+        providers = _providers(config, [ex.z for ex in examples], children)
+        pairs, problems = compute_signals_corpus(examples, providers, skip_failures=True)
     if not pairs:
         raise DataError("signal computation failed for every example")
     stats = fit_normalization([vec for _, vec in pairs])
@@ -359,35 +387,10 @@ def cmd_pretrain(args, config) -> int:
     if stats is None:
         raise DataError("signals file lacks normalization stats; run compute-signals first")
     tasks = _task_weights(config)
-    enc = EncoderConfig(
-        vocab_size=len(vocab),
-        d_model=config["d_model"],
-        n_layers=config["n_layers"],
-        n_heads=config["n_heads"],
-        d_ff=config["d_ff"],
-        max_seq_len=config["max_seq_len"],
-        dropout=config["dropout"],
-        init_seed=config["seed"],
-    )
-    params = init_model(enc, tasks)
+    params = init_model(_encoder_config(config, vocab), tasks)
     train_config = _train_config(config, "pretrain")
     params, history = pretrain(params, dataset, tasks, train_config, vocab)
-    meta = {"config_hash": chash, "vocab": list(vocab.tokens), "stage": "pretrain"}
-    _atomic_write(Path(args.out), lambda p: save_checkpoint(params, p, meta=meta))
-    if args.manifest:
-        manifest = [
-            {
-                "stage": "pretrain",
-                "kind": "pretrain",
-                "steps": train_config.total_steps,
-                "history": [{"step": h.step, "metric": h.metric} for h in history],
-                "params_digest": params_digest(params),
-                "checkpoint": str(args.out),
-            }
-        ]
-        _atomic_write(
-            Path(args.manifest), lambda p: save_manifest(manifest, p, meta={"config_hash": chash})
-        )
+    _save_stage(args, chash, "pretrain", params, vocab, train_config.total_steps, history)
     print(f"config-hash: {chash}")
     final = history[-1].metric if history else float("nan")
     print(f"pre-trained {train_config.total_steps} steps; final loss {final:.6f} -> {args.out}")
@@ -413,22 +416,7 @@ def cmd_finetune(args, config) -> int:
     )
     train_config = _train_config(config, "finetune")
     params, history = finetune(params, train, validation, train_config, vocab)
-    meta = {"config_hash": chash, "vocab": list(vocab.tokens), "stage": "finetune"}
-    _atomic_write(Path(args.out), lambda p: save_checkpoint(params, p, meta=meta))
-    if args.manifest:
-        manifest = [
-            {
-                "stage": "finetune",
-                "kind": "finetune",
-                "steps": train_config.total_steps,
-                "history": [{"step": h.step, "metric": h.metric} for h in history],
-                "params_digest": params_digest(params),
-                "checkpoint": str(args.out),
-            }
-        ]
-        _atomic_write(
-            Path(args.manifest), lambda p: save_manifest(manifest, p, meta={"config_hash": chash})
-        )
+    _save_stage(args, chash, "finetune", params, vocab, train_config.total_steps, history)
     best = max((h.metric for h in history), default=float("nan"))
     print(f"config-hash: {chash}")
     print(
@@ -555,19 +543,9 @@ def cmd_ablate(args, config) -> int:
         raise DataError(f"no usable rated examples in {args.ratings}")
     train_pool, test = split_no_leak(result.examples, 0.25, seed=config["seed"])
     train, validation = split_no_leak(train_pool, config["holdout_fraction"], seed=config["seed"])
-    enc = EncoderConfig(
-        vocab_size=len(vocab),
-        d_model=config["d_model"],
-        n_layers=config["n_layers"],
-        n_heads=config["n_heads"],
-        d_ff=config["d_ff"],
-        max_seq_len=config["max_seq_len"],
-        dropout=config["dropout"],
-        init_seed=config["seed"],
-    )
     pipeline = AblationPipeline(
         vocab=vocab,
-        encoder_config=enc,
+        encoder_config=_encoder_config(config, vocab),
         base_tasks=_task_weights(config),
         synthetic=dataset,
         train=train,
@@ -603,7 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override one config key (repeatable)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker parallelism where supported")
 
     sub = parser.add_subparsers(dest="command")
 

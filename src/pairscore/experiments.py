@@ -38,7 +38,15 @@ from .synth import (
     SyntheticExample,
     generate_corpus,
 )
-from .text import RatedExample, SentencePair, TokenSeq, Vocabulary, split_no_leak, tokenize
+from .text import (
+    RatedExample,
+    SentencePair,
+    TokenSeq,
+    Vocabulary,
+    split_no_leak,
+    split_tokens,
+    tokenize,
+)
 from .training import TrainConfig, finetune, predict_ratings, pretrain
 
 
@@ -226,7 +234,6 @@ def build_offline_pretraining_data(
     vocab: Vocabulary,
     gen_config: GenerationConfig,
     seed: int,
-    jobs: int = 1,
 ) -> list[tuple[SyntheticExample, SignalVector]]:
     """Synthetic corpus + normalized signals using only the built-in providers."""
     token_lists = [tokenize(s, vocab) for s in segments]
@@ -239,7 +246,7 @@ def build_offline_pretraining_data(
         likelihood=UnigramScorer.train(token_lists),
         entailment=BaselineEntailment(),
     )
-    pairs, _ = compute_signals_corpus(examples, providers, jobs=jobs, skip_failures=True)
+    pairs, _ = compute_signals_corpus(examples, providers, skip_failures=True)
     stats = fit_normalization([vec for _, vec in pairs])
     return [(ex, apply_normalization(vec, stats)) for ex, vec in pairs]
 
@@ -313,8 +320,7 @@ def run_drift_study(
         pool = demo_sentences(4 * config.corpus_size, seed=config.data_seed)
         segments = [s for s in pool if len(s.split()) <= config.max_segment_tokens]
         segments = segments[: config.corpus_size]
-    token_lists = [s.split() for s in segments]
-    vocab = Vocabulary.build(token_lists, min_count=1)
+    vocab = Vocabulary.build([split_tokens(s) for s in segments], min_count=1)
 
     say("building synthetic pre-training data")
     synthetic = build_offline_pretraining_data(
@@ -337,7 +343,6 @@ def run_drift_study(
         batch_size=config.batch_size,
         learning_rate=config.pretrain_learning_rate,
         seed=0,
-        stage="pretrain",
     )
     say(f"pre-training {config.pretrain_steps} steps")
     pretrained, _ = pretrain(init, synthetic, default_task_specs(), pre_cfg, vocab)
@@ -360,7 +365,6 @@ def run_drift_study(
                 batch_size=config.batch_size,
                 learning_rate=config.finetune_learning_rate,
                 seed=seed,
-                stage="finetune",
             )
             for arm, start in (("pretrained", pretrained), ("scratch", init)):
                 tuned, _ = finetune(start, train, validation, ft_cfg, vocab)

@@ -7,26 +7,30 @@ followed by two classification blocks: entailment[3] and bt_flag[2].
 
 Likelihood and entailment providers are pluggable; offline stubs keep all nine
 signals computable without any external model.  External providers speak a
-line protocol over a child process (see ExternalScorer).
+line protocol over a child process (see synth.LineClient).
 """
 
 from __future__ import annotations
 
-import json
 import math
-import subprocess
-import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericError, PairscoreError, SchemaVersionError, ScorerProtocolError
+from .errors import DataError, NumericError, PairscoreError, ScorerProtocolError
 from .metrics import EmbeddingTable, rouge_n, sentence_bleu, soft_overlap
-from .synth import BACKTRANSLATION, SyntheticExample
+from .synth import (
+    BACKTRANSLATION,
+    LineClient,
+    SyntheticExample,
+    example_from_record,
+    example_record,
+    read_records,
+    write_records,
+)
 from .text import TokenSeq, Vocabulary
 
 SIGNAL_LAYOUT_VERSION = 1
@@ -287,87 +291,45 @@ def entailment_probs(z: TokenSeq, z_tilde: TokenSeq, provider) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class ExternalScorer:
-    """Owns one scorer child process; one in-flight request at a time."""
-
-    def __init__(self, command: Sequence[str]):
-        self.command = list(command)
-        self._proc: subprocess.Popen | None = None
-        self._lock = threading.Lock()
-        self._transcript: list[str] = []
-
-    def _ensure(self) -> subprocess.Popen:
-        if self._proc is None or self._proc.poll() is not None:
-            self._proc = subprocess.Popen(
-                self.command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
-            )
-        return self._proc
-
-    def request(self, task: str, direction: str, z_text: str, zt_text: str) -> list[float]:
-        clean = [
-            field.replace("\t", " ").replace("\n", " ")
-            for field in (task, direction, z_text, zt_text)
-        ]
-        line = "\t".join(clean)
-        with self._lock:
-            proc = self._ensure()
-            self._transcript.append(f"> {line}")
-            try:
-                proc.stdin.write(line + "\n")
-                proc.stdin.flush()
-                response = proc.stdout.readline()
-            except (BrokenPipeError, OSError) as exc:
-                raise ScorerProtocolError(f"scorer pipe failed: {exc}", self._transcript) from exc
-            if response == "":
-                raise ScorerProtocolError("scorer closed its output stream", self._transcript)
-            self._transcript.append(f"< {response.rstrip()}")
-        try:
-            return [float(x) for x in response.split()]
-        except ValueError as exc:
-            raise ScorerProtocolError(
-                f"scorer response is not space-separated reals: {response!r}", self._transcript
-            ) from exc
-
-    def close(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
-            self._proc.stdin.close()
-            self._proc.wait(timeout=5)
+def request_reals(client: LineClient, count: int, task: str, *fields: str) -> list[float]:
+    """One scorer request whose answer must be ``count`` space-separated reals."""
+    response = client.request(task, *fields)
+    try:
+        values = [float(x) for x in response.split()]
+    except ValueError as exc:
+        raise ScorerProtocolError(
+            f"scorer response is not space-separated reals: {response!r}", client.transcript
+        ) from exc
+    if len(values) != count:
+        raise ScorerProtocolError(f"{task} response must be {count} real(s), got {len(values)}")
+    return values
 
 
+@dataclass
 class ExternalLikelihoodScorer:
-    """Adapter giving an ExternalScorer the likelihood-provider interface."""
+    """Likelihood provider over a LineClient speaking the scorer protocol."""
 
+    client: LineClient
     label = "external"
-
-    def __init__(self, scorer: ExternalScorer):
-        self._scorer = scorer
 
     def log_prob(self, direction: str, target: TokenSeq, conditioning: TokenSeq) -> float:
-        values = self._scorer.request(
-            "likelihood", direction, conditioning.detokenize(), target.detokenize()
+        (value,) = request_reals(
+            self.client, 1, "likelihood", direction, conditioning.detokenize(), target.detokenize()
         )
-        if len(values) != 1:
-            raise ScorerProtocolError(f"likelihood response must be 1 real, got {len(values)}")
-        return values[0]
+        return value
 
 
+@dataclass
 class ExternalEntailment:
-    """Adapter giving an ExternalScorer the entailment-provider interface."""
+    """Entailment provider over a LineClient speaking the scorer protocol."""
 
+    client: LineClient
     label = "external"
 
-    def __init__(self, scorer: ExternalScorer):
-        self._scorer = scorer
-
     def probs(self, z: TokenSeq, z_tilde: TokenSeq) -> tuple[float, ...]:
-        values = self._scorer.request("entailment", "-", z.detokenize(), z_tilde.detokenize())
-        if len(values) != 3:
-            raise ScorerProtocolError(f"entailment response must be 3 reals, got {len(values)}")
-        return tuple(values)
+        return tuple(
+            request_reals(self.client, 3, "entailment", "-", z.detokenize(), z_tilde.detokenize())
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +351,8 @@ class SignalError(PairscoreError):
 def compute_signals(example: SyntheticExample, providers: SignalProviders) -> SignalVector:
     """Fill all nine task blocks for one synthetic pair.
 
-    Provider failures are re-raised with the task name attached.  The flag
+    Provider failures are re-raised with the task name attached, except a
+    broken external child, which ends the run rather than one pair.  The flag
     block is (1, 0) exactly when the origin, unwrapping word drops, is
     backtranslation.
     """
@@ -399,6 +362,8 @@ def compute_signals(example: SyntheticExample, providers: SignalProviders) -> Si
     def run(task_name: str, fn):
         try:
             values[task_name] = fn()
+        except ScorerProtocolError:
+            raise
         except PairscoreError as exc:
             raise SignalError(f"task {task_name!r}: {exc}") from exc
 
@@ -418,7 +383,6 @@ def compute_signals(example: SyntheticExample, providers: SignalProviders) -> Si
 def compute_signals_corpus(
     examples: Sequence[SyntheticExample],
     providers: SignalProviders,
-    jobs: int = 1,
     skip_failures: bool = False,
 ) -> tuple[list[tuple[SyntheticExample, SignalVector]], list[str]]:
     """Compute signals for many examples, preserving input order.
@@ -426,27 +390,14 @@ def compute_signals_corpus(
     With skip_failures, per-example SignalErrors (e.g. an empty candidate
     after a full word drop) are collected instead of raised.
     """
-
-    def one(ex):
-        try:
-            return compute_signals(ex, providers), None
-        except SignalError as exc:
-            if skip_failures:
-                return None, str(exc)
-            raise
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, examples))
-    else:
-        results = [one(ex) for ex in examples]
-
     out, problems = [], []
-    for ex, (vec, problem) in zip(examples, results):
-        if vec is not None:
-            out.append((ex, vec))
-        else:
-            problems.append(problem)
+    for ex in examples:
+        try:
+            out.append((ex, compute_signals(ex, providers)))
+        except SignalError as exc:
+            if not skip_failures:
+                raise
+            problems.append(str(exc))
     return out, problems
 
 
@@ -512,59 +463,26 @@ def write_signals(
     meta: Mapping[str, object] | None = None,
 ) -> None:
     header = {
-        "record": "header",
-        "format": SIGNALS_FORMAT,
-        "version": SIGNALS_VERSION,
         "layout_version": SIGNAL_LAYOUT_VERSION,
         "normalization": stats.to_json_dict() if stats is not None else None,
+        **(meta or {}),
     }
-    header.update(meta or {})
-    lines = [json.dumps(header, sort_keys=True)]
-    for ex, vec in pairs:
-        lines.append(
-            json.dumps(
-                {
-                    "z": list(ex.z.tokens),
-                    "z_tilde": list(ex.z_tilde.tokens),
-                    "origin": {"kind": ex.origin.kind, "parent": ex.origin.parent},
-                    "seed": ex.seed,
-                    "normalized": vec.normalized,
-                    "signals": vec.to_json_dict(),
-                },
-                sort_keys=True,
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    records = (
+        {**example_record(ex), "normalized": vec.normalized, "signals": vec.to_json_dict()}
+        for ex, vec in pairs
+    )
+    write_records(path, SIGNALS_FORMAT, SIGNALS_VERSION, records, header)
 
 
 def read_signals(
     path: str | Path, vocab: Vocabulary
 ) -> tuple[list[tuple[SyntheticExample, SignalVector]], NormalizationStats | None, dict]:
-    from .synth import Origin
+    def parse(obj: dict) -> tuple[SyntheticExample, SignalVector]:
+        vec = SignalVector.from_json_dict(obj["signals"], normalized=bool(obj.get("normalized")))
+        return example_from_record(obj, vocab), vec
 
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise DataError(f"empty signals file {path}")
-    header = json.loads(lines[0])
-    if header.get("format") != SIGNALS_FORMAT or header.get("version") != SIGNALS_VERSION:
-        raise SchemaVersionError(
-            f"{SIGNALS_FORMAT}/{SIGNALS_VERSION}",
-            f"{header.get('format')}/{header.get('version')}",
-        )
+    pairs, header = read_records(path, SIGNALS_FORMAT, SIGNALS_VERSION, parse)
     stats = None
     if header.get("normalization"):
         stats = NormalizationStats.from_json_dict(header["normalization"])
-    pairs = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        ex = SyntheticExample(
-            z=TokenSeq.from_tokens(obj["z"], vocab),
-            z_tilde=TokenSeq.from_tokens(obj["z_tilde"], vocab),
-            origin=Origin(obj["origin"]["kind"], obj["origin"].get("parent")),
-            seed=int(obj["seed"]),
-        )
-        vec = SignalVector.from_json_dict(obj["signals"], normalized=bool(obj.get("normalized")))
-        pairs.append((ex, vec))
     return pairs, stats, header

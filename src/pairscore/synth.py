@@ -10,15 +10,18 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import selectors
 import subprocess
-from collections import Counter, defaultdict
+import time
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import DataError, ScorerProtocolError
+from .errors import DataError, SchemaVersionError, ScorerProtocolError
 from .text import RESERVED_TOKENS, TokenSeq, Vocabulary
 
 MAX_MASKS = 15
@@ -278,46 +281,96 @@ class StubBacktranslator:
         return out
 
 
-class ExternalRoundTripTranslator:
-    """Round-trip translation over a child process: one sentence line in, one out."""
+# Seconds a child may take to answer one request before it is killed.
+READ_DEADLINE_S = 120.0
 
-    label = "external"
+
+class LineClient:
+    """Owns one child process speaking a line protocol; one request in flight.
+
+    A request is its fields, with tabs and newlines turned into spaces, joined
+    by tabs on one line; the answer is one line.  The child is started on the
+    first request and again after it dies.  A pipe failure, an early EOF or no
+    answer within READ_DEADLINE_S raises ScorerProtocolError with the
+    transcript of the last lines exchanged.
+    """
 
     def __init__(self, command: Sequence[str]):
         self.command = list(command)
+        self.transcript: deque[str] = deque(maxlen=20)
         self._proc: subprocess.Popen | None = None
-        self._transcript: list[str] = []
+        self._pending = b""
 
     def _ensure(self) -> subprocess.Popen:
         if self._proc is None or self._proc.poll() is not None:
-            self._proc = subprocess.Popen(
-                self.command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
-            )
+            self.close()
+            self._proc = subprocess.Popen(self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+            self._pending = b""
         return self._proc
 
-    def round_trip(self, tokens: Sequence[str], rng=None) -> list[str]:
+    def request(self, *fields: str) -> str:
+        line = "\t".join(f.replace("\t", " ").replace("\n", " ") for f in fields)
         proc = self._ensure()
-        request = " ".join(tokens).replace("\t", " ").replace("\n", " ")
-        self._transcript.append(f"> {request}")
+        self.transcript.append(f"> {line}")
         try:
-            proc.stdin.write(request + "\n")
+            proc.stdin.write((line + "\n").encode("utf-8"))
             proc.stdin.flush()
-            response = proc.stdout.readline()
-        except (BrokenPipeError, OSError) as exc:
-            raise ScorerProtocolError(f"translator pipe failed: {exc}", self._transcript) from exc
+            response = self._read_line(proc).decode("utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ScorerProtocolError(f"child pipe failed: {exc}", self.transcript) from exc
         if response == "":
-            raise ScorerProtocolError("translator closed its output stream", self._transcript)
-        self._transcript.append(f"< {response.rstrip()}")
-        return response.rstrip("\n").split()
+            raise ScorerProtocolError("child closed its output stream", self.transcript)
+        self.transcript.append(f"< {response.rstrip()}")
+        return response
+
+    def _read_line(self, proc: subprocess.Popen) -> bytes:
+        """Read up to a newline or EOF from the binary pipe, within the deadline."""
+        fd = proc.stdout.fileno()
+        deadline = time.monotonic() + READ_DEADLINE_S
+        with selectors.DefaultSelector() as selector:
+            selector.register(fd, selectors.EVENT_READ)
+            while b"\n" not in self._pending:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or not selector.select(remaining):
+                    proc.kill()
+                    proc.wait()
+                    raise ScorerProtocolError(
+                        f"child gave no answer within {READ_DEADLINE_S:g} s; killed it",
+                        self.transcript,
+                    )
+                chunk = os.read(fd, 65536)
+                if not chunk:
+                    break
+                self._pending += chunk
+        line, sep, self._pending = self._pending.partition(b"\n")
+        return line + sep
 
     def close(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
-            self._proc.stdin.close()
-            self._proc.wait(timeout=5)
+        """Close the child's input and wait for it to exit (killing it after 5 s)."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        try:
+            proc.stdin.close()
+        except OSError:
+            pass
+        try:
+            proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+
+
+@dataclass
+class ExternalRoundTripTranslator:
+    """Round-trip translation over a LineClient: one sentence line in, one out."""
+
+    client: LineClient
+    label = "external"
+
+    def round_trip(self, tokens: Sequence[str], rng=None) -> list[str]:
+        return self.client.request(" ".join(tokens)).split()
 
 
 def backtranslate(z: TokenSeq, translator, vocab: Vocabulary, rng=None) -> TokenSeq:
@@ -413,57 +466,83 @@ def generate_corpus(
 
 
 # ---------------------------------------------------------------------------
-# Synthetic corpus file format: JSONL with one header record.
+# Artifact files: JSONL, one header record and then one record per line.
 # ---------------------------------------------------------------------------
 
 SYNTH_FORMAT = "synthetic-corpus"
 SYNTH_VERSION = 1
 
+T = TypeVar("T")
+
+
+def example_record(ex: SyntheticExample) -> dict:
+    return {
+        "z": list(ex.z.tokens),
+        "z_tilde": list(ex.z_tilde.tokens),
+        "origin": {"kind": ex.origin.kind, "parent": ex.origin.parent},
+        "seed": ex.seed,
+    }
+
+
+def example_from_record(obj: Mapping, vocab: Vocabulary) -> SyntheticExample:
+    return SyntheticExample(
+        z=TokenSeq.from_tokens(obj["z"], vocab),
+        z_tilde=TokenSeq.from_tokens(obj["z_tilde"], vocab),
+        origin=Origin(obj["origin"]["kind"], obj["origin"].get("parent")),
+        seed=int(obj["seed"]),
+    )
+
+
+def write_records(
+    path: str | Path, fmt: str, version: int, records: Iterable[Mapping], meta: Mapping[str, object]
+) -> None:
+    header = {"record": "header", "format": fmt, "version": version, **meta}
+    lines = [json.dumps(obj, sort_keys=True) for obj in (header, *records)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def read_records(
+    path: str | Path, fmt: str, version: int, parse: Callable[[dict], T]
+) -> tuple[list[T], dict]:
+    """Check the header's format/version, then ``parse`` each non-blank record line.
+
+    A malformed line raises DataError naming ``path:line``.
+    """
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not lines:
+        raise DataError(f"empty {fmt} file {path}")
+    header = _record_line(path, 1, lines[0], dict)
+    if header.get("format") != fmt or header.get("version") != version:
+        raise SchemaVersionError(f"{fmt}/{version}", f"{header.get('format')}/{header.get('version')}")
+    out = [
+        _record_line(path, lineno, line, parse)
+        for lineno, line in enumerate(lines[1:], start=2)
+        if line.strip()
+    ]
+    return out, header
+
+
+def _record_line(path, lineno: int, line: str, parse: Callable[[dict], T]) -> T:
+    try:
+        obj = json.loads(line)
+        if not isinstance(obj, dict):
+            raise DataError(f"expected a JSON object, got {type(obj).__name__}")
+        return parse(obj)
+    except KeyError as exc:
+        problem = f"record lacks key {exc}"
+    except (DataError, TypeError, ValueError, AttributeError) as exc:
+        problem = str(exc)
+    raise DataError(f"{path}:{lineno}: {problem}")
+
 
 def write_synthetic(
     examples: Sequence[SyntheticExample], path: str | Path, meta: Mapping[str, object] | None = None
 ) -> None:
-    header = {"record": "header", "format": SYNTH_FORMAT, "version": SYNTH_VERSION}
-    header.update(meta or {})
-    lines = [json.dumps(header, sort_keys=True)]
-    for ex in examples:
-        lines.append(
-            json.dumps(
-                {
-                    "z": list(ex.z.tokens),
-                    "z_tilde": list(ex.z_tilde.tokens),
-                    "origin": {"kind": ex.origin.kind, "parent": ex.origin.parent},
-                    "seed": ex.seed,
-                },
-                sort_keys=True,
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_records(path, SYNTH_FORMAT, SYNTH_VERSION, map(example_record, examples), meta or {})
 
 
 def read_synthetic(path: str | Path, vocab: Vocabulary) -> tuple[list[SyntheticExample], dict]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise DataError(f"empty synthetic corpus file {path}")
-    header = json.loads(lines[0])
-    if header.get("format") != SYNTH_FORMAT or header.get("version") != SYNTH_VERSION:
-        from .errors import SchemaVersionError
-
-        raise SchemaVersionError(
-            f"{SYNTH_FORMAT}/{SYNTH_VERSION}",
-            f"{header.get('format')}/{header.get('version')}",
-        )
-    examples = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        examples.append(
-            SyntheticExample(
-                z=TokenSeq.from_tokens(obj["z"], vocab),
-                z_tilde=TokenSeq.from_tokens(obj["z_tilde"], vocab),
-                origin=Origin(obj["origin"]["kind"], obj["origin"].get("parent")),
-                seed=int(obj["seed"]),
-            )
-        )
-    return examples, header
+    return read_records(path, SYNTH_FORMAT, SYNTH_VERSION, lambda obj: example_from_record(obj, vocab))

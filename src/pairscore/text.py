@@ -154,12 +154,20 @@ class TokenSeq:
         return TokenSeq(tuple(toks), tuple(ids))
 
 
+def split_tokens(text: str) -> list[str]:
+    """The tokenizer's token strings: lowercase words and single punctuation marks.
+
+    Build a vocabulary from these so that tokenize() finds every token in it.
+    """
+    return _TOKEN_RE.findall(text.lower())
+
+
 def tokenize(text: str, vocab: Vocabulary) -> TokenSeq:
     """Lowercase and split on whitespace/punctuation; unknown tokens map to [unk].
 
     Idempotent on already-tokenized text: tokenize(detokenize(s)) == s.
     """
-    return TokenSeq.from_tokens(_TOKEN_RE.findall(text.lower()), vocab)
+    return TokenSeq.from_tokens(split_tokens(text), vocab)
 
 
 def as_tokens(seq) -> tuple[str, ...]:

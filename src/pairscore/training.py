@@ -28,7 +28,6 @@ from .encoder import (
     gradients,
     pretrain_loss,
     save_checkpoint,
-    supervised_loss,
 )
 from .errors import DataError, NumericError, TrainingDiverged
 from .signals import TaskSpec, SignalVector, default_task_specs
@@ -47,6 +46,7 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 0
+    # Read by nothing in the package; kept so that callers passing stage= still work.
     stage: str = "pretrain"
 
     def __post_init__(self):
@@ -183,7 +183,8 @@ def pretrain(
         for start in range(0, len(dataset), config.batch_size):
             idx = np.arange(start, min(start + config.batch_size, len(dataset)))
             batch = _make_batch(pairs, vocab, idx, targets=targets)
-            loss, _ = _loss_no_update(working, batch, tasks)
+            outputs = forward(working, batch).task_outputs
+            loss = pretrain_loss(outputs, batch.signal_targets, tasks)
             total += loss * len(idx)
             count += len(idx)
         return total / count
@@ -217,13 +218,6 @@ def _make_batch(pairs, vocab, idx, targets=None, ratings=None) -> Batch:
         ratings=None if ratings is None else [ratings[i] for i in idx],
         signal_targets=None if targets is None else {k: v[idx] for k, v in targets.items()},
     )
-
-
-def _loss_no_update(params, batch, loss_spec):
-    result = forward(params, batch)
-    if loss_spec == "supervised":
-        return supervised_loss(result.ratings, batch.ratings), result
-    return pretrain_loss(result.task_outputs, batch.signal_targets, loss_spec), result
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +363,27 @@ def params_digest(params: ModelParams) -> str:
     return digest.hexdigest()[:16]
 
 
+def manifest_entry(
+    name: str,
+    kind: str,
+    steps: int,
+    history: Sequence[EvalPoint],
+    params: ModelParams,
+    checkpoint: str | Path | None = None,
+) -> dict:
+    """One stage of a training manifest; ``checkpoint`` is included when given."""
+    entry = {
+        "stage": name,
+        "kind": kind,
+        "steps": steps,
+        "history": [{"step": p.step, "metric": p.metric} for p in history],
+        "params_digest": params_digest(params),
+    }
+    if checkpoint is not None:
+        entry["checkpoint"] = str(checkpoint)
+    return entry
+
+
 def run_recipe(
     initial_params: ModelParams,
     stages: Sequence[Stage],
@@ -396,19 +411,14 @@ def run_recipe(
                 )
         except Exception as exc:
             raise RecipeError(stage.name, exc, manifest) from exc
-        entry = {
-            "stage": stage.name,
-            "kind": stage.kind,
-            "steps": stage.config.total_steps,
-            "history": [{"step": p.step, "metric": p.metric} for p in history],
-            "params_digest": params_digest(params),
-        }
+        path = None
         if checkpoint_dir is not None:
             Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
             path = Path(checkpoint_dir) / f"stage{i:02d}_{stage.name}.ckpt"
             save_checkpoint(params, path)
-            entry["checkpoint"] = str(path)
-        manifest.append(entry)
+        manifest.append(
+            manifest_entry(stage.name, stage.kind, stage.config.total_steps, history, params, path)
+        )
     return params, manifest
 
 

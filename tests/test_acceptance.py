@@ -233,7 +233,6 @@ def _ablation_pipeline(base_tasks):
         pretrain_config=TrainConfig(total_steps=12, eval_every=6, batch_size=8, learning_rate=1e-3, seed=0),
         finetune_config=TrainConfig(
             total_steps=12, eval_every=6, batch_size=8, learning_rate=1e-3, seed=0,
-            stage="finetune",
         ),
     )
 

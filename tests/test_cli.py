@@ -317,3 +317,154 @@ class TestProviderWiring:
         z_lengths = [len(r["z"]) for r in records]
         expected = sum(-1.25 / n for n in z_lengths) / len(z_lengths)
         assert abs(raw_means["bt_en_fr_ref"] - expected) < 1e-9
+
+    def test_vocabulary_covers_capitalized_punctuated_corpus(self, tmp_path, capsys):
+        corpus = tmp_path / "mixed.txt"
+        corpus.write_text(
+            "The dog, however, sleeps.\n"
+            "A Cat sat on the mat; the dog did not!\n"
+            "Rivers run (slowly) to the sea.\n",
+            encoding="utf-8",
+        )
+        pairs, vocab_path = tmp_path / "mixed.jsonl", tmp_path / "mixed_vocab.json"
+        rc = run_cli(
+            "--set", "vocab_min_count=1", "--set", "n_backtranslation=0",
+            "gen-pairs", corpus, pairs, "--vocab-out", vocab_path,
+        )
+        assert rc == 0
+        vocab = set(json.loads(vocab_path.read_text())["tokens"])
+        records = [json.loads(line) for line in pairs.read_text().splitlines()[1:]]
+        tokens = {tok for r in records for tok in r["z"] + r["z_tilde"]}
+        assert {"the", "dog", ",", "."} <= tokens
+        assert tokens <= vocab
+
+
+ECHO_CHILD = """\
+import sys
+marker, reply = sys.argv[1], " ".join(sys.argv[2:])
+for line in sys.stdin:
+    print(reply or line.rstrip("\\n").split("\\t")[-1])
+    sys.stdout.flush()
+open(marker, "w").write("eof")
+"""
+
+
+class TestChildProcesses:
+    @pytest.fixture
+    def small_corpus(self, tmp_path):
+        path = tmp_path / "small.txt"
+        path.write_text("\n".join(demo_sentences(8, seed=5)) + "\n", encoding="utf-8")
+        return path
+
+    @staticmethod
+    def child(tmp_path, name, *reply):
+        import sys as _sys
+
+        script = tmp_path / "echo_child.py"
+        script.write_text(ECHO_CHILD)
+        marker = tmp_path / f"{name}.eof"
+        return f"{_sys.executable} {script} {marker} {' '.join(reply)}".strip(), marker
+
+    def test_gen_pairs_closes_translator(self, small_corpus, tmp_path, capsys):
+        command, marker = self.child(tmp_path, "translator")
+        rc = run_cli(
+            *FAST_SETTINGS, "--set", f"translator_command={command}",
+            "gen-pairs", small_corpus, tmp_path / "pairs.jsonl", "--vocab-out", tmp_path / "v.json",
+        )
+        assert rc == 0
+        assert marker.exists()
+
+    def test_compute_signals_closes_scorer_and_entailment(
+        self, small_corpus, tmp_path, monkeypatch, capsys
+    ):
+        pairs, vocab = tmp_path / "pairs.jsonl", tmp_path / "v.json"
+        assert run_cli(*FAST_SETTINGS, "gen-pairs", small_corpus, pairs, "--vocab-out", vocab) == 0
+        scorer, scorer_marker = self.child(tmp_path, "scorer", "-1.25")
+        entail, entail_marker = self.child(tmp_path, "entailment", "0.6", "0.1", "0.3")
+        monkeypatch.setenv("PAIRSCORE_SCORER_COMMAND", scorer)
+        rc = run_cli(
+            *FAST_SETTINGS, "--set", f"entailment_command={entail}",
+            "compute-signals", pairs, vocab, tmp_path / "signals.jsonl",
+        )
+        assert rc == 0
+        assert scorer_marker.exists()
+        assert entail_marker.exists()
+
+    def test_silent_scorer_ends_the_run(self, small_corpus, tmp_path, monkeypatch, capsys):
+        import sys as _sys
+        import time
+
+        from pairscore import synth
+
+        pairs, vocab = tmp_path / "pairs.jsonl", tmp_path / "v.json"
+        assert run_cli(*FAST_SETTINGS, "gen-pairs", small_corpus, pairs, "--vocab-out", vocab) == 0
+        script = tmp_path / "silent.py"
+        script.write_text("import time\ntime.sleep(60)\n")
+        monkeypatch.setenv("PAIRSCORE_SCORER_COMMAND", f"{_sys.executable} {script}")
+        monkeypatch.setattr(synth, "READ_DEADLINE_S", 0.5)
+        out = tmp_path / "signals.jsonl"
+        capsys.readouterr()
+        start = time.monotonic()
+        rc = run_cli(*FAST_SETTINGS, "compute-signals", pairs, vocab, out)
+        assert time.monotonic() - start < 10
+        assert rc == 3
+        assert "no answer within 0.5 s" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestMalformedArtifacts:
+    """A damaged pairs or signals file exits 3 with one line naming file:line."""
+
+    @pytest.fixture(scope="class")
+    def chain(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("malformed")
+        corpus = work / "corpus.txt"
+        corpus.write_text("\n".join(demo_sentences(10, seed=11)) + "\n", encoding="utf-8")
+        out = {name: work / name for name in ("pairs.jsonl", "vocab.json", "signals.jsonl")}
+        assert run_cli(*FAST_SETTINGS, "gen-pairs", corpus, out["pairs.jsonl"],
+                       "--vocab-out", out["vocab.json"]) == 0
+        assert run_cli(*FAST_SETTINGS, "compute-signals", out["pairs.jsonl"], out["vocab.json"],
+                       out["signals.jsonl"]) == 0
+        return out
+
+    @staticmethod
+    def truncated(src, dst):
+        """The first three lines of ``src`` and half of its fourth."""
+        lines = src.read_text(encoding="utf-8").splitlines(keepends=True)
+        dst.write_text("".join(lines[:3]) + lines[3][: len(lines[3]) // 2], encoding="utf-8")
+        return dst
+
+    def assert_data_error(self, capsys, rc, bad, out, lineno):
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.count("\n") == 1
+        assert f"{bad}:{lineno}:" in err
+        assert not out.exists()
+        return err
+
+    def test_truncated_pairs(self, chain, tmp_path, capsys):
+        bad = self.truncated(chain["pairs.jsonl"], tmp_path / "trunc.jsonl")
+        out = tmp_path / "signals.jsonl"
+        capsys.readouterr()
+        rc = run_cli(*FAST_SETTINGS, "compute-signals", bad, chain["vocab.json"], out)
+        self.assert_data_error(capsys, rc, bad, out, 4)
+
+    def test_truncated_signals(self, chain, tmp_path, capsys):
+        bad = self.truncated(chain["signals.jsonl"], tmp_path / "trunc.jsonl")
+        out = tmp_path / "pre.ckpt"
+        capsys.readouterr()
+        rc = run_cli(*FAST_SETTINGS, "pretrain", bad, chain["vocab.json"], out)
+        self.assert_data_error(capsys, rc, bad, out, 4)
+
+    def test_record_missing_key(self, chain, tmp_path, capsys):
+        lines = chain["pairs.jsonl"].read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[2])
+        del record["seed"]
+        lines[2] = json.dumps(record, sort_keys=True)
+        bad = tmp_path / "nokey.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "signals.jsonl"
+        capsys.readouterr()
+        rc = run_cli(*FAST_SETTINGS, "compute-signals", bad, chain["vocab.json"], out)
+        err = self.assert_data_error(capsys, rc, bad, out, 3)
+        assert "'seed'" in err

@@ -48,7 +48,7 @@ def pipeline(vocab):
         test=test,
         pretrain_config=TrainConfig(total_steps=8, eval_every=4, batch_size=8, learning_rate=1e-3, seed=0),
         finetune_config=TrainConfig(
-            total_steps=8, eval_every=4, batch_size=8, learning_rate=1e-3, seed=0, stage="finetune"
+            total_steps=8, eval_every=4, batch_size=8, learning_rate=1e-3, seed=0
         ),
     )
 

@@ -1,10 +1,12 @@
 import math
 import sys
+import time
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from pairscore import synth
 from pairscore.errors import DataError, ScorerProtocolError
 from pairscore.synth import (
     MASK_CONTIGUOUS,
@@ -15,6 +17,7 @@ from pairscore.synth import (
     ExternalRoundTripTranslator,
     GenerationConfig,
     IdentityTranslator,
+    LineClient,
     MaskPlan,
     Origin,
     StubBacktranslator,
@@ -172,17 +175,17 @@ class TestBacktranslate:
             "    print('the dog sat on the mat')\n"
             "    sys.stdout.flush()\n"
         )
-        translator = ExternalRoundTripTranslator([sys.executable, str(script)])
+        translator = ExternalRoundTripTranslator(LineClient([sys.executable, str(script)]))
         try:
             out = backtranslate(seq("the cat", vocab), translator, vocab)
             assert out.detokenize() == "the dog sat on the mat"
         finally:
-            translator.close()
+            translator.client.close()
 
     def test_external_translator_failure_carries_transcript(self, vocab, tmp_path):
         script = tmp_path / "dies.py"
         script.write_text("import sys; sys.exit(0)\n")
-        translator = ExternalRoundTripTranslator([sys.executable, str(script)])
+        translator = ExternalRoundTripTranslator(LineClient([sys.executable, str(script)]))
         with pytest.raises(ScorerProtocolError) as info:
             backtranslate(seq("the cat", vocab), translator, vocab)
         assert "the cat" in str(info.value)
@@ -284,3 +287,38 @@ class TestOriginValidation:
         z = seq("the cat", vocab)
         with pytest.raises(DataError):
             SyntheticExample(empty, z, Origin(MASK_SCATTER), 0)
+
+
+class TestLineClient:
+    def test_request_wire_format(self, tmp_path):
+        script = tmp_path / "repr_echo.py"
+        script.write_text(
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            "    print(repr(line))\n"
+            "    sys.stdout.flush()\n"
+        )
+        client = LineClient([sys.executable, str(script)])
+        try:
+            got = client.request("likelihood", "en-fr", "a\tb", "c\nd")
+        finally:
+            client.close()
+        assert got == repr("likelihood\ten-fr\ta b\tc d\n") + "\n"
+        assert client.transcript[0] == "> likelihood\ten-fr\ta b\tc d"
+
+    def test_silent_child_is_killed_at_deadline(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(synth, "READ_DEADLINE_S", 1.0)
+        script = tmp_path / "silent.py"
+        script.write_text("import time\ntime.sleep(60)\n")
+        client = LineClient([sys.executable, str(script)])
+        start = time.monotonic()
+        try:
+            with pytest.raises(ScorerProtocolError) as info:
+                client.request("the cat")
+            proc = client._proc
+            assert proc.poll() is not None
+        finally:
+            client.close()
+        assert time.monotonic() - start < 10
+        assert "no answer within 1 s" in str(info.value)
+        assert "> the cat" in str(info.value)

@@ -121,7 +121,7 @@ class TestFinetune:
         data = rated_dataset(vocab)
         train, val = split_no_leak(data, 0.2, seed=0)
         params = init_model(encoder_config)
-        config = TrainConfig(total_steps=0, eval_every=1, stage="finetune")
+        config = TrainConfig(total_steps=0, eval_every=1)
         out, history = finetune(params, train, val, config, vocab)
         assert out.allclose(params)
         assert history == []
@@ -129,7 +129,7 @@ class TestFinetune:
     def test_empty_validation_errors(self, vocab, encoder_config):
         data = rated_dataset(vocab)
         params = init_model(encoder_config)
-        config = TrainConfig(total_steps=5, eval_every=5, stage="finetune")
+        config = TrainConfig(total_steps=5, eval_every=5)
         with pytest.raises(DataError):
             finetune(params, data, [], config, vocab)
 
@@ -139,7 +139,6 @@ class TestFinetune:
         params = init_model(encoder_config)
         config = TrainConfig(
             total_steps=40, eval_every=10, batch_size=16, learning_rate=2e-3, seed=0,
-            stage="finetune",
         )
         best, history = finetune(params, train, val, config, vocab)
         from pairscore.training import validation_kendall
@@ -152,7 +151,6 @@ class TestFinetune:
         train, val = split_no_leak(data, 0.2, seed=2)
         config = TrainConfig(
             total_steps=20, eval_every=10, batch_size=8, learning_rate=1e-3, seed=9,
-            stage="finetune",
         )
         outs = []
         for _ in range(2):
@@ -243,7 +241,6 @@ class TestRunRecipe:
         train, val = split_no_leak(data, 0.2, seed=3)
         config = TrainConfig(
             total_steps=15, eval_every=5, batch_size=8, learning_rate=1e-3, seed=4,
-            stage="finetune",
         )
         params = init_model(encoder_config)
         direct, _ = finetune(params, train, val, config, vocab)
@@ -260,7 +257,6 @@ class TestRunRecipe:
         pre_cfg = TrainConfig(total_steps=10, eval_every=5, batch_size=8, learning_rate=1e-3, seed=0)
         ft_cfg = TrainConfig(
             total_steps=10, eval_every=5, batch_size=8, learning_rate=1e-3, seed=0,
-            stage="finetune",
         )
         stages = [
             Stage("pretrain", pre_cfg, dataset=synthetic[:30], tasks=default_task_specs()),
@@ -282,7 +278,7 @@ class TestRunRecipe:
         from pairscore.training import RecipeError
 
         pre_cfg = TrainConfig(total_steps=5, eval_every=5, batch_size=8, seed=0)
-        bad = Stage("finetune", TrainConfig(total_steps=5, eval_every=5, stage="finetune"),
+        bad = Stage("finetune", TrainConfig(total_steps=5, eval_every=5),
                     train=[], validation=[])
         params = init_model(encoder_config)
         with pytest.raises(RecipeError) as info:
@@ -333,7 +329,6 @@ class TestLearnableTargetSmoke:
         params = init_model(config)
         tc = TrainConfig(
             total_steps=500, eval_every=100, batch_size=32, learning_rate=2e-3, seed=0,
-            stage="finetune",
         )
         best, history = finetune(params, train, val, tc, vocab)
         assert max(p.metric for p in history) > 0.5, [p.metric for p in history]
