@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 from . import __version__
 from .demo import load_demo_corpus
 from .encoder import EncoderConfig, init_model, load_checkpoint, save_checkpoint
-from .errors import DataError, NumericError, PairscoreError, UsageError
+from .errors import DataError, NumericError, PairscoreError, ScorerProtocolError, UsageError
 from .experiments import AblationPipeline, ablation_to_csv, run_ablation
 from .metrics import BLEU_SMOOTHING, EmbeddingTable
 from .signals import (
@@ -662,6 +662,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
+    except ScorerProtocolError as exc:
+        print(f"data error: {exc.message}", file=sys.stderr)
+        return 3
     except PairscoreError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

@@ -10,6 +10,14 @@ Architecture: learned token/position/segment embeddings, post-norm residual
 blocks (multi-head self-attention, then a GELU feed-forward), padding masked
 out of attention.  Inference mode is deterministic; dropout only applies when
 an rng is supplied in training mode.
+
+Only the final [cls] vector reaches a head, so the last block computes only
+what that row needs: its keys and values cover every position, but queries,
+attention, output projection, layer norms and feed-forward run on rows 0-1.
+Row 1 is kept because a one-row product goes through BLAS gemv, which rounds
+differently from the gemm of the full-width pass; with two rows every output
+and gradient equals the full-width computation bit for bit (the tests hold a
+full-width oracle).
 """
 
 from __future__ import annotations
@@ -24,12 +32,14 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, SchemaVersionError
 from .signals import REGRESSION, TaskSpec, default_task_specs
 from .text import SentencePair, Vocabulary
 
 LN_EPS = 1e-12
 _MASK_BIAS = 1e30
+# Rows the last block computes: [cls] and position 1 (see the module docstring).
+_LAST_BLOCK_ROWS = 2
 
 CHECKPOINT_MAGIC = b"PSCKPT1\n"
 
@@ -87,40 +97,44 @@ class ModelParams:
         )
 
 
+def _tensor_layout(config: EncoderConfig, tasks: Sequence[TaskSpec]) -> dict[str, tuple[tuple, str]]:
+    """Name -> (shape, initializer) of every tensor, in initialization order."""
+    d, f = config.d_model, config.d_ff
+    layout = {
+        "tok_emb": ((config.vocab_size, d), "normal"),
+        "pos_emb": ((config.max_seq_len, d), "normal"),
+        "seg_emb": ((2, d), "normal"),
+        "emb_ln_g": ((d,), "ones"),
+        "emb_ln_b": ((d,), "zeros"),
+    }
+    for l in range(config.n_layers):
+        p = f"layer{l}."
+        for name in ("wq", "wk", "wv", "wo"):
+            layout[p + name] = ((d, d), "normal")
+        for name in ("bq", "bk", "bv", "bo"):
+            layout[p + name] = ((d,), "zeros")
+        layout[p + "attn_ln_g"] = ((d,), "ones")
+        layout[p + "attn_ln_b"] = ((d,), "zeros")
+        layout[p + "w1"] = ((d, f), "normal")
+        layout[p + "b1"] = ((f,), "zeros")
+        layout[p + "w2"] = ((f, d), "normal")
+        layout[p + "b2"] = ((d,), "zeros")
+        layout[p + "ffn_ln_g"] = ((d,), "ones")
+        layout[p + "ffn_ln_b"] = ((d,), "zeros")
+    for task in tasks:
+        layout[f"head.{task.name}.w"] = ((d, task.dim), "normal")
+        layout[f"head.{task.name}.b"] = ((task.dim,), "zeros")
+    layout["rating.w"] = ((d,), "normal")
+    layout["rating.b"] = ((1,), "zeros")
+    return layout
+
+
 def init_model(config: EncoderConfig, tasks: Sequence[TaskSpec] | None = None) -> ModelParams:
     """Random initialization: N(0, 0.02) weights, zero biases, unit layer norms."""
     tasks = tuple(tasks if tasks is not None else default_task_specs())
     rng = np.random.default_rng(config.init_seed)
-    d, f = config.d_model, config.d_ff
-
-    def w(*shape):
-        return rng.normal(0.0, 0.02, size=shape)
-
-    t: dict[str, np.ndarray] = {}
-    t["tok_emb"] = w(config.vocab_size, d)
-    t["pos_emb"] = w(config.max_seq_len, d)
-    t["seg_emb"] = w(2, d)
-    t["emb_ln_g"] = np.ones(d)
-    t["emb_ln_b"] = np.zeros(d)
-    for l in range(config.n_layers):
-        p = f"layer{l}."
-        for name in ("wq", "wk", "wv", "wo"):
-            t[p + name] = w(d, d)
-        for name in ("bq", "bk", "bv", "bo"):
-            t[p + name] = np.zeros(d)
-        t[p + "attn_ln_g"] = np.ones(d)
-        t[p + "attn_ln_b"] = np.zeros(d)
-        t[p + "w1"] = w(d, f)
-        t[p + "b1"] = np.zeros(f)
-        t[p + "w2"] = w(f, d)
-        t[p + "b2"] = np.zeros(d)
-        t[p + "ffn_ln_g"] = np.ones(d)
-        t[p + "ffn_ln_b"] = np.zeros(d)
-    for task in tasks:
-        t[f"head.{task.name}.w"] = w(d, task.dim)
-        t[f"head.{task.name}.b"] = np.zeros(task.dim)
-    t["rating.w"] = w(d)
-    t["rating.b"] = np.zeros(1)
+    fill = {"normal": lambda shape: rng.normal(0.0, 0.02, size=shape), "ones": np.ones, "zeros": np.zeros}
+    t = {name: fill[init](shape) for name, (shape, init) in _tensor_layout(config, tasks).items()}
     return ModelParams(config, tasks, t)
 
 
@@ -200,11 +214,12 @@ def _layer_norm_backward(dout, g, cache):
 
 
 def _gelu(x):
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
-
-
-def _gelu_backward(dout, x):
+    """GELU and its CDF, which the backward pass reuses."""
     cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    return x * cdf, cdf
+
+
+def _gelu_backward(dout, x, cdf):
     pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     return dout * (cdf + x * pdf)
 
@@ -213,19 +228,47 @@ def _linear(x, w, b):
     return x @ w + b
 
 
-def _linear_backward(dout, x, w):
-    din = x.shape[-1]
+def _pad_rows(x, width):
+    """``x`` with zero rows appended along axis 1 up to ``width``."""
+    if x.shape[1] == width:
+        return x
+    out = np.zeros((x.shape[0], width, x.shape[2]))
+    out[:, : x.shape[1]] = x
+    return out
+
+
+def _linear_backward(dout, x, w, width):
+    """Gradients of ``x @ w + b`` where ``dout`` covers the first rows of ``x``.
+
+    The products run on ``dout`` zero-padded to ``width`` rows, the shapes of
+    the full-width pass: BLAS picks its kernel, and with it the rounding, by
+    the matrix sizes, and splits the inner dimension of ``x.T @ dout`` into
+    blocks by its length.
+    """
+    rows = dout.shape[1]
+    dout = _pad_rows(dout, width)
+    dx = (dout @ w.T)[:, :rows]
     dout_flat = dout.reshape(-1, dout.shape[-1])
-    x_flat = x.reshape(-1, din)
+    x_flat = _pad_rows(x, width).reshape(-1, x.shape[-1])
     dw = x_flat.T @ dout_flat
     db = dout_flat.sum(axis=0)
-    dx = dout @ w.T
     return dx, dw, db
 
 
 def _softmax_last(x):
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _attention_softmax(scores, key_mask):
+    """Softmax over keys; masked keys get exactly 0 without calling exp.
+
+    Their -1e30 bias would underflow exp to 0 anyway, but numpy's exp takes a
+    slow path on underflow.
+    """
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted, out=np.zeros_like(shifted), where=key_mask)
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -273,12 +316,18 @@ def forward(
         raise DataError("training-mode dropout requires an rng")
     cache: dict = {"layers": [], "dropout": {}}
 
+    def dropout(name, x, full_shape):
+        # The mask is drawn at its full-width shape and cut to x's, so the
+        # rng stream does not depend on how many rows a block computes.
+        if not use_dropout:
+            return x
+        m = _dropout_mask(rng, full_shape, cfg.dropout)[tuple(slice(n) for n in x.shape)]
+        cache["dropout"][name] = m
+        return x * m
+
     x = t["tok_emb"][batch.ids] + t["pos_emb"][:width][None, :, :] + t["seg_emb"][batch.segments]
     x, emb_ln_cache = _layer_norm(x, t["emb_ln_g"], t["emb_ln_b"])
-    if use_dropout:
-        m = _dropout_mask(rng, x.shape, cfg.dropout)
-        cache["dropout"]["emb"] = m
-        x = x * m
+    x = dropout("emb", x, x.shape)
     cache["emb_ln"] = emb_ln_cache
     _check_finite(x, "embedding block")
 
@@ -286,47 +335,41 @@ def forward(
     dh = cfg.d_model // h
     scale = 1.0 / math.sqrt(dh)
     key_bias = (batch.mask - 1.0)[:, None, None, :] * _MASK_BIAS  # 0 real, -inf-ish pad
+    key_mask = batch.mask[:, None, None, :] > 0.0
 
     for l in range(cfg.n_layers):
         p = f"layer{l}."
+        # Only the [cls] row of the last block reaches an output, so its
+        # queries and everything after them run on `rows` rows only.
+        rows = min(_LAST_BLOCK_ROWS, width) if l == cfg.n_layers - 1 else width
         lc: dict = {"x_in": x}
-        q = _linear(x, t[p + "wq"], t[p + "bq"])
+        x_rows = x[:, :rows]
+        q = _linear(x_rows, t[p + "wq"], t[p + "bq"])
         k = _linear(x, t[p + "wk"], t[p + "bk"])
         v = _linear(x, t[p + "wv"], t[p + "bv"])
-        q4 = q.reshape(b, width, h, dh).transpose(0, 2, 1, 3)
+        q4 = q.reshape(b, rows, h, dh).transpose(0, 2, 1, 3)
         k4 = k.reshape(b, width, h, dh).transpose(0, 2, 1, 3)
         v4 = v.reshape(b, width, h, dh).transpose(0, 2, 1, 3)
         scores = q4 @ k4.swapaxes(-1, -2) * scale + key_bias
-        attn = _softmax_last(scores)
-        if use_dropout:
-            m = _dropout_mask(rng, attn.shape, cfg.dropout)
-            cache["dropout"][f"attn{l}"] = m
-            attn_used = attn * m
-        else:
-            attn_used = attn
+        attn = _attention_softmax(scores, key_mask)
+        attn_used = dropout(f"attn{l}", attn, (b, h, width, width))
         ctx4 = attn_used @ v4
-        ctx = ctx4.transpose(0, 2, 1, 3).reshape(b, width, cfg.d_model)
+        ctx = ctx4.transpose(0, 2, 1, 3).reshape(b, rows, cfg.d_model)
         attn_out = _linear(ctx, t[p + "wo"], t[p + "bo"])
-        if use_dropout:
-            m = _dropout_mask(rng, attn_out.shape, cfg.dropout)
-            cache["dropout"][f"attn_out{l}"] = m
-            attn_out = attn_out * m
-        x1, ln1_cache = _layer_norm(x + attn_out, t[p + "attn_ln_g"], t[p + "attn_ln_b"])
+        attn_out = dropout(f"attn_out{l}", attn_out, (b, width, cfg.d_model))
+        x1, ln1_cache = _layer_norm(x_rows + attn_out, t[p + "attn_ln_g"], t[p + "attn_ln_b"])
         _check_finite(x1, f"layer {l} attention output")
 
         ffn_pre = _linear(x1, t[p + "w1"], t[p + "b1"])
-        ffn_act = _gelu(ffn_pre)
+        ffn_act, ffn_cdf = _gelu(ffn_pre)
         ffn_out = _linear(ffn_act, t[p + "w2"], t[p + "b2"])
-        if use_dropout:
-            m = _dropout_mask(rng, ffn_out.shape, cfg.dropout)
-            cache["dropout"][f"ffn_out{l}"] = m
-            ffn_out = ffn_out * m
+        ffn_out = dropout(f"ffn_out{l}", ffn_out, (b, width, cfg.d_model))
         x2, ln2_cache = _layer_norm(x1 + ffn_out, t[p + "ffn_ln_g"], t[p + "ffn_ln_b"])
         _check_finite(x2, f"layer {l} feed-forward output")
 
         lc.update(
-            q4=q4, k4=k4, v4=v4, attn=attn, attn_used=attn_used, ctx=ctx,
-            ln1=ln1_cache, x1=x1, ffn_pre=ffn_pre, ffn_act=ffn_act, ln2=ln2_cache,
+            q4=q4, k4=k4, v4=v4, attn=attn, attn_used=attn_used, ctx=ctx, ln1=ln1_cache,
+            x1=x1, ffn_pre=ffn_pre, ffn_act=ffn_act, ffn_cdf=ffn_cdf, ln2=ln2_cache,
         )
         cache["layers"].append(lc)
         x = x2
@@ -469,12 +512,14 @@ def _backward_trunk(params, batch, cache, dcls, grads):
     scale = 1.0 / math.sqrt(dh)
     drop = cache["dropout"]
 
-    dx = np.zeros((b, width, cfg.d_model))
+    # The last block's output rows; only [cls] carries a gradient.
+    dx = np.zeros_like(cache["layers"][-1]["x1"])
     dx[:, 0, :] = dcls
 
     for l in reversed(range(cfg.n_layers)):
         p = f"layer{l}."
         lc = cache["layers"][l]
+        rows = dx.shape[1]
 
         # ffn layer norm
         dsum, dg, db = _layer_norm_backward(dx, t[p + "ffn_ln_g"], lc["ln2"])
@@ -483,11 +528,11 @@ def _backward_trunk(params, batch, cache, dcls, grads):
         dffn_out = dsum
         if f"ffn_out{l}" in drop:
             dffn_out = dffn_out * drop[f"ffn_out{l}"]
-        dffn_act, dw2, db2 = _linear_backward(dffn_out, lc["ffn_act"], t[p + "w2"])
+        dffn_act, dw2, db2 = _linear_backward(dffn_out, lc["ffn_act"], t[p + "w2"], width)
         grads[p + "w2"] += dw2
         grads[p + "b2"] += db2
-        dffn_pre = _gelu_backward(dffn_act, lc["ffn_pre"])
-        dx1_ffn, dw1, db1 = _linear_backward(dffn_pre, lc["x1"], t[p + "w1"])
+        dffn_pre = _gelu_backward(dffn_act, lc["ffn_pre"], lc["ffn_cdf"])
+        dx1_ffn, dw1, db1 = _linear_backward(dffn_pre, lc["x1"], t[p + "w1"], width)
         grads[p + "w1"] += dw1
         grads[p + "b1"] += db1
         dx1 = dsum + dx1_ffn
@@ -499,11 +544,11 @@ def _backward_trunk(params, batch, cache, dcls, grads):
         dattn_out = dsum
         if f"attn_out{l}" in drop:
             dattn_out = dattn_out * drop[f"attn_out{l}"]
-        dctx, dwo, dbo = _linear_backward(dattn_out, lc["ctx"], t[p + "wo"])
+        dctx, dwo, dbo = _linear_backward(dattn_out, lc["ctx"], t[p + "wo"], width)
         grads[p + "wo"] += dwo
         grads[p + "bo"] += dbo
 
-        dctx4 = dctx.reshape(b, width, h, dh).transpose(0, 2, 1, 3)
+        dctx4 = dctx.reshape(b, rows, h, dh).transpose(0, 2, 1, 3)
         attn_used = lc["attn_used"]
         dattn_used = dctx4 @ lc["v4"].swapaxes(-1, -2)
         dv4 = attn_used.swapaxes(-1, -2) @ dctx4
@@ -516,13 +561,13 @@ def _backward_trunk(params, batch, cache, dcls, grads):
         dq4 = dscores @ lc["k4"] * scale
         dk4 = dscores.swapaxes(-1, -2) @ lc["q4"] * scale
 
-        dq = dq4.transpose(0, 2, 1, 3).reshape(b, width, cfg.d_model)
+        dq = dq4.transpose(0, 2, 1, 3).reshape(b, rows, cfg.d_model)
         dk = dk4.transpose(0, 2, 1, 3).reshape(b, width, cfg.d_model)
         dv = dv4.transpose(0, 2, 1, 3).reshape(b, width, cfg.d_model)
         x_in = lc["x_in"]
-        dx_q, dwq, dbq = _linear_backward(dq, x_in, t[p + "wq"])
-        dx_k, dwk, dbk = _linear_backward(dk, x_in, t[p + "wk"])
-        dx_v, dwv, dbv = _linear_backward(dv, x_in, t[p + "wv"])
+        dx_q, dwq, dbq = _linear_backward(dq, x_in, t[p + "wq"], width)
+        dx_k, dwk, dbk = _linear_backward(dk, x_in, t[p + "wk"], width)
+        dx_v, dwv, dbv = _linear_backward(dv, x_in, t[p + "wv"], width)
         grads[p + "wq"] += dwq
         grads[p + "bq"] += dbq
         grads[p + "wk"] += dwk
@@ -530,16 +575,23 @@ def _backward_trunk(params, batch, cache, dcls, grads):
         grads[p + "wv"] += dwv
         grads[p + "bv"] += dbv
 
-        dx = dsum + dx_q + dx_k + dx_v
+        dx = _pad_rows(dsum + dx_q, width) + dx_k + dx_v
 
     if "emb" in drop:
         dx = dx * drop["emb"]
     dx, dg, db = _layer_norm_backward(dx, t["emb_ln_g"], cache["emb_ln"])
     grads["emb_ln_g"] += dg
     grads["emb_ln_b"] += db
-    np.add.at(grads["tok_emb"], batch.ids, dx)
+    grads["tok_emb"] += _scatter_rows(batch.ids, dx, cfg.vocab_size)
     grads["pos_emb"][:width] += dx.sum(axis=0)
-    np.add.at(grads["seg_emb"], batch.segments, dx)
+    grads["seg_emb"] += _scatter_rows(batch.segments, dx, 2)
+
+
+def _scatter_rows(ids, rows, n):
+    """Sum of ``rows`` per id, as ``np.add.at`` into zeros adds them, in one bincount."""
+    d = rows.shape[-1]
+    slots = (ids.reshape(-1, 1) * d + np.arange(d)).ravel()
+    return np.bincount(slots, weights=rows.ravel(), minlength=n * d).reshape(n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -581,20 +633,59 @@ def save_checkpoint(params: ModelParams, path: str | Path, meta: Mapping | None 
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            from .errors import SchemaVersionError
+    """Read a checkpoint; a damaged or inconsistent file raises DataError naming it."""
+    data = Path(path).read_bytes()
+    magic = data[: len(CHECKPOINT_MAGIC)]
+    if magic != CHECKPOINT_MAGIC:
+        raise SchemaVersionError("checkpoint/1", f"{path}: unrecognized magic {magic!r}")
+    start = len(CHECKPOINT_MAGIC) + 4
+    if len(data) < start:
+        raise DataError(f"checkpoint {path}: truncated header")
+    (header_len,) = struct.unpack_from("<I", data, len(CHECKPOINT_MAGIC))
+    payload_start = start + header_len
+    if len(data) < payload_start:
+        raise DataError(
+            f"checkpoint {path}: truncated header ({len(data) - start} of {header_len} bytes)"
+        )
+    try:
+        header = json.loads(data[start:payload_start].decode("utf-8"))
+        if (header["format"], header["version"]) != ("checkpoint", 1):
+            raise SchemaVersionError("checkpoint/1", f"{header['format']}/{header['version']}")
+        config = EncoderConfig.from_json_dict(header["config"])
+        tasks = tuple(TaskSpec(x["name"], x["kind"], x["dim"], x["weight"]) for x in header["tasks"])
+        entries = [
+            (tm["name"], tm["dtype"], tm["shape"], int(tm["offset"]), int(tm["nbytes"]))
+            for tm in header["tensors"]
+        ]
+        meta = header.get("meta", {})
+    except (ValueError, KeyError, TypeError, DataError) as exc:
+        raise DataError(f"checkpoint {path}: malformed header: {exc}") from None
 
-            raise SchemaVersionError("checkpoint/1", f"unrecognized magic {magic!r}")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        payload = fh.read()
-    config = EncoderConfig.from_json_dict(header["config"])
-    tasks = tuple(TaskSpec(x["name"], x["kind"], x["dim"], x["weight"]) for x in header["tasks"])
+    layout = _tensor_layout(config, tasks)
+    names = [name for name, *_ in entries]
+    if sorted(names) != sorted(layout):
+        missing = sorted(set(layout) - set(names))
+        extra = sorted(set(names) - set(layout))
+        raise DataError(
+            f"checkpoint {path}: tensor set does not match its config and tasks "
+            f"(missing {missing}, unexpected {extra})"
+        )
+    payload_len = len(data) - payload_start
     tensors = {}
-    for tm in header["tensors"]:
-        start, n = tm["offset"], tm["nbytes"]
-        arr = np.frombuffer(payload[start : start + n], dtype=tm["dtype"]).reshape(tm["shape"])
-        tensors[tm["name"]] = arr.astype(np.float64).copy()
-    return ModelParams(config, tasks, tensors), header.get("meta", {})
+    for name, dtype, shape, offset, nbytes in entries:
+        want = layout[name][0]
+        if dtype != "<f8" or shape != list(want) or nbytes != 8 * math.prod(want):
+            raise DataError(
+                f"checkpoint {path}: tensor {name!r} is {dtype} {shape} ({nbytes} bytes), "
+                f"its config needs <f8 {list(want)}"
+            )
+        if offset < 0 or offset + nbytes > payload_len:
+            raise DataError(
+                f"checkpoint {path}: payload truncated ({payload_len} bytes, "
+                f"tensor {name!r} ends at {offset + nbytes})"
+            )
+        arr = np.frombuffer(data, dtype="<f8", count=nbytes // 8, offset=payload_start + offset)
+        if not np.all(np.isfinite(arr)):
+            raise DataError(f"checkpoint {path}: tensor {name!r} has non-finite values")
+        tensors[name] = arr.reshape(want).astype(np.float64)
+    return ModelParams(config, tasks, tensors), meta

@@ -39,13 +39,15 @@ class TrainingDiverged(NumericError):
 class ScorerProtocolError(PairscoreError):
     """An external scorer or translator subprocess violated the line protocol.
 
-    ``transcript`` holds the request/response lines exchanged so far, which is
-    usually enough to debug the child process.
+    ``message`` is the one-line description the CLI prints; ``transcript``
+    holds the request/response lines exchanged so far, which is usually
+    enough to debug the child process.  ``str()`` gives both.
     """
 
     def __init__(self, message: str, transcript=()):
         lines = "\n".join(transcript)
         super().__init__(f"{message}\n--- transcript ---\n{lines}" if lines else message)
+        self.message = message
         self.transcript = tuple(transcript)
 
 

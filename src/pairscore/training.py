@@ -105,13 +105,23 @@ class AdamOptimizer:
         self.t += 1
         correction1 = 1.0 - cfg.beta1**self.t
         correction2 = 1.0 - cfg.beta2**self.t
+        # In place, each expression in the operation order of
+        # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
+        # p -= lr * (m/c1) / (sqrt(v/c2) + eps).
         for name in sorted(params.tensors):
-            g = grads[name]
-            self.m[name] = cfg.beta1 * self.m[name] + (1.0 - cfg.beta1) * g
-            self.v[name] = cfg.beta2 * self.v[name] + (1.0 - cfg.beta2) * g * g
-            m_hat = self.m[name] / correction1
-            v_hat = self.v[name] / correction2
-            params.tensors[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            g, m, v = grads[name], self.m[name], self.v[name]
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * g
+            g2 = (1.0 - cfg.beta2) * g
+            g2 *= g
+            v *= cfg.beta2
+            v += g2
+            denom = np.sqrt(v / correction2, out=g2)
+            denom += cfg.adam_eps
+            step = m / correction1
+            step *= cfg.learning_rate
+            step /= denom
+            params.tensors[name] -= step
 
 
 class _EpochSampler:

@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from pairscore.cli import DEFAULTS, config_hash, load_config, main, render_config
 from pairscore.demo import demo_sentences, load_demo_ratings_path
+from pairscore.encoder import EncoderConfig, init_model, save_checkpoint
 from pairscore.errors import UsageError
 
 
@@ -408,7 +410,9 @@ class TestChildProcesses:
         rc = run_cli(*FAST_SETTINGS, "compute-signals", pairs, vocab, out)
         assert time.monotonic() - start < 10
         assert rc == 3
-        assert "no answer within 0.5 s" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "no answer within 0.5 s" in err
+        assert len(err.splitlines()) == 1, err
         assert not out.exists()
 
 
@@ -468,3 +472,69 @@ class TestMalformedArtifacts:
         rc = run_cli(*FAST_SETTINGS, "compute-signals", bad, chain["vocab.json"], out)
         err = self.assert_data_error(capsys, rc, bad, out, 3)
         assert "'seed'" in err
+
+
+def _drop_bleu_head(tensors):
+    del tensors["head.bleu.w"]
+
+
+def _misshape_w1(tensors):
+    tensors["layer0.w1"] = tensors["layer0.w1"][:, :-1]
+
+
+def _poison_w2(tensors):
+    tensors["layer0.w2"][1, 2] = np.nan
+
+
+class TestMalformedCheckpoints:
+    """A damaged checkpoint makes predict exit 3 with one line naming it."""
+
+    @pytest.fixture
+    def setup(self, tmp_path):
+        from pairscore.text import Vocabulary
+
+        ratings = tmp_path / "ratings.tsv"
+        lines = load_demo_ratings_path().read_text(encoding="utf-8").splitlines()[:3]
+        ratings.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        vocab = Vocabulary.build([line.split("\t")[2].split() for line in lines], min_count=1)
+        config = EncoderConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2,
+                               d_ff=16, max_seq_len=40)
+        return init_model(config), vocab, ratings
+
+    def predict(self, ckpt, ratings, out, capsys):
+        capsys.readouterr()
+        rc = run_cli("predict", ckpt, ratings, out)
+        return rc, capsys.readouterr().err
+
+    def test_intact_checkpoint_predicts(self, setup, tmp_path, capsys):
+        params, vocab, ratings = setup
+        save_checkpoint(params, tmp_path / "m.ckpt", meta={"vocab": list(vocab.tokens)})
+        rc, _ = self.predict(tmp_path / "m.ckpt", ratings, tmp_path / "preds.tsv", capsys)
+        assert rc == 0
+        assert len((tmp_path / "preds.tsv").read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize(
+        "damage, cut, words",
+        [
+            (None, lambda raw: raw[:20], "truncated header"),
+            (None, lambda raw: raw[:-100], "payload truncated"),
+            (_misshape_w1, None, "'layer0.w1'"),
+            (_drop_bleu_head, None, "head.bleu.w"),
+            (_poison_w2, None, "non-finite"),
+        ],
+        ids=["truncated-header", "short-payload", "shape", "tensor-set", "non-finite"],
+    )
+    def test_damaged_checkpoint(self, setup, tmp_path, capsys, damage, cut, words):
+        params, vocab, ratings = setup
+        if damage is not None:
+            damage(params.tensors)
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(params, ckpt, meta={"vocab": list(vocab.tokens)})
+        if cut is not None:
+            ckpt.write_bytes(cut(ckpt.read_bytes()))
+        out = tmp_path / "preds.tsv"
+        rc, err = self.predict(ckpt, ratings, out, capsys)
+        assert rc == 3
+        assert len(err.splitlines()) == 1, err
+        assert str(ckpt) in err and words in err
+        assert not out.exists()

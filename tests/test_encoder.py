@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from encoder_oracle import reference_forward, reference_gradients
 from pairscore.encoder import (
+    Batch,
     EncoderConfig,
     build_batch,
     forward,
@@ -326,6 +328,73 @@ class TestGradients:
             with pytest.raises(NumericError) as info:
                 forward(params, batch)
         assert "layer 0" in str(info.value)
+
+
+class TestPaddedBatches:
+    """The [cls]-only last block against finite differences and the full-width oracle."""
+
+    def test_gradient_check_on_padded_batch(self, vocab):
+        config = EncoderConfig(
+            vocab_size=len(vocab), d_model=8, n_layers=2, n_heads=2, d_ff=16, max_seq_len=16,
+            init_seed=4,
+        )
+        params = init_model(config)
+        pairs = make_pairs(
+            vocab, [("the cat sat on the mat", "a dog ran"), ("the", "a"), ("a dog", "the cat sat")]
+        )
+        batch = build_batch(
+            pairs, vocab, ratings=[0.8, -0.3, 0.1],
+            signal_targets=signal_targets_for(params.tasks, 3, seed=6),
+        )
+        assert batch.mask.sum(axis=1).tolist() == [12, 5, 8]
+        assert max_relative_fd_error(params, batch, "supervised") < 1e-4
+        assert max_relative_fd_error(params, batch, params.tasks) < 1e-4
+
+    @staticmethod
+    def random_batch(rng, lengths, vocab_size, tasks):
+        width = max(lengths)
+        ids = np.zeros((len(lengths), width), dtype=np.int64)
+        segments = np.zeros_like(ids)
+        mask = np.zeros((len(lengths), width))
+        for i, n in enumerate(lengths):
+            ids[i, :n] = rng.integers(2, vocab_size, n)
+            segments[i, n // 2 : n] = 1
+            mask[i, :n] = 1.0
+        return Batch(
+            ids, segments, mask, ratings=rng.normal(size=len(lengths)),
+            signal_targets=signal_targets_for(tasks, len(lengths), seed=int(rng.integers(100))),
+        )
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_bitwise_equal_to_full_width_oracle(self, n_layers, dropout):
+        config = EncoderConfig(
+            vocab_size=60, d_model=32, n_layers=n_layers, n_heads=4, d_ff=64, max_seq_len=64,
+            dropout=dropout, init_seed=n_layers,
+        )
+        params = init_model(config)
+        rng = np.random.default_rng(n_layers)
+        # Widths below and above the sizes where BLAS switches kernels.
+        for lengths in ([3, 3], [12, 5, 9], [34, *rng.integers(3, 34, 31)], [61, 20, 7, 40]):
+            batch = self.random_batch(rng, lengths, config.vocab_size, params.tasks)
+            fwd = forward(params, batch)
+            cls, task_outputs, ratings, _ = reference_forward(params, batch)
+            np.testing.assert_array_equal(fwd.cls, cls)
+            np.testing.assert_array_equal(fwd.ratings, ratings)
+            for name, out in task_outputs.items():
+                np.testing.assert_array_equal(fwd.task_outputs[name], out)
+            for spec in ("supervised", params.tasks):
+                train = dropout > 0.0
+                loss, grads = gradients(
+                    params, batch, spec, train=train, rng=np.random.default_rng(7) if train else None
+                )
+                want_loss, want = reference_gradients(
+                    params, batch, spec, rng=np.random.default_rng(7) if train else None
+                )
+                assert loss == want_loss
+                assert set(grads) == set(want)
+                for name in want:
+                    np.testing.assert_array_equal(grads[name], want[name], err_msg=name)
 
 
 class TestCheckpoint:

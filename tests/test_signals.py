@@ -409,8 +409,11 @@ class TestExternalScorerProtocol:
         script = tmp_path / "dead.py"
         script.write_text("import sys; sys.exit(1)\n")
         scorer = LineClient([sys.executable, str(script)])
-        with pytest.raises(ScorerProtocolError):
-            scorer.request("likelihood", "en-fr", "a", "b")
+        try:
+            with pytest.raises(ScorerProtocolError):
+                scorer.request("likelihood", "en-fr", "a", "b")
+        finally:
+            scorer.close()
 
     def test_non_numeric_response_raises(self, vocab, scorer):
         with pytest.raises(ScorerProtocolError):

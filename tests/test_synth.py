@@ -186,9 +186,13 @@ class TestBacktranslate:
         script = tmp_path / "dies.py"
         script.write_text("import sys; sys.exit(0)\n")
         translator = ExternalRoundTripTranslator(LineClient([sys.executable, str(script)]))
-        with pytest.raises(ScorerProtocolError) as info:
-            backtranslate(seq("the cat", vocab), translator, vocab)
+        try:
+            with pytest.raises(ScorerProtocolError) as info:
+                backtranslate(seq("the cat", vocab), translator, vocab)
+        finally:
+            translator.client.close()
         assert "the cat" in str(info.value)
+        assert info.value.message == "child closed its output stream"
 
 
 class TestDropWords:

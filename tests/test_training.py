@@ -17,6 +17,7 @@ from pairscore.text import (
     tokenize,
 )
 from pairscore.training import (
+    AdamOptimizer,
     Stage,
     TrainConfig,
     _BestTracker,
@@ -76,6 +77,27 @@ class TestTrainConfig:
         with pytest.raises(DataError):
             TrainConfig(total_steps=10, eval_every=5, batch_size=0)
         TrainConfig(total_steps=0, eval_every=1)  # zero-step config is allowed
+
+
+class TestAdam:
+    def test_in_place_step_equals_expression_form(self, encoder_config):
+        params = init_model(encoder_config)
+        config = TrainConfig(total_steps=10, eval_every=5, learning_rate=0.003)
+        optimizer = AdamOptimizer(params, config)
+        want = {k: v.copy() for k, v in params.tensors.items()}
+        m = {k: np.zeros_like(v) for k, v in want.items()}
+        v2 = {k: np.zeros_like(v) for k, v in want.items()}
+        rng = np.random.default_rng(3)
+        for t in range(1, 21):
+            grads = {k: rng.normal(size=v.shape) * 10.0 ** rng.integers(-8, 2) for k, v in want.items()}
+            optimizer.step(params, grads)
+            c1, c2 = 1.0 - config.beta1**t, 1.0 - config.beta2**t
+            for k, g in grads.items():
+                m[k] = config.beta1 * m[k] + (1.0 - config.beta1) * g
+                v2[k] = config.beta2 * v2[k] + (1.0 - config.beta2) * g * g
+                want[k] -= config.learning_rate * (m[k] / c1) / (np.sqrt(v2[k] / c2) + config.adam_eps)
+        for k in want:
+            np.testing.assert_array_equal(params.tensors[k], want[k], err_msg=k)
 
 
 class TestPretrain:
