@@ -25,6 +25,7 @@ from pairscore import (
     compute_signals,
     fit_normalization,
     generate_corpus,
+    split_tokens,
     tokenize,
 )
 from pairscore.demo import load_demo_corpus
@@ -32,7 +33,7 @@ from pairscore.demo import load_demo_corpus
 
 def main():
     corpus = [s for s in load_demo_corpus() if len(s.split()) <= 12][:150]
-    vocab = Vocabulary.build([s.split() for s in corpus], min_count=1)
+    vocab = Vocabulary.build([split_tokens(s) for s in corpus], min_count=1)
     segments = [tokenize(s, vocab) for s in corpus]
     lm = BigramLM.train(segments, vocab)
 

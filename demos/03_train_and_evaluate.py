@@ -19,6 +19,7 @@ from pairscore import (
     pretrain,
     predict_ratings,
     split_no_leak,
+    split_tokens,
 )
 from pairscore.demo import load_demo_corpus, load_demo_ratings_path
 from pairscore.experiments import build_offline_pretraining_data
@@ -27,7 +28,7 @@ from pairscore.signals import default_task_specs
 
 def main():
     corpus = [s for s in load_demo_corpus() if len(s.split()) <= 14][:400]
-    vocab = Vocabulary.build([s.split() for s in corpus], min_count=1)
+    vocab = Vocabulary.build([split_tokens(s) for s in corpus], min_count=1)
 
     print("building synthetic pre-training data...")
     synthetic = build_offline_pretraining_data(

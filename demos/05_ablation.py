@@ -15,6 +15,7 @@ from pairscore import (
     Vocabulary,
     run_ablation,
     split_no_leak,
+    split_tokens,
 )
 from pairscore.demo import load_demo_corpus
 from pairscore.experiments import build_drift_dataset, build_offline_pretraining_data
@@ -23,7 +24,7 @@ from pairscore.signals import default_task_specs
 
 def main():
     corpus = [s for s in load_demo_corpus() if len(s.split()) <= 10][:100]
-    vocab = Vocabulary.build([s.split() for s in corpus], min_count=1)
+    vocab = Vocabulary.build([split_tokens(s) for s in corpus], min_count=1)
     synthetic = build_offline_pretraining_data(corpus, vocab, GenerationConfig(1, 0, 1), seed=0)
     data = build_drift_dataset(corpus, vocab, n_records=220, seed=1)
     train_pool, test = split_no_leak(data, 0.3, seed=0)

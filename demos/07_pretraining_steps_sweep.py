@@ -21,6 +21,7 @@ from pairscore import (
     predict_ratings,
     pretrain,
     split_no_leak,
+    split_tokens,
 )
 from pairscore.demo import load_demo_corpus
 from pairscore.experiments import build_drift_dataset, build_offline_pretraining_data
@@ -32,7 +33,7 @@ STEP_BUDGETS = [0, 250, 500, 1000, 2000]
 def main():
     t0 = time.time()
     corpus = [s for s in load_demo_corpus() if len(s.split()) <= 14][:400]
-    vocab = Vocabulary.build([s.split() for s in corpus], min_count=1)
+    vocab = Vocabulary.build([split_tokens(s) for s in corpus], min_count=1)
     synthetic = build_offline_pretraining_data(corpus, vocab, GenerationConfig(2, 1, 1), seed=0)
     data = build_drift_dataset(corpus, vocab, n_records=900, seed=1, noise_sd=3.0)
     train_pool, test = split_no_leak(data, 0.3, seed=0)

@@ -73,12 +73,10 @@ from .encoder import (
     supervised_loss,
 )
 from .training import (
-    Stage,
     TrainConfig,
     finetune,
     predict_ratings,
     pretrain,
-    run_recipe,
     set_task_weights,
 )
 from .stats import (

@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import sys
 import tempfile
 from pathlib import Path
@@ -56,6 +57,7 @@ from .text import (
     Vocabulary,
     ingest_ratings,
     read_rating_records,
+    read_text,
     serialize_ratings,
     split_no_leak,
     split_tokens,
@@ -148,7 +150,9 @@ def _coerce(key: str, raw: str):
             return float(raw)
         except ValueError as exc:
             raise UsageError(f"config key {key!r}: expected a number, got {raw!r}") from exc
-    return raw.strip().strip('"')
+    # One pair of surrounding quotes, as render_config writes them; inner quotes stay.
+    text = raw.strip()
+    return text[1:-1] if len(text) >= 2 and text[0] == text[-1] == '"' else text
 
 
 def load_config(path: str | None, overrides: Sequence[str]) -> dict:
@@ -156,9 +160,9 @@ def load_config(path: str | None, overrides: Sequence[str]) -> dict:
     config = dict(DEFAULTS)
     if path:
         try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            raise UsageError(f"cannot read config file {path}: {exc}") from exc
+            lines = read_text(path, "config file").splitlines()
+        except DataError as exc:
+            raise UsageError(str(exc)) from None
         for lineno, line in enumerate(lines, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -226,11 +230,7 @@ def _ratings_format(path: str, override: str | None) -> str:
 
 
 def _read_corpus(path: str) -> list[str]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read corpus {path}: {exc}") from exc
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    lines = [line.strip() for line in read_text(path, "corpus").splitlines() if line.strip()]
     if not lines:
         raise DataError(f"corpus {path} has no non-empty lines")
     return lines
@@ -238,7 +238,11 @@ def _read_corpus(path: str) -> list[str]:
 
 def _child(children: contextlib.ExitStack, command: str) -> LineClient:
     """A client for ``command`` that is closed when ``children`` unwinds."""
-    client = LineClient(command.split())
+    try:
+        argv = shlex.split(command)
+    except ValueError as exc:
+        raise UsageError(f"cannot split command {command!r}: {exc}") from None
+    client = LineClient(argv)
     children.callback(client.close)
     return client
 
@@ -461,7 +465,7 @@ def cmd_predict(args, config) -> int:
 
 def cmd_evaluate(args, config) -> int:
     chash = config_hash(config)
-    pred_lines = Path(args.predictions).read_text(encoding="utf-8").splitlines()
+    pred_lines = read_text(args.predictions, "predictions file").splitlines()
     predictions = []
     for lineno, line in enumerate(pred_lines, start=1):
         if not line.strip():

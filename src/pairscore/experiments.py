@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .encoder import EncoderConfig, ModelParams, init_model
+from .encoder import EncoderConfig, init_model
 from .errors import DataError
 from .metrics import EmbeddingTable
 from .signals import (
@@ -30,6 +30,8 @@ from .signals import (
     default_task_specs,
     fit_normalization,
 )
+# kendall_pairwise is not called here: bench/workloads.py wraps experiments.kendall_pairwise
+# to see every drift tau.
 from .stats import SkewConfig, kendall_pairwise, skew_split
 from .synth import (
     BigramLM,
@@ -47,7 +49,7 @@ from .text import (
     split_tokens,
     tokenize,
 )
-from .training import TrainConfig, finetune, predict_ratings, pretrain
+from .training import TrainConfig, finetune, pretrain, validation_kendall
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +82,6 @@ class AblationRow:
     error: str | None = None
 
 
-def _test_kendall(params: ModelParams, pipeline: AblationPipeline) -> float:
-    preds = predict_ratings(params, pipeline.test, pipeline.vocab)
-    human = [ex.rating for ex in pipeline.test]
-    return kendall_pairwise(human, list(preds), [0] * len(human))
-
-
 def run_ablation(pipeline: AblationPipeline, mode: str) -> list[AblationRow]:
     """One row per pre-training task, plus the delta vs no pre-training.
 
@@ -101,7 +97,7 @@ def run_ablation(pipeline: AblationPipeline, mode: str) -> list[AblationRow]:
     baseline_params, _ = finetune(
         init, pipeline.train, pipeline.validation, pipeline.finetune_config, pipeline.vocab
     )
-    baseline_tau = _test_kendall(baseline_params, pipeline)
+    baseline_tau = validation_kendall(baseline_params, pipeline.test, pipeline.vocab)
 
     rows: list[AblationRow] = []
     for focus in pipeline.base_tasks:
@@ -124,7 +120,7 @@ def run_ablation(pipeline: AblationPipeline, mode: str) -> list[AblationRow]:
                 pretrained, pipeline.train, pipeline.validation, pipeline.finetune_config,
                 pipeline.vocab,
             )
-            tau = _test_kendall(tuned, pipeline)
+            tau = validation_kendall(tuned, pipeline.test, pipeline.vocab)
             rows.append(AblationRow(focus.name, mode, active, tau, tau - baseline_tau))
         except Exception as exc:  # keep remaining rows running
             rows.append(AblationRow(focus.name, mode, active, None, None, error=str(exc)))
@@ -368,10 +364,7 @@ def run_drift_study(
             )
             for arm, start in (("pretrained", pretrained), ("scratch", init)):
                 tuned, _ = finetune(start, train, validation, ft_cfg, vocab)
-                preds = predict_ratings(tuned, test_side, vocab)
-                tau = kendall_pairwise(
-                    [ex.rating for ex in test_side], list(preds), [0] * len(test_side)
-                )
+                tau = validation_kendall(tuned, test_side, vocab)
                 taus[arm][alpha].append(tau)
                 say(f"alpha={alpha} seed={seed} {arm}: tau={tau:+.4f}")
     return DriftStudyResult(alphas=tuple(config.alphas), taus=taus)

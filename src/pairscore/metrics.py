@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, NumericError
-from .text import UNK, as_tokens
+from .text import UNK, as_tokens, read_text
 
 # Recorded in artifact metadata: add-one smoothing applies to orders >= 2 and
 # only when the raw clipped precision is zero.
@@ -144,7 +144,7 @@ class EmbeddingTable:
     @classmethod
     def from_file(cls, path: str | Path) -> "EmbeddingTable":
         """Text format: first line is the dimension, then `token v1 .. v_d` lines."""
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_text(path, "embedding file").splitlines()
         if not lines:
             raise DataError(f"empty embedding file {path}")
         try:
@@ -158,7 +158,10 @@ class EmbeddingTable:
             parts = line.split()
             if len(parts) != dim + 1:
                 raise DataError(f"embedding file {path} line {lineno}: expected {dim + 1} fields")
-            vectors[parts[0]] = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+            try:
+                vectors[parts[0]] = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+            except ValueError:
+                raise DataError(f"embedding file {path} line {lineno}: non-numeric value") from None
         if UNK not in vectors:
             # synthesize a deterministic fallback so partial tables stay usable
             vectors[UNK] = cls.hashed([UNK], dim).vector(UNK)

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 import numpy as np
 
 from .errors import DataError, SchemaVersionError, ScorerProtocolError
-from .text import RESERVED_TOKENS, TokenSeq, Vocabulary
+from .text import RESERVED_TOKENS, TokenSeq, Vocabulary, read_text
 
 MAX_MASKS = 15
 
@@ -508,10 +508,7 @@ def read_records(
 
     A malformed line raises DataError naming ``path:line``.
     """
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    lines = read_text(path, fmt).splitlines()
     if not lines:
         raise DataError(f"empty {fmt} file {path}")
     header = _record_line(path, 1, lines[0], dict)

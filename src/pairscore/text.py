@@ -34,6 +34,16 @@ _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 TOKENIZER_VERSION = "lower-ws-punct/1"
 
 
+def read_text(path: str | Path, what: str) -> str:
+    """The UTF-8 text of the ``what`` file at ``path``; DataError naming it if unreadable."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{what} {path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     """Bijective token<->id map with reserved ids for the special symbols."""
@@ -106,22 +116,26 @@ class Vocabulary:
             kept = kept[: max(0, size_cap - len(RESERVED_TOKENS))]
         return cls(RESERVED_TOKENS + tuple(kept))
 
-    def to_json(self) -> str:
-        return json.dumps({"format": "vocabulary", "version": 1, "tokens": list(self.tokens)})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Vocabulary":
-        payload = json.loads(text)
-        if payload.get("format") != "vocabulary":
-            raise DataError("not a vocabulary file")
-        return cls(tuple(payload["tokens"]))
-
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
+        payload = {"format": "vocabulary", "version": 1, "tokens": list(self.tokens)}
+        Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        """Read a file written by ``save``; DataError naming it if it is not one."""
+        try:
+            payload = json.loads(read_text(path, "vocabulary"))
+        except json.JSONDecodeError as exc:
+            raise DataError(f"vocabulary {path} is not JSON ({exc.msg})") from None
+        if not isinstance(payload, dict) or payload.get("format") != "vocabulary":
+            raise DataError(f"{path} is not a vocabulary file")
+        tokens = payload.get("tokens")
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise DataError(f"vocabulary {path} lacks a list of string tokens")
+        try:
+            return cls(tuple(tokens))
+        except DataError as exc:
+            raise DataError(f"vocabulary {path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -145,13 +159,6 @@ class TokenSeq:
 
     def detokenize(self) -> str:
         return " ".join(self.tokens)
-
-    def replace(self, position: int, token: str, vocab: Vocabulary) -> "TokenSeq":
-        toks = list(self.tokens)
-        ids = list(self.ids)
-        toks[position] = token
-        ids[position] = vocab.id(token)
-        return TokenSeq(tuple(toks), tuple(ids))
 
 
 def split_tokens(text: str) -> list[str]:
@@ -291,11 +298,7 @@ def read_rating_records(
     path: str | Path, fmt: str, require_rating: bool = True
 ) -> tuple[list[RatingRecord], list[str], bool]:
     """Parse a ratings file into records; returns (records, problems, raw_scores_flag)."""
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read ratings file {path}: {exc}") from exc
+    lines = read_text(path, "ratings file").splitlines()
     if fmt == "wmt-tsv":
         return _parse_tsv_records(lines, require_rating)
     if fmt == "jsonl":

@@ -1,22 +1,25 @@
-"""Optimization loops: multitask pre-training, rating fine-tuning, and recipes.
+"""The optimization loop, run as multitask pre-training or rating fine-tuning.
 
 Pre-training minimizes the weighted multitask loss over normalized signal
-vectors; fine-tuning minimizes mean squared error on human ratings and keeps
-the checkpoint with the best validation Kendall.  Both are deterministic
-given (data, config, seed): data order comes from seed-derived epoch
-permutations and Adam runs in a fixed update order.
+vectors and keeps the checkpoint with the lowest loss; fine-tuning minimizes
+mean squared error on human ratings and keeps the checkpoint with the best
+validation Kendall.  Both are one loop, ``_fit``, and deterministic given
+(data, config, seed): data order comes from seed-derived epoch
+permutations, dropout masks from a second seed-derived stream, and Adam
+runs in a fixed update order.
 
-Stage isolation is structural: pretrain() never sees ratings and finetune()
-never sees signal vectors.
+The two stages stay apart by construction: pretrain() never sees ratings
+and finetune() never sees signal vectors.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,7 +30,6 @@ from .encoder import (
     forward,
     gradients,
     pretrain_loss,
-    save_checkpoint,
 )
 from .errors import DataError, NumericError, TrainingDiverged
 from .signals import TaskSpec, SignalVector, default_task_specs
@@ -151,14 +153,68 @@ def _eval_steps(total_steps: int, eval_every: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Pre-training on signal vectors.
+# The training loop and its two stages.
 # ---------------------------------------------------------------------------
 
 
-def _pretrain_targets(
-    vectors: Sequence[SignalVector], tasks: Sequence[TaskSpec]
-) -> dict[str, np.ndarray]:
-    return {task.name: np.stack([v[task.name] for v in vectors]) for task in tasks}
+def _fit(
+    params: ModelParams,
+    config: TrainConfig,
+    n: int,
+    batch_at: Callable[[np.ndarray], Batch],
+    loss_spec,
+    evaluate: Callable[[ModelParams], float],
+    maximize: bool,
+) -> tuple[ModelParams, list[EvalPoint]]:
+    """Adam on ``loss_spec`` over batches of ``n`` examples; keep the best evaluated checkpoint.
+
+    ``batch_at(idx)`` packs the examples at ``idx``; ``evaluate`` scores the
+    working parameters at each eval step, best being the max when
+    ``maximize`` and the min otherwise.  Zero steps return a copy of
+    ``params``.  A non-finite value in a step or an evaluation raises
+    TrainingDiverged carrying the best checkpoint so far (``params`` before
+    the first evaluation) and the history.
+    """
+    working = params.copy()
+    history: list[EvalPoint] = []
+    if config.total_steps == 0:
+        return working, history
+    optimizer = AdamOptimizer(working, config)
+    sampler = _EpochSampler(n, config.batch_size, config.seed)
+    # A stream of its own, so dropout never shifts the data order; nothing is
+    # drawn from it when the model's dropout rate is 0.
+    dropout_rng = np.random.default_rng((config.seed, 1))
+    eval_at = set(_eval_steps(config.total_steps, config.eval_every))
+    tracker = _BestTracker(maximize)
+    # Overflow is caught by the encoder's finiteness checks, not by warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, config.total_steps + 1):
+            try:
+                batch = batch_at(sampler.next_indices())
+                _, grads = gradients(working, batch, loss_spec, train=True, rng=dropout_rng)
+                optimizer.step(working, grads)
+                if step in eval_at:
+                    metric = evaluate(working)
+                    if not math.isfinite(metric):
+                        raise NumericError(f"evaluation metric is {metric}")
+                    history.append(EvalPoint(step, metric))
+                    tracker.offer(step, metric, working)
+            except NumericError as exc:
+                best = tracker.record.params if tracker.record else params.copy()
+                raise TrainingDiverged(step, last_good=best, history=history) from exc
+
+    assert tracker.record is not None
+    return tracker.record.params, history
+
+
+def _make_batch(pairs, vocab, idx, targets=None, ratings=None) -> Batch:
+    chosen = [pairs[i] for i in idx]
+    return build_batch(
+        chosen,
+        vocab,
+        ratings=None if ratings is None else [ratings[i] for i in idx],
+        signal_targets=None if targets is None else {k: v[idx] for k, v in targets.items()},
+    )
 
 
 def pretrain(
@@ -176,19 +232,11 @@ def pretrain(
     """
     if not dataset:
         raise DataError("pretrain requires a non-empty dataset")
-    pairs = [SentencePair(ex.z, ex.z_tilde) for ex, _ in dataset]
-    vectors = [vec for _, vec in dataset]
-    targets = _pretrain_targets(vectors, tasks)
     tasks = tuple(tasks)
+    pairs = [SentencePair(ex.z, ex.z_tilde) for ex, _ in dataset]
+    targets = {task.name: np.stack([vec[task.name] for _, vec in dataset]) for task in tasks}
 
-    working = params.copy()
-    optimizer = AdamOptimizer(working, config)
-    sampler = _EpochSampler(len(dataset), config.batch_size, config.seed)
-    eval_at = set(_eval_steps(config.total_steps, config.eval_every))
-    history: list[EvalPoint] = []
-    tracker = _BestTracker(maximize=False)
-
-    def full_loss() -> float:
+    def full_loss(working: ModelParams) -> float:
         total, count = 0.0, 0
         for start in range(0, len(dataset), config.batch_size):
             idx = np.arange(start, min(start + config.batch_size, len(dataset)))
@@ -199,40 +247,10 @@ def pretrain(
             count += len(idx)
         return total / count
 
-    if config.total_steps == 0:
-        return working, history
-
-    for step in range(1, config.total_steps + 1):
-        idx = sampler.next_indices()
-        batch = _make_batch(pairs, vocab, idx, targets=targets)
-        try:
-            loss, grads = gradients(working, batch, tasks)
-        except NumericError as exc:
-            best = tracker.record.params if tracker.record else params.copy()
-            raise TrainingDiverged(step, last_good=best, history=history) from exc
-        optimizer.step(working, grads)
-        if step in eval_at:
-            metric = full_loss()
-            history.append(EvalPoint(step, metric))
-            tracker.offer(step, metric, working)
-
-    assert tracker.record is not None
-    return tracker.record.params, history
-
-
-def _make_batch(pairs, vocab, idx, targets=None, ratings=None) -> Batch:
-    chosen = [pairs[i] for i in idx]
-    return build_batch(
-        chosen,
-        vocab,
-        ratings=None if ratings is None else [ratings[i] for i in idx],
-        signal_targets=None if targets is None else {k: v[idx] for k, v in targets.items()},
+    return _fit(
+        params, config, len(dataset), lambda idx: _make_batch(pairs, vocab, idx, targets=targets),
+        tasks, full_loss, maximize=False,
     )
-
-
-# ---------------------------------------------------------------------------
-# Fine-tuning on human ratings.
-# ---------------------------------------------------------------------------
 
 
 def predict_ratings(
@@ -250,6 +268,7 @@ def predict_ratings(
 def validation_kendall(
     params: ModelParams, validation: Sequence[RatedExample], vocab: Vocabulary
 ) -> float:
+    """Pooled Kendall of the predictions against the ratings of ``validation``."""
     preds = predict_ratings(params, validation, vocab)
     human = [ex.rating for ex in validation]
     return kendall_pairwise(human, list(preds), [0] * len(validation))
@@ -273,32 +292,13 @@ def finetune(
         raise DataError("finetune requires a non-empty validation set")
     pairs = [ex.pair for ex in train_set]
     ratings = [ex.rating for ex in train_set]
-
-    working = params.copy()
-    if config.total_steps == 0:
-        return working, []
-    optimizer = AdamOptimizer(working, config)
-    sampler = _EpochSampler(len(train_set), config.batch_size, config.seed)
-    eval_at = set(_eval_steps(config.total_steps, config.eval_every))
-    history: list[EvalPoint] = []
-    tracker = _BestTracker(maximize=True)
-
-    for step in range(1, config.total_steps + 1):
-        idx = sampler.next_indices()
-        batch = _make_batch(pairs, vocab, idx, ratings=ratings)
-        try:
-            loss, grads = gradients(working, batch, "supervised")
-        except NumericError as exc:
-            best = tracker.record.params if tracker.record else params.copy()
-            raise TrainingDiverged(step, last_good=best, history=history) from exc
-        optimizer.step(working, grads)
-        if step in eval_at:
-            tau = validation_kendall(working, validation_set, vocab)
-            history.append(EvalPoint(step, tau))
-            tracker.offer(step, tau, working)
-
-    assert tracker.record is not None
-    return tracker.record.params, history
+    # validation_kendall is looked up at each call, so a rebinding of the module
+    # global (bench/layers.py times it that way) sees every evaluation.
+    return _fit(
+        params, config, len(train_set),
+        lambda idx: _make_batch(pairs, vocab, idx, ratings=ratings), "supervised",
+        lambda working: validation_kendall(working, validation_set, vocab), maximize=True,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -332,36 +332,8 @@ def set_task_weights(
 
 
 # ---------------------------------------------------------------------------
-# Multi-stage recipes.
+# Training manifests.
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class Stage:
-    kind: str  # "pretrain" | "finetune"
-    config: TrainConfig
-    name: str = ""
-    # pretrain payload
-    dataset: Sequence[tuple[SyntheticExample, SignalVector]] | None = None
-    tasks: Sequence[TaskSpec] | None = None
-    # finetune payload
-    train: Sequence[RatedExample] | None = None
-    validation: Sequence[RatedExample] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("pretrain", "finetune"):
-            raise DataError(f"unknown stage kind {self.kind!r}")
-        if not self.name:
-            self.name = self.kind
-
-
-class RecipeError(DataError):
-    """A stage failed; carries the manifest of the stages that completed."""
-
-    def __init__(self, stage_name: str, cause: Exception, partial_manifest: list):
-        super().__init__(f"stage {stage_name!r} failed: {cause}")
-        self.partial_manifest = partial_manifest
-        self.cause = cause
 
 
 def params_digest(params: ModelParams) -> str:
@@ -392,44 +364,6 @@ def manifest_entry(
     if checkpoint is not None:
         entry["checkpoint"] = str(checkpoint)
     return entry
-
-
-def run_recipe(
-    initial_params: ModelParams,
-    stages: Sequence[Stage],
-    vocab: Vocabulary,
-    checkpoint_dir: str | Path | None = None,
-) -> tuple[ModelParams, list[dict]]:
-    """Thread parameters through the stages; emit a per-stage manifest.
-
-    An empty recipe returns the initial parameters.  Any stage failure aborts
-    with a RecipeError carrying the partial manifest.
-    """
-    params = initial_params
-    manifest: list[dict] = []
-    for i, stage in enumerate(stages):
-        try:
-            if stage.kind == "pretrain":
-                if stage.dataset is None or stage.tasks is None:
-                    raise DataError("pretrain stage needs dataset and tasks")
-                params, history = pretrain(params, stage.dataset, stage.tasks, stage.config, vocab)
-            else:
-                if stage.train is None or stage.validation is None:
-                    raise DataError("finetune stage needs train and validation sets")
-                params, history = finetune(
-                    params, stage.train, stage.validation, stage.config, vocab
-                )
-        except Exception as exc:
-            raise RecipeError(stage.name, exc, manifest) from exc
-        path = None
-        if checkpoint_dir is not None:
-            Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
-            path = Path(checkpoint_dir) / f"stage{i:02d}_{stage.name}.ckpt"
-            save_checkpoint(params, path)
-        manifest.append(
-            manifest_entry(stage.name, stage.kind, stage.config.total_steps, history, params, path)
-        )
-    return params, manifest
 
 
 def save_manifest(manifest: Sequence[Mapping], path: str | Path, meta: Mapping | None = None) -> None:

@@ -1,12 +1,14 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from pairscore.cli import DEFAULTS, config_hash, load_config, main, render_config
 from pairscore.demo import demo_sentences, load_demo_ratings_path
-from pairscore.encoder import EncoderConfig, init_model, save_checkpoint
+from pairscore.encoder import EncoderConfig, init_model, load_checkpoint, save_checkpoint
 from pairscore.errors import UsageError
+from pairscore.training import params_digest
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +44,27 @@ FAST_SETTINGS = [
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def manifest_digest_matches_checkpoint(manifest_path, ckpt):
+    stage = json.loads(manifest_path.read_text())["stages"][0]
+    return stage["checkpoint"] == str(ckpt) and stage["params_digest"] == params_digest(
+        load_checkpoint(ckpt)[0]
+    )
+
+
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """Pairs, vocabulary and signals of a 10-sentence corpus."""
+    work = tmp_path_factory.mktemp("chain")
+    corpus = work / "corpus.txt"
+    corpus.write_text("\n".join(demo_sentences(10, seed=11)) + "\n", encoding="utf-8")
+    out = {name: work / name for name in ("corpus.txt", "pairs.jsonl", "vocab.json", "signals.jsonl")}
+    assert run_cli(*FAST_SETTINGS, "gen-pairs", corpus, out["pairs.jsonl"],
+                   "--vocab-out", out["vocab.json"]) == 0
+    assert run_cli(*FAST_SETTINGS, "compute-signals", out["pairs.jsonl"], out["vocab.json"],
+                   out["signals.jsonl"]) == 0
+    return out
 
 
 class TestConfig:
@@ -148,14 +171,18 @@ class TestFullChain:
         manifest = json.loads(artifacts["manifest"].read_text())
         assert manifest["stages"][0]["kind"] == "pretrain"
         assert len(manifest["stages"][0]["history"]) >= 1
+        assert manifest_digest_matches_checkpoint(artifacts["manifest"], artifacts["pre_ckpt"])
 
-    def test_04_finetune(self, artifacts, capsys):
+    def test_04_finetune(self, artifacts, workdir, capsys):
+        manifest = workdir / "ft_manifest.json"
         rc = run_cli(
             *FAST_SETTINGS, "finetune", artifacts["pre_ckpt"], artifacts["ratings"],
-            artifacts["ft_ckpt"],
+            artifacts["ft_ckpt"], "--manifest", manifest,
         )
         assert rc == 0
         assert artifacts["ft_ckpt"].exists()
+        assert json.loads(manifest.read_text())["stages"][0]["kind"] == "finetune"
+        assert manifest_digest_matches_checkpoint(manifest, artifacts["ft_ckpt"])
 
     def test_05_predict(self, artifacts, capsys):
         rc = run_cli(*FAST_SETTINGS, "predict", artifacts["ft_ckpt"], artifacts["ratings"], artifacts["preds"])
@@ -415,21 +442,30 @@ class TestChildProcesses:
         assert len(err.splitlines()) == 1, err
         assert not out.exists()
 
+    def test_quoted_sh_scorer_answers(self, chain, tmp_path, capsys):
+        scorer = 'sh -c "while read -r line; do echo -1.25; done"'
+        out = tmp_path / "signals.jsonl"
+        rc = run_cli(*FAST_SETTINGS, "--set", f"scorer_command={scorer}",
+                     "compute-signals", chain["pairs.jsonl"], chain["vocab.json"], out)
+        assert rc == 0, capsys.readouterr().err
+        header = json.loads(out.read_text().splitlines()[0])
+        means = dict(zip(header["normalization"]["labels"], header["normalization"]["mean"]))
+        z_lengths = [len(json.loads(line)["z"]) for line in out.read_text().splitlines()[1:]]
+        assert means["bt_en_fr_ref"] == pytest.approx(sum(-1.25 / n for n in z_lengths) / len(z_lengths))
+
+    def test_unbalanced_quote_is_usage_error(self, chain, tmp_path, capsys):
+        out = tmp_path / "signals.jsonl"
+        capsys.readouterr()
+        rc = run_cli(*FAST_SETTINGS, "--set", 'scorer_command=sh -c "cat',
+                     "compute-signals", chain["pairs.jsonl"], chain["vocab.json"], out)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1, err
+        assert not out.exists()
+
 
 class TestMalformedArtifacts:
     """A damaged pairs or signals file exits 3 with one line naming file:line."""
-
-    @pytest.fixture(scope="class")
-    def chain(self, tmp_path_factory):
-        work = tmp_path_factory.mktemp("malformed")
-        corpus = work / "corpus.txt"
-        corpus.write_text("\n".join(demo_sentences(10, seed=11)) + "\n", encoding="utf-8")
-        out = {name: work / name for name in ("pairs.jsonl", "vocab.json", "signals.jsonl")}
-        assert run_cli(*FAST_SETTINGS, "gen-pairs", corpus, out["pairs.jsonl"],
-                       "--vocab-out", out["vocab.json"]) == 0
-        assert run_cli(*FAST_SETTINGS, "compute-signals", out["pairs.jsonl"], out["vocab.json"],
-                       out["signals.jsonl"]) == 0
-        return out
 
     @staticmethod
     def truncated(src, dst):
@@ -538,3 +574,87 @@ class TestMalformedCheckpoints:
         assert len(err.splitlines()) == 1, err
         assert str(ckpt) in err and words in err
         assert not out.exists()
+
+
+class TestDivergence:
+    """A learning rate that overflows exits 4 with one line, no warning, and writes nothing."""
+
+    @pytest.fixture(autouse=True)
+    def no_warnings(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            yield
+        assert [str(w.message) for w in caught] == []
+
+    def assert_diverged(self, capsys, rc, *outputs):
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert len(err.splitlines()) == 1, err
+        assert "non-finite" in err
+        assert not any(path.exists() for path in outputs)
+
+    def test_pretrain(self, chain, tmp_path, capsys):
+        out, manifest = tmp_path / "pre.ckpt", tmp_path / "manifest.json"
+        capsys.readouterr()
+        rc = run_cli(*FAST_SETTINGS, "--set", "pretrain_learning_rate=1e300", "pretrain",
+                     chain["signals.jsonl"], chain["vocab.json"], out, "--manifest", manifest)
+        self.assert_diverged(capsys, rc, out, manifest)
+
+    def test_finetune(self, chain, tmp_path, capsys):
+        pre = tmp_path / "pre.ckpt"
+        assert run_cli(*FAST_SETTINGS, "pretrain", chain["signals.jsonl"], chain["vocab.json"], pre) == 0
+        out, manifest = tmp_path / "ft.ckpt", tmp_path / "manifest.json"
+        capsys.readouterr()
+        rc = run_cli(*FAST_SETTINGS, "--set", "finetune_learning_rate=1e300", "finetune",
+                     pre, load_demo_ratings_path(), out, "--manifest", manifest)
+        self.assert_diverged(capsys, rc, out, manifest)
+
+
+NOT_UTF8 = "caf\u00e9 au lait\n".encode("latin-1")
+BAD_VOCABULARY = {"json": b"{not json", "tokens": b'{"format": "vocabulary"}'}
+
+
+def _text_input_case(name, chain, tmp_path):
+    """(argv, exit code) of one case; writes its faulty input to ``tmp_path / "bad"``."""
+    bad, out, other = tmp_path / "bad", tmp_path / "out", tmp_path / "other"
+    ratings = tmp_path / "ratings.tsv"
+    ratings.write_text("s0\ta\tb\t1.0\ns1\ta\tb\t2.0\n", encoding="utf-8")
+    preds = tmp_path / "preds.tsv"
+    preds.write_text("s0\t0.5\ns1\t0.7\n", encoding="utf-8")
+    signals = ["compute-signals", chain["pairs.jsonl"], chain["vocab.json"], out]
+    cases = {
+        "evaluate-ratings": (NOT_UTF8, ["evaluate", preds, bad, out], 3),
+        "evaluate-predictions": (NOT_UTF8, ["evaluate", bad, ratings, out], 3),
+        "skew-split": (NOT_UTF8, ["skew-split", bad, out, other], 3),
+        "gen-pairs": (NOT_UTF8, ["gen-pairs", bad, out, "--vocab-out", other], 3),
+        "embedding-file": (NOT_UTF8, ["--set", f"embedding_file={bad}", *signals], 3),
+        "embedding-values": (b"2\nthe 0.5 half\n", ["--set", f"embedding_file={bad}", *signals], 3),
+        "config": (NOT_UTF8, ["--config", bad, "gen-pairs", chain["corpus.txt"], out,
+                              "--vocab-out", other], 2),
+    }
+    for kind, content in BAD_VOCABULARY.items():
+        cases[f"compute-signals-vocab-{kind}"] = (
+            content, ["compute-signals", chain["pairs.jsonl"], bad, out], 3)
+        cases[f"pretrain-vocab-{kind}"] = (content, ["pretrain", chain["signals.jsonl"], bad, out], 3)
+    content, argv, code = cases[name]
+    bad.write_bytes(content)
+    return argv, code
+
+
+class TestTextInputs:
+    """A non-UTF-8 or malformed text input exits 2 or 3 with one line naming it, writing nothing."""
+
+    @pytest.mark.parametrize("name", [
+        "evaluate-ratings", "evaluate-predictions", "skew-split", "gen-pairs", "embedding-file",
+        "embedding-values", "config", "compute-signals-vocab-json", "compute-signals-vocab-tokens",
+        "pretrain-vocab-json", "pretrain-vocab-tokens",
+    ])
+    def test_unreadable_input(self, chain, tmp_path, capsys, name):
+        argv, code = _text_input_case(name, chain, tmp_path)
+        capsys.readouterr()
+        rc = run_cli(*FAST_SETTINGS, *argv)
+        err = capsys.readouterr().err
+        assert rc == code
+        assert len(err.splitlines()) == 1, err
+        assert str(tmp_path / "bad") in err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "other").exists()

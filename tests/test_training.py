@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from pairscore import training
 from pairscore.demo import demo_sentences
 from pairscore.encoder import EncoderConfig, init_model
-from pairscore.errors import DataError
+from pairscore.errors import DataError, NumericError, TrainingDiverged
 from pairscore.experiments import build_offline_pretraining_data
 from pairscore.metrics import sentence_bleu
-from pairscore.signals import default_task_specs
+from pairscore.signals import SignalVector, default_task_specs
 from pairscore.synth import GenerationConfig
 from pairscore.text import (
     RatedExample,
@@ -18,14 +21,12 @@ from pairscore.text import (
 )
 from pairscore.training import (
     AdamOptimizer,
-    Stage,
     TrainConfig,
     _BestTracker,
     finetune,
     params_digest,
     predict_ratings,
     pretrain,
-    run_recipe,
     set_task_weights,
 )
 
@@ -182,6 +183,74 @@ class TestFinetune:
         assert outs[0][1] == outs[1][1]
         assert outs[0][0].allclose(outs[1][0])
 
+    def test_dropout_masks_are_seeded(self, vocab, encoder_config):
+        train, val = split_no_leak(rated_dataset(vocab, n=60), 0.2, seed=2)
+        config = TrainConfig(total_steps=10, eval_every=5, batch_size=8, learning_rate=1e-3, seed=9)
+
+        def tuned(rate):
+            params = init_model(dataclasses.replace(encoder_config, dropout=rate))
+            return params_digest(finetune(params, train, val, config, vocab)[0])
+
+        with_dropout = tuned(0.1)
+        assert tuned(0.1) == with_dropout
+        assert tuned(0.0) != with_dropout
+
+
+class TestDivergence:
+    """TrainingDiverged carries the best checkpoint and the history up to the failure."""
+
+    @pytest.fixture(params=["pretrain", "finetune"])
+    def stage(self, request, vocab, synthetic):
+        if request.param == "pretrain":
+            return lambda params, config: pretrain(
+                params, synthetic[:30], default_task_specs(), config, vocab
+            )
+        train, val = split_no_leak(rated_dataset(vocab, n=60), 0.2, seed=2)
+        return lambda params, config: finetune(params, train, val, config, vocab)
+
+    def test_failed_step_keeps_best_so_far(self, stage, encoder_config, monkeypatch):
+        config = TrainConfig(total_steps=6, eval_every=1, batch_size=8, learning_rate=1e-3, seed=3)
+        params = init_model(encoder_config)
+        clean, clean_history = stage(params, dataclasses.replace(config, total_steps=3))
+        calls = []
+        real_gradients = training.gradients
+
+        def failing_gradients(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 4:
+                raise NumericError("loss is non-finite")
+            return real_gradients(*args, **kwargs)
+
+        monkeypatch.setattr(training, "gradients", failing_gradients)
+        with pytest.raises(TrainingDiverged) as info:
+            stage(params, config)
+        assert info.value.step == 4
+        assert info.value.history == clean_history
+        assert params_digest(info.value.last_good) == params_digest(clean)
+
+    def test_overflow_at_first_eval_keeps_input(self, stage, encoder_config):
+        config = TrainConfig(total_steps=5, eval_every=1, batch_size=8, learning_rate=1e300, seed=3)
+        params = init_model(encoder_config)
+        with pytest.raises(TrainingDiverged) as info:
+            stage(params, config)
+        assert info.value.step == 1
+        assert info.value.history == []
+        assert params_digest(info.value.last_good) == params_digest(params)
+
+    def test_infinite_eval_loss_diverges(self, vocab, synthetic, encoder_config):
+        config = TrainConfig(total_steps=5, eval_every=1, batch_size=8, learning_rate=1e-3, seed=3)
+        dataset = list(synthetic[:30])
+        # An example the first batch does not draw, so only the evaluation sees it.
+        first = set(training._EpochSampler(len(dataset), config.batch_size, config.seed).next_indices())
+        bad = min(set(range(len(dataset))) - first)
+        ex, vec = dataset[bad]
+        blocks = {t.name: [1e200] if t.name == "bleu" else vec[t.name] for t in default_task_specs()}
+        dataset[bad] = (ex, SignalVector(blocks, normalized=True))
+        with pytest.raises(TrainingDiverged) as info:
+            pretrain(init_model(encoder_config), dataset, default_task_specs(), config, vocab)
+        assert info.value.step == 1
+        assert info.value.history == []
+
 
 class TestBestTracker:
     def test_argmax_rule_keeps_earliest_best(self):
@@ -249,67 +318,6 @@ class TestSetTaskWeights:
         task_sets = [set_task_weights(groups, w) for w in grid]
         assert len(task_sets) == 27
         assert len({tuple(t.weight for t in ts) for ts in task_sets}) == 27
-
-
-class TestRunRecipe:
-    def test_empty_recipe_returns_initial(self, vocab, encoder_config):
-        params = init_model(encoder_config)
-        out, manifest = run_recipe(params, [], vocab)
-        assert out is params
-        assert manifest == []
-
-    def test_single_finetune_stage_equals_direct(self, vocab, encoder_config):
-        data = rated_dataset(vocab, n=60)
-        train, val = split_no_leak(data, 0.2, seed=3)
-        config = TrainConfig(
-            total_steps=15, eval_every=5, batch_size=8, learning_rate=1e-3, seed=4,
-        )
-        params = init_model(encoder_config)
-        direct, _ = finetune(params, train, val, config, vocab)
-        via_recipe, manifest = run_recipe(
-            params, [Stage("finetune", config, train=train, validation=val)], vocab
-        )
-        assert direct.allclose(via_recipe)
-        assert len(manifest) == 1
-        assert manifest[0]["params_digest"] == params_digest(direct)
-
-    def test_two_stage_recipe_deterministic(self, vocab, synthetic, encoder_config, tmp_path):
-        data = rated_dataset(vocab, n=60)
-        train, val = split_no_leak(data, 0.2, seed=5)
-        pre_cfg = TrainConfig(total_steps=10, eval_every=5, batch_size=8, learning_rate=1e-3, seed=0)
-        ft_cfg = TrainConfig(
-            total_steps=10, eval_every=5, batch_size=8, learning_rate=1e-3, seed=0,
-        )
-        stages = [
-            Stage("pretrain", pre_cfg, dataset=synthetic[:30], tasks=default_task_specs()),
-            Stage("finetune", ft_cfg, train=train, validation=val),
-        ]
-        runs = []
-        for i in range(2):
-            params = init_model(encoder_config)
-            out, manifest = run_recipe(params, stages, vocab, checkpoint_dir=tmp_path / str(i))
-            runs.append((out, manifest))
-        assert runs[0][0].allclose(runs[1][0])
-        digests = [[m["params_digest"] for m in manifest] for _, manifest in runs]
-        assert digests[0] == digests[1]
-        ckpt0 = (tmp_path / "0" / "stage00_pretrain.ckpt").read_bytes()
-        ckpt1 = (tmp_path / "1" / "stage00_pretrain.ckpt").read_bytes()
-        assert ckpt0 == ckpt1
-
-    def test_stage_failure_carries_partial_manifest(self, vocab, synthetic, encoder_config):
-        from pairscore.training import RecipeError
-
-        pre_cfg = TrainConfig(total_steps=5, eval_every=5, batch_size=8, seed=0)
-        bad = Stage("finetune", TrainConfig(total_steps=5, eval_every=5),
-                    train=[], validation=[])
-        params = init_model(encoder_config)
-        with pytest.raises(RecipeError) as info:
-            run_recipe(
-                params,
-                [Stage("pretrain", pre_cfg, dataset=synthetic[:20], tasks=default_task_specs()), bad],
-                vocab,
-            )
-        assert len(info.value.partial_manifest) == 1
 
 
 class TestPredictRatings:
