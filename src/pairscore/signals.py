@@ -297,11 +297,9 @@ def request_reals(client: LineClient, count: int, task: str, *fields: str) -> li
     try:
         values = [float(x) for x in response.split()]
     except ValueError as exc:
-        raise ScorerProtocolError(
-            f"scorer response is not space-separated reals: {response!r}", client.transcript
-        ) from exc
+        raise client.error(f"scorer response is not space-separated reals: {response!r}") from exc
     if len(values) != count:
-        raise ScorerProtocolError(f"{task} response must be {count} real(s), got {len(values)}")
+        raise client.error(f"{task} response must be {count} real(s), got {len(values)}")
     return values
 
 

@@ -13,8 +13,9 @@ import math
 import os
 import selectors
 import subprocess
+import tempfile
 import time
-from collections import Counter, defaultdict, deque
+from collections import Counter, OrderedDict, defaultdict, deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
@@ -25,6 +26,10 @@ from .errors import DataError, SchemaVersionError, ScorerProtocolError
 from .text import RESERVED_TOKENS, TokenSeq, Vocabulary, read_text
 
 MAX_MASKS = 15
+
+# Floats (8 bytes each) that one BigramLM keeps in its cache of log-prob rows:
+# 16 MB, 2,097 rows of a 1,000-candidate model or 262 of an 8,000-candidate one.
+ROW_CACHE_FLOATS = 1 << 21
 
 MASK_SCATTER = "mask_fill_scatter"
 MASK_CONTIGUOUS = "mask_fill_contiguous"
@@ -106,6 +111,9 @@ def plan_masks(z: TokenSeq, strategy: str, seed: int) -> MaskPlan:
     return MaskPlan(positions, strategy)
 
 
+_NO_COUNTS: Counter = Counter()
+
+
 class BigramLM:
     """Interpolated bigram language model with add-k smoothing.
 
@@ -127,6 +135,7 @@ class BigramLM:
         self._context_totals: Counter = Counter()
         self._total = 0
         self._candidates: tuple[tuple[str, int], ...] = ()
+        self._rows: OrderedDict[str | None, np.ndarray] = OrderedDict()
 
     @classmethod
     def train(
@@ -167,17 +176,37 @@ class BigramLM:
         k, v = self.add_k, self._n_types()
         p_uni = (self._unigram[token] + k) / (self._total + k * v)
         ctx_total = self._context_totals[prev]
-        p_bi = (self._bigram[prev][token] + k) / (ctx_total + k * v)
+        p_bi = (self._bigram.get(prev, _NO_COUNTS)[token] + k) / (ctx_total + k * v)
         lam = self.interpolation
         return math.log(lam * p_bi + (1.0 - lam) * p_uni)
+
+    def log_prob_row(self, prev: str | None) -> np.ndarray:
+        """``log_prob(tok, prev)`` for every candidate, in ``candidates()`` order.
+
+        Rows are built with ``log_prob`` itself (``math.log``, not ``np.log``,
+        whose last bits differ) and kept in an LRU cache of at most
+        ROW_CACHE_FLOATS floats; the newest row is always kept.
+        """
+        row = self._rows.get(prev)
+        if row is not None:
+            self._rows.move_to_end(prev)
+            return row
+        row = np.array([self.log_prob(tok, prev) for tok, _ in self._candidates], dtype=np.float64)
+        row.flags.writeable = False
+        self._rows[prev] = row
+        while len(self._rows) > 1 and len(self._rows) * row.size > ROW_CACHE_FLOATS:
+            self._rows.popitem(last=False)
+        return row
 
 
 def fill_masks(z: TokenSeq, plan: MaskPlan, lm, beam_width: int = 8) -> TokenSeq:
     """Fill masked positions left-to-right with beam search under ``lm``.
 
     Beam states are scored by the sum of log-probabilities of the tokens
-    filled so far; ties are broken toward smaller vocabulary ids.  Output
-    length equals input length and unmasked tokens are untouched.
+    filled so far; ties are broken toward the smaller tuple of fill ids, and
+    then toward the earlier expansion (beam entry, then candidate), as a
+    stable sort on ``(-score, fill_ids)`` would.  Output length equals input
+    length and unmasked tokens are untouched.
     """
     if beam_width < 1:
         raise DataError("beam_width must be >= 1")
@@ -188,23 +217,31 @@ def fill_masks(z: TokenSeq, plan: MaskPlan, lm, beam_width: int = 8) -> TokenSeq
         return z
 
     masked = set(plan.positions)
+    cand_ids = np.array([tid for _, tid in candidates], dtype=np.int64)
     # beam entry: (score, fill tokens so far, fill ids so far)
     beam: list[tuple[float, tuple[str, ...], tuple[int, ...]]] = [(0.0, (), ())]
-    for slot_index, pos in enumerate(plan.positions):
-        expansions = []
-        for score, fills, fill_ids in beam:
+    for pos in plan.positions:
+        rows = []
+        for score, fills, _ in beam:
             if pos == 0:
                 prev = None
             elif pos - 1 in masked:
-                prev = fills[plan.positions.index(pos - 1)]
+                prev = fills[-1]
             else:
                 prev = z.tokens[pos - 1]
-            for tok, tid in candidates:
-                expansions.append(
-                    (score + lm.log_prob(tok, prev), fills + (tok,), fill_ids + (tid,))
-                )
-        expansions.sort(key=lambda e: (-e[0], e[2]))
-        beam = expansions[:beam_width]
+            rows.append(score + lm.log_prob_row(prev))
+        scores = np.concatenate(rows)
+        # all prefixes have one length, so (prefix rank, id) orders fill_ids
+        prefix_rank = {ids: r for r, ids in enumerate(sorted({e[2] for e in beam}))}
+        ranks = np.repeat([prefix_rank[e[2]] for e in beam], len(candidates))
+        order = np.lexsort((np.tile(cand_ids, len(beam)), ranks, -scores))[:beam_width]
+        survivors = []
+        for i in order.tolist():
+            entry, c = divmod(i, len(candidates))
+            _, fills, fill_ids = beam[entry]
+            tok, tid = candidates[c]
+            survivors.append((float(scores[i]), fills + (tok,), fill_ids + (tid,)))
+        beam = survivors
 
     _, best_fills, best_ids = beam[0]
     tokens = list(z.tokens)
@@ -283,6 +320,8 @@ class StubBacktranslator:
 
 # Seconds a child may take to answer one request before it is killed.
 READ_DEADLINE_S = 120.0
+# Lines of a child's stderr that a protocol error adds to its transcript.
+STDERR_TAIL_LINES = 5
 
 
 class LineClient:
@@ -292,21 +331,38 @@ class LineClient:
     by tabs on one line; the answer is one line.  The child is started on the
     first request and again after it dies.  A pipe failure, an early EOF or no
     answer within READ_DEADLINE_S raises ScorerProtocolError with the
-    transcript of the last lines exchanged.
+    transcript of the last lines exchanged.  The child's stderr goes to an
+    unnamed temporary file (a pipe nobody drains could fill and stall it), and
+    its last STDERR_TAIL_LINES lines join the transcript of such an error.
     """
 
     def __init__(self, command: Sequence[str]):
         self.command = list(command)
         self.transcript: deque[str] = deque(maxlen=20)
         self._proc: subprocess.Popen | None = None
+        self._stderr = None
         self._pending = b""
 
     def _ensure(self) -> subprocess.Popen:
         if self._proc is None or self._proc.poll() is not None:
             self.close()
-            self._proc = subprocess.Popen(self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+            self._stderr = tempfile.TemporaryFile()
+            self._proc = subprocess.Popen(
+                self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=self._stderr
+            )
             self._pending = b""
         return self._proc
+
+    def error(self, message: str) -> ScorerProtocolError:
+        """A ScorerProtocolError whose transcript ends with the child's last stderr lines."""
+        if self._stderr is not None:
+            # pread leaves the file offset, which the child shares, where it is
+            fd = self._stderr.fileno()
+            size = os.fstat(fd).st_size
+            tail = os.pread(fd, 4096, max(0, size - 4096)).decode("utf-8", "replace")
+            for line in tail.splitlines()[-STDERR_TAIL_LINES:]:
+                self.transcript.append(f"! {line}")
+        return ScorerProtocolError(message, self.transcript)
 
     def request(self, *fields: str) -> str:
         line = "\t".join(f.replace("\t", " ").replace("\n", " ") for f in fields)
@@ -317,9 +373,9 @@ class LineClient:
             proc.stdin.flush()
             response = self._read_line(proc).decode("utf-8")
         except (OSError, UnicodeDecodeError) as exc:
-            raise ScorerProtocolError(f"child pipe failed: {exc}", self.transcript) from exc
+            raise self.error(f"child pipe failed: {exc}") from exc
         if response == "":
-            raise ScorerProtocolError("child closed its output stream", self.transcript)
+            raise self.error("child closed its output stream")
         self.transcript.append(f"< {response.rstrip()}")
         return response
 
@@ -334,10 +390,7 @@ class LineClient:
                 if remaining <= 0 or not selector.select(remaining):
                     proc.kill()
                     proc.wait()
-                    raise ScorerProtocolError(
-                        f"child gave no answer within {READ_DEADLINE_S:g} s; killed it",
-                        self.transcript,
-                    )
+                    raise self.error(f"child gave no answer within {READ_DEADLINE_S:g} s; killed it")
                 chunk = os.read(fd, 65536)
                 if not chunk:
                     break
@@ -348,6 +401,9 @@ class LineClient:
     def close(self) -> None:
         """Close the child's input and wait for it to exit (killing it after 5 s)."""
         proc, self._proc = self._proc, None
+        if self._stderr is not None:
+            self._stderr.close()
+            self._stderr = None
         if proc is None:
             return
         try:

@@ -270,6 +270,9 @@ def _parse_jsonl_records(lines: Iterable[str], require_rating: bool):
         except json.JSONDecodeError as exc:
             problems.append(f"line {lineno}: invalid JSON ({exc.msg})")
             continue
+        if not isinstance(obj, dict):
+            problems.append(f"line {lineno}: expected a JSON object, got {type(obj).__name__}")
+            continue
         if obj.get("record") == "header":
             raw_scores = bool(obj.get("raw_scores", False))
             continue
@@ -282,11 +285,21 @@ def _parse_jsonl_records(lines: Iterable[str], require_rating: bool):
         if not source_id or candidate is None or not refs:
             problems.append(f"line {lineno}: missing source_id/references/candidate")
             continue
+        if not isinstance(source_id, str) or not isinstance(candidate, str):
+            problems.append(f"line {lineno}: source_id and candidate must be strings")
+            continue
+        if not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
+            problems.append(f"line {lineno}: references must be a list of strings")
+            continue
         if rating is None and require_rating:
             problems.append(f"line {lineno}: missing rating")
             continue
         if rating is not None:
-            if not isinstance(rating, (int, float)) or not math.isfinite(float(rating)):
+            try:
+                finite = not isinstance(rating, bool) and math.isfinite(rating)
+            except (TypeError, OverflowError):
+                finite = False
+            if not finite:
                 problems.append(f"line {lineno}: non-numeric rating {rating!r}")
                 continue
             rating = float(rating)

@@ -442,6 +442,23 @@ class TestChildProcesses:
         assert len(err.splitlines()) == 1, err
         assert not out.exists()
 
+    def test_chatty_scorer_keeps_stderr_to_one_line(self, small_corpus, tmp_path, monkeypatch, capfd):
+        import sys as _sys
+
+        pairs, vocab = tmp_path / "pairs.jsonl", tmp_path / "v.json"
+        assert run_cli(*FAST_SETTINGS, "gen-pairs", small_corpus, pairs, "--vocab-out", vocab) == 0
+        script = tmp_path / "chatty.py"
+        script.write_text("import sys\nfor i in range(3):\n    print(f'warning {i}', file=sys.stderr)\n")
+        monkeypatch.setenv("PAIRSCORE_SCORER_COMMAND", f"{_sys.executable} {script}")
+        out = tmp_path / "signals.jsonl"
+        capfd.readouterr()
+        rc = run_cli(*FAST_SETTINGS, "compute-signals", pairs, vocab, out)
+        err = capfd.readouterr().err
+        assert rc == 3
+        assert len(err.splitlines()) == 1, err
+        assert "warning" not in err
+        assert not out.exists()
+
     def test_quoted_sh_scorer_answers(self, chain, tmp_path, capsys):
         scorer = 'sh -c "while read -r line; do echo -1.25; done"'
         out = tmp_path / "signals.jsonl"
@@ -658,3 +675,53 @@ class TestTextInputs:
         assert len(err.splitlines()) == 1, err
         assert str(tmp_path / "bad") in err
         assert not (tmp_path / "out").exists() and not (tmp_path / "other").exists()
+
+
+GOOD_RECORD = {"source_id": "s0", "references": ["the cat sat"], "candidate": "the cat", "rating": 1.0}
+BAD_RECORDS = {
+    "non-object": [1, 2],
+    "string-references": {**GOOD_RECORD, "references": "the cat"},
+    "mixed-references": {**GOOD_RECORD, "references": ["the cat", 3]},
+    "int-candidate": {**GOOD_RECORD, "candidate": 5},
+    "int-source-id": {**GOOD_RECORD, "source_id": 7},
+    "bool-rating": {**GOOD_RECORD, "rating": True},
+}
+
+
+class TestJsonlRatingRecords:
+    """A JSONL ratings line of the wrong shape or field types exits 3 with one line."""
+
+    @staticmethod
+    def ratings(tmp_path, name, good=True):
+        path = tmp_path / "ratings.jsonl"
+        lines = [GOOD_RECORD] if good else []
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in [*lines, BAD_RECORDS[name]]))
+        return path
+
+    def run(self, capsys, *argv):
+        capsys.readouterr()
+        rc = run_cli(*argv)
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(BAD_RECORDS))
+    def test_predict(self, tmp_path, capsys, name):
+        from pairscore.text import Vocabulary
+
+        vocab = Vocabulary.build([["the", "cat", "sat"]], min_count=1)
+        config = EncoderConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2,
+                               d_ff=16, max_seq_len=40)
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "preds.tsv"
+        save_checkpoint(init_model(config), ckpt, meta={"vocab": list(vocab.tokens)})
+        rc, err = self.run(capsys, "predict", ckpt, self.ratings(tmp_path, name), out)
+        assert rc == 3
+        assert len(err.splitlines()) == 1, err
+        assert "line 2:" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(BAD_RECORDS))
+    def test_skew_split(self, tmp_path, capsys, name):
+        train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+        rc, err = self.run(capsys, "skew-split", self.ratings(tmp_path, name, good=False), train, test)
+        assert rc == 3
+        assert len(err.splitlines()) == 1, err
+        assert not train.exists() and not test.exists()

@@ -30,7 +30,9 @@ from pairscore.synth import (
     read_synthetic,
     write_synthetic,
 )
-from pairscore.text import TokenSeq, Vocabulary, tokenize
+from pairscore.demo import demo_sentences
+from pairscore.text import TokenSeq, Vocabulary, split_tokens, tokenize
+from synth_oracle import reference_fill_masks
 
 CORPUS = [
     "the cat sat on the mat".split(),
@@ -99,6 +101,19 @@ class TestBigramLM:
         uni = BigramLM.train_unigram(CORPUS, vocab)
         assert uni.log_prob("cat", "the") == pytest.approx(uni.log_prob("cat", "zzz"))
 
+    def test_reading_an_unseen_context_stores_nothing(self, lm):
+        contexts = set(lm._bigram)
+        lm.log_prob("cat", "zzz")
+        lm.log_prob_row("zzz")
+        assert set(lm._bigram) == contexts
+
+    def test_log_prob_row_is_log_prob_in_candidate_order(self, lm):
+        for prev in (None, "the", "zzz"):
+            row = lm.log_prob_row(prev)
+            assert row.tolist() == [lm.log_prob(tok, prev) for tok, _ in lm.candidates()]
+            assert lm.log_prob_row(prev) is row
+            assert not row.flags.writeable
+
 
 class TestFillMasks:
     def test_zero_positions_is_identity(self, vocab, lm):
@@ -147,6 +162,121 @@ class TestFillMasks:
         z = seq("the small cat sat near the rug", vocab)
         plan = plan_masks(z, "contiguous", 17)
         assert fill_masks(z, plan, lm) == fill_masks(z, plan, lm)
+
+
+# 24 tokens, each seen once, in one fixed order: every count is 1, so the
+# candidates a context was never followed by all tie exactly.
+TIE_CORPUS = [[f"w{i:02d}" for i in np.random.default_rng(3).permutation(24)]]
+
+
+@pytest.fixture(scope="module")
+def demo_segments():
+    """300 demo segments under a vocabulary of the first 60, so 30 candidates share [unk]'s id."""
+    sentences = demo_sentences(300, seed=11)
+    vocab = Vocabulary.build([split_tokens(s) for s in sentences[:60]], min_count=2)
+    return vocab, [seq(s, vocab) for s in sentences]
+
+
+class TestFillMasksOracle:
+    """The cached-row lexsort fill equals the expand-and-sort oracle exactly."""
+
+    @staticmethod
+    def assert_same(segments, lm, plans, widths=(1, 4, 8)):
+        for z, plan in plans:
+            for width in widths:
+                assert fill_masks(z, plan, lm, width) == reference_fill_masks(z, plan, lm, width), (
+                    z.tokens, plan, width)
+
+    @staticmethod
+    def random_plans(segments, n, seed):
+        rng = np.random.default_rng(seed)
+        plans = []
+        for _ in range(n):
+            z = segments[int(rng.integers(0, len(segments)))]
+            strategy = "scatter" if rng.random() < 0.6 else "contiguous"
+            plans.append((z, plan_masks(z, strategy, int(rng.integers(0, 2**31)))))
+        return plans
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_plans_on_demo_corpus(self, demo_segments, seed):
+        vocab, segments = demo_segments
+        lm = BigramLM.train(segments, vocab)
+        assert len({tid for _, tid in lm.candidates()}) < len(lm.candidates())
+        self.assert_same(segments, lm, self.random_plans(segments, 25, seed))
+
+    def test_unigram_lm(self, demo_segments):
+        vocab, segments = demo_segments
+        lm = BigramLM.train_unigram(segments, vocab)
+        self.assert_same(segments, lm, self.random_plans(segments, 12, 99))
+
+    @pytest.mark.parametrize("train", [BigramLM.train, BigramLM.train_unigram], ids=["bigram", "unigram"])
+    @pytest.mark.parametrize("known", [TIE_CORPUS, []], ids=["own-ids", "all-unk"])
+    def test_ties_fall_to_fill_ids(self, train, known):
+        # with no token in the vocabulary, every fill id is [unk]'s and the
+        # earlier expansion (beam entry, then candidate) must win a tie
+        vocab = Vocabulary.build(known, min_count=1)
+        lm = train(TIE_CORPUS, vocab)
+        z = TokenSeq.from_tokens(TIE_CORPUS[0], vocab)
+        plans = [(z, MaskPlan(p, "scatter")) for p in [(0,), (0, 1), (0, 1, 2), (3, 4, 7, 8, 9), (5, 6, 20, 21, 22, 23)]]
+        plans += self.random_plans([z], 10, 7)
+        self.assert_same([z], lm, plans, widths=(1, 4, 8, 30))
+
+    def test_tie_across_beam_entries_goes_to_smaller_prefix(self):
+        # After "a", "b" is the seen continuation and leads the beam, but "b" is
+        # followed only by "[sep]", no candidate: "b a" (seen, unseen) ties with
+        # "a b" (unseen, seen), and the smaller fill ids must win.
+        corpus = [["a", "b", "[sep]"]]
+        vocab = Vocabulary.build(corpus, min_count=1)
+        lm = BigramLM.train(corpus, vocab)
+        z = TokenSeq.from_tokens(["a", "b", "b"], vocab)
+        plan = MaskPlan((1, 2), "contiguous")
+        assert fill_masks(z, plan, lm, 2).tokens == ("a", "a", "b")
+        self.assert_same([z], lm, [(z, plan)])
+
+    def test_near_ties_of_small_random_corpora(self):
+        # few types, small counts: sums of logs that tie or differ in the last bit
+        for corpus_seed in range(300):
+            rng = np.random.default_rng(corpus_seed)
+            n_types = int(rng.integers(4, 12))
+            corpus = [
+                [f"t{j}" for j in rng.integers(0, n_types, size=int(rng.integers(3, 9)))]
+                for _ in range(int(rng.integers(2, 8)))
+            ]
+            vocab = Vocabulary.build(corpus, min_count=1)
+            segments = [TokenSeq.from_tokens(s, vocab) for s in corpus]
+            for train in (BigramLM.train, BigramLM.train_unigram):
+                lm = train(corpus, vocab)
+                self.assert_same(segments, lm, self.random_plans(segments, 3, corpus_seed))
+
+    def test_mask_at_start_and_adjacent_runs(self, vocab, lm):
+        segments = [seq(" ".join(s), vocab) for s in CORPUS]
+        plans = [
+            (z, MaskPlan(p, "scatter"))
+            for z in segments
+            for p in [(0,), (0, 1), (0, 1, 3, 4), (1, 2, 4, 5), tuple(range(len(z)))]
+        ]
+        self.assert_same(segments, lm, plans)
+
+    def test_beam_wider_than_candidate_list(self, vocab, lm):
+        z = seq("the small cat sat near the rug", vocab)
+        width = 3 * len(lm.candidates())
+        plans = [(z, MaskPlan(p, "scatter")) for p in [(0,), (0, 1), (2, 3, 5)]]
+        self.assert_same([z], lm, plans, widths=(len(lm.candidates()), width))
+
+    def test_evicting_rows_leaves_fills_unchanged(self, demo_segments, monkeypatch):
+        vocab, segments = demo_segments
+        plans = self.random_plans(segments, 10, 5)
+        full = BigramLM.train(segments, vocab)
+        expected = [fill_masks(z, plan, full, 8) for z, plan in plans]
+        n = len(full.candidates())
+        monkeypatch.setattr(synth, "ROW_CACHE_FLOATS", 2 * n)
+        small = BigramLM.train(segments, vocab)
+        assert [fill_masks(z, plan, small, 8) for z, plan in plans] == expected
+        assert len(small._rows) == 2 < len(full._rows)
+        monkeypatch.setattr(synth, "ROW_CACHE_FLOATS", 1)
+        tiny = BigramLM.train(segments, vocab)
+        assert [fill_masks(z, plan, tiny, 8) for z, plan in plans] == expected
+        assert len(tiny._rows) == 1
 
 
 class TestBacktranslate:
@@ -326,3 +456,21 @@ class TestLineClient:
         assert time.monotonic() - start < 10
         assert "no answer within 1 s" in str(info.value)
         assert "> the cat" in str(info.value)
+
+    def test_child_stderr_joins_the_transcript(self, tmp_path, capfd):
+        script = tmp_path / "chatty.py"
+        script.write_text(
+            "import sys\n"
+            "sys.stdin.readline()\n"
+            "for i in range(3):\n"
+            "    print(f'warning {i}', file=sys.stderr)\n"
+        )
+        client = LineClient([sys.executable, str(script)])
+        try:
+            with pytest.raises(ScorerProtocolError) as info:
+                client.request("the cat")
+        finally:
+            client.close()
+        assert info.value.message == "child closed its output stream"
+        assert info.value.transcript == ("> the cat", "! warning 0", "! warning 1", "! warning 2")
+        assert capfd.readouterr().err == ""
