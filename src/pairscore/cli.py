@@ -56,6 +56,7 @@ from .text import (
     SentencePair,
     Vocabulary,
     ingest_ratings,
+    read_lines,
     read_rating_records,
     read_text,
     serialize_ratings,
@@ -306,7 +307,7 @@ def _save_stage(args, chash: str, stage: str, params, vocab: Vocabulary, steps: 
     meta = {"config_hash": chash, "vocab": list(vocab.tokens), "stage": stage}
     _atomic_write(Path(args.out), lambda p: save_checkpoint(params, p, meta=meta))
     if args.manifest:
-        entry = manifest_entry(stage, stage, steps, history, params, args.out)
+        entry = manifest_entry(stage, steps, history, params, args.out)
         _atomic_write(
             Path(args.manifest), lambda p: save_manifest([entry], p, meta={"config_hash": chash})
         )
@@ -366,7 +367,7 @@ def cmd_compute_signals(args, config) -> int:
         raise DataError(f"no synthetic examples in {args.pairs}")
     with contextlib.ExitStack() as children:
         providers = _providers(config, [ex.z for ex in examples], children)
-        pairs, problems = compute_signals_corpus(examples, providers, skip_failures=True)
+        pairs, failed = compute_signals_corpus(examples, providers)
     if not pairs:
         raise DataError("signal computation failed for every example")
     stats = fit_normalization([vec for _, vec in pairs])
@@ -375,12 +376,12 @@ def cmd_compute_signals(args, config) -> int:
         "config_hash": chash,
         "tokenizer": TOKENIZER_VERSION,
         "bleu_smoothing": BLEU_SMOOTHING,
-        "skipped": len(problems),
+        "skipped": len(failed),
         "source_pairs": header.get("config_hash"),
     }
     _atomic_write(Path(args.out), lambda p: write_signals(normalized, p, stats, meta=meta))
     print(f"config-hash: {chash}")
-    print(f"wrote {len(normalized)} signal vectors to {args.out} (skipped {len(problems)})")
+    print(f"wrote {len(normalized)} signal vectors to {args.out} (skipped {len(failed)})")
     return 0
 
 
@@ -412,12 +413,9 @@ def _load_params(path: str):
 def cmd_finetune(args, config) -> int:
     chash = config_hash(config)
     params, vocab, _ = _load_params(args.checkpoint)
-    result = ingest_ratings(args.ratings, _ratings_format(args.ratings, args.format), vocab)
-    if not result.examples:
-        raise DataError(f"no usable rated examples in {args.ratings}")
-    train, validation = split_no_leak(
-        result.examples, config["holdout_fraction"], seed=config["seed"]
-    )
+    fmt = _ratings_format(args.ratings, args.format)
+    examples = ingest_ratings(args.ratings, fmt, vocab).examples
+    train, validation = split_no_leak(examples, config["holdout_fraction"], seed=config["seed"])
     train_config = _train_config(config, "finetune")
     params, history = finetune(params, train, validation, train_config, vocab)
     _save_stage(args, chash, "finetune", params, vocab, train_config.total_steps, history)
@@ -433,11 +431,9 @@ def cmd_finetune(args, config) -> int:
 def cmd_predict(args, config) -> int:
     chash = config_hash(config)
     params, vocab, _ = _load_params(args.checkpoint)
-    records, problems, _ = read_rating_records(
+    records, _ = read_rating_records(
         args.input, _ratings_format(args.input, args.format), require_rating=False
     )
-    if problems:
-        raise DataError(f"{args.input}: {problems[0]} (+{len(problems) - 1} more)" if len(problems) > 1 else f"{args.input}: {problems[0]}")
 
     def scores() -> list[tuple[str, float]]:
         out = []
@@ -465,32 +461,29 @@ def cmd_predict(args, config) -> int:
 
 def cmd_evaluate(args, config) -> int:
     chash = config_hash(config)
-    pred_lines = read_text(args.predictions, "predictions file").splitlines()
-    predictions = []
-    for lineno, line in enumerate(pred_lines, start=1):
-        if not line.strip():
-            continue
+    if config["eval_grouping"] not in ("source", "all"):
+        raise UsageError(f"eval_grouping must be 'source' or 'all', got {config['eval_grouping']!r}")
+
+    def prediction(line: str) -> tuple[str, float]:
         cols = line.split("\t")
         if len(cols) != 2:
-            raise DataError(f"{args.predictions}:{lineno}: expected `source_id<TAB>score`")
+            raise DataError("expected `source_id<TAB>score`")
         try:
             score = float(cols[1])
         except ValueError:
-            raise DataError(f"{args.predictions}:{lineno}: score {cols[1]!r} is not a number") from None
+            raise DataError(f"score {cols[1]!r} is not a number") from None
         if not math.isfinite(score):
-            raise DataError(f"{args.predictions}:{lineno}: score {cols[1]!r} is not finite")
-        predictions.append((cols[0], score))
-    records, problems, _ = read_rating_records(
+            raise DataError(f"score {cols[1]!r} is not finite")
+        return cols[0], score
+
+    predictions = read_lines(args.predictions, "predictions file", prediction)
+    records, _ = read_rating_records(
         args.ratings, _ratings_format(args.ratings, args.format), require_rating=True
     )
-    if problems:
-        raise DataError(f"{args.ratings}: {len(problems)} malformed records")
     if len(records) != len(predictions):
         raise DataError(
             f"record count mismatch: {len(predictions)} predictions vs {len(records)} rated records"
         )
-    if config["eval_grouping"] not in ("source", "all"):
-        raise UsageError(f"eval_grouping must be 'source' or 'all', got {config['eval_grouping']!r}")
     human, metric, groups = [], [], []
     for (source_id, score), record in zip(predictions, records):
         if source_id != record.source_id:
@@ -515,9 +508,7 @@ def cmd_skew_split(args, config) -> int:
     chash = config_hash(config)
     vocab = Vocabulary(("[pad]", "[unk]", "[cls]", "[sep]", "[mask]"))
     fmt = _ratings_format(args.ratings, args.format)
-    result = ingest_ratings(args.ratings, fmt, vocab)
-    if not result.examples:
-        raise DataError(f"no usable rated examples in {args.ratings}")
+    examples = ingest_ratings(args.ratings, fmt, vocab).examples
     skew = SkewConfig(
         alpha_train=config["alpha_train"],
         alpha_test=config["alpha_test"],
@@ -525,13 +516,13 @@ def cmd_skew_split(args, config) -> int:
         seed=config["seed"],
         disjoint=config["skew_disjoint"],
     )
-    train, test = skew_split(result.examples, skew)
+    train, test = skew_split(examples, skew)
     _atomic_write(Path(args.train_out), lambda p: serialize_ratings(train, p, fmt))
     _atomic_write(Path(args.test_out), lambda p: serialize_ratings(test, p, fmt))
     print(f"config-hash: {chash}")
     print(
         f"skew split alpha=({skew.alpha_train}, {skew.alpha_test}): "
-        f"{len(train)} train, {len(test)} test of {len(result.examples)} records"
+        f"{len(train)} train, {len(test)} test of {len(examples)} records"
     )
     return 0
 
@@ -542,10 +533,9 @@ def cmd_ablate(args, config) -> int:
     dataset, stats, _ = read_signals(args.signals, vocab)
     if stats is None:
         raise DataError("signals file lacks normalization stats")
-    result = ingest_ratings(args.ratings, _ratings_format(args.ratings, args.format), vocab)
-    if not result.examples:
-        raise DataError(f"no usable rated examples in {args.ratings}")
-    train_pool, test = split_no_leak(result.examples, 0.25, seed=config["seed"])
+    fmt = _ratings_format(args.ratings, args.format)
+    examples = ingest_ratings(args.ratings, fmt, vocab).examples
+    train_pool, test = split_no_leak(examples, 0.25, seed=config["seed"])
     train, validation = split_no_leak(train_pool, config["holdout_fraction"], seed=config["seed"])
     pipeline = AblationPipeline(
         vocab=vocab,

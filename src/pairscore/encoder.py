@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -62,22 +62,6 @@ class EncoderConfig:
             raise DataError("max_seq_len must be >= 3 ([cls] plus two separators)")
         if not 0.0 <= self.dropout < 1.0:
             raise DataError("dropout must lie in [0, 1)")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "d_ff": self.d_ff,
-            "max_seq_len": self.max_seq_len,
-            "dropout": self.dropout,
-            "init_seed": self.init_seed,
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "EncoderConfig":
-        return cls(**payload)
 
 
 @dataclass
@@ -616,7 +600,7 @@ def save_checkpoint(params: ModelParams, path: str | Path, meta: Mapping | None 
     header = {
         "format": "checkpoint",
         "version": 1,
-        "config": params.config.to_json_dict(),
+        "config": asdict(params.config),
         "tasks": [
             {"name": x.name, "kind": x.kind, "dim": x.dim, "weight": x.weight} for x in params.tasks
         ],
@@ -651,7 +635,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
         header = json.loads(data[start:payload_start].decode("utf-8"))
         if (header["format"], header["version"]) != ("checkpoint", 1):
             raise SchemaVersionError("checkpoint/1", f"{header['format']}/{header['version']}")
-        config = EncoderConfig.from_json_dict(header["config"])
+        config = EncoderConfig(**header["config"])
         tasks = tuple(TaskSpec(x["name"], x["kind"], x["dim"], x["weight"]) for x in header["tasks"])
         entries = [
             (tm["name"], tm["dtype"], tm["shape"], int(tm["offset"]), int(tm["nbytes"]))

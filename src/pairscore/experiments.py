@@ -184,8 +184,6 @@ def build_drift_dataset(
     n_records: int,
     seed: int,
     noise_sd: float = 4.0,
-    lm=None,
-    translator=None,
 ) -> list[RatedExample]:
     """Rated pairs whose rating is edit similarity (0-100) plus Gaussian noise.
 
@@ -197,10 +195,8 @@ def build_drift_dataset(
     rng = np.random.default_rng(seed)
     token_lists = [tokenize(s, vocab) for s in segments]
     token_lists = [t for t in token_lists if len(t) > 0]
-    if lm is None:
-        lm = BigramLM.train(token_lists, vocab)
-    if translator is None:
-        translator = StubBacktranslator()
+    lm = BigramLM.train(token_lists, vocab)
+    translator = StubBacktranslator()
     out = []
     for i in range(n_records):
         ref = token_lists[int(rng.integers(0, len(token_lists)))]
@@ -242,7 +238,7 @@ def build_offline_pretraining_data(
         likelihood=UnigramScorer.train(token_lists),
         entailment=BaselineEntailment(),
     )
-    pairs, _ = compute_signals_corpus(examples, providers, skip_failures=True)
+    pairs, _ = compute_signals_corpus(examples, providers)
     stats = fit_normalization([vec for _, vec in pairs])
     return [(ex, apply_normalization(vec, stats)) for ex, vec in pairs]
 

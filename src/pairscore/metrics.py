@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, NumericError
-from .text import UNK, as_tokens, read_text
+from .text import UNK, as_tokens, read_lines
 
 # Recorded in artifact metadata: add-one smoothing applies to orders >= 2 and
 # only when the raw clipped precision is zero.
@@ -144,24 +144,27 @@ class EmbeddingTable:
     @classmethod
     def from_file(cls, path: str | Path) -> "EmbeddingTable":
         """Text format: first line is the dimension, then `token v1 .. v_d` lines."""
-        lines = read_text(path, "embedding file").splitlines()
-        if not lines:
-            raise DataError(f"empty embedding file {path}")
-        try:
-            dim = int(lines[0].strip())
-        except ValueError as exc:
-            raise DataError(f"embedding file {path}: bad dimension header") from exc
-        vectors = {}
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
+        dim = None
+
+        def entry(line: str) -> tuple[str, np.ndarray] | None:
+            nonlocal dim
+            if dim is None:
+                try:
+                    dim = int(line)
+                except ValueError:
+                    raise DataError("bad dimension header") from None
+                return None
             parts = line.split()
             if len(parts) != dim + 1:
-                raise DataError(f"embedding file {path} line {lineno}: expected {dim + 1} fields")
+                raise DataError(f"expected {dim + 1} fields")
             try:
-                vectors[parts[0]] = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+                return parts[0], np.array([float(x) for x in parts[1:]], dtype=np.float64)
             except ValueError:
-                raise DataError(f"embedding file {path} line {lineno}: non-numeric value") from None
+                raise DataError("non-numeric value") from None
+
+        vectors = dict(read_lines(path, "embedding file", entry))
+        if dim is None:
+            raise DataError(f"empty embedding file {path}")
         if UNK not in vectors:
             # synthesize a deterministic fallback so partial tables stay usable
             vectors[UNK] = cls.hashed([UNK], dim).vector(UNK)

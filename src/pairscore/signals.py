@@ -162,9 +162,6 @@ class SignalVector:
 # Likelihood and entailment providers.
 # ---------------------------------------------------------------------------
 
-DIRECTIONS = ("en-fr", "en-de")
-
-
 def backtrans_likelihood(target: TokenSeq, conditioning: TokenSeq, scorer, direction: str) -> float:
     """Length-normalized round-trip log-likelihood: log P(target | conditioning) / |target|.
 
@@ -179,38 +176,41 @@ def backtrans_likelihood(target: TokenSeq, conditioning: TokenSeq, scorer, direc
     return value / len(target)
 
 
+# The unigram stub's add-k constant for each round-trip direction.
+UNIGRAM_DIRECTION_K: Mapping[str, float] = {"en-fr": 0.2, "en-de": 0.4}
+
+
 class UnigramScorer:
     """Offline likelihood stub: token-level unigram log-likelihood of the target.
 
     The conditioning sentence is ignored; each direction uses its own add-k
-    constant so the four likelihood dimensions are distinct but reproducible.
-    Not a translation model.
+    constant (``UNIGRAM_DIRECTION_K``) so the four likelihood dimensions are
+    distinct but reproducible.  Not a translation model.
     """
 
     label = "stub"
 
-    def __init__(self, counts: Counter, total: int, direction_k: Mapping[str, float] | None = None):
+    def __init__(self, counts: Counter, total: int):
         self._counts = counts
         self._total = total
         self._types = len(counts) + 1  # one extra type for unseen tokens
-        self._direction_k = dict(direction_k or {"en-fr": 0.2, "en-de": 0.4})
 
     @classmethod
-    def train(cls, segments: Iterable[Sequence[str]], direction_k: Mapping[str, float] | None = None):
+    def train(cls, segments: Iterable[Sequence[str]]):
         counts: Counter = Counter()
         total = 0
         for seg in segments:
             toks = seg.tokens if isinstance(seg, TokenSeq) else seg
             counts.update(toks)
             total += len(toks)
-        return cls(counts, total, direction_k)
+        return cls(counts, total)
 
     def token_log_prob(self, token: str, direction: str) -> float:
-        k = self._direction_k[direction]
+        k = UNIGRAM_DIRECTION_K[direction]
         return math.log((self._counts[token] + k) / (self._total + k * self._types))
 
     def log_prob(self, direction: str, target: TokenSeq, conditioning: TokenSeq) -> float:
-        if direction not in self._direction_k:
+        if direction not in UNIGRAM_DIRECTION_K:
             raise DataError(f"unknown direction {direction!r}")
         return sum(self.token_log_prob(tok, direction) for tok in target.tokens)
 
@@ -379,24 +379,20 @@ def compute_signals(example: SyntheticExample, providers: SignalProviders) -> Si
 
 
 def compute_signals_corpus(
-    examples: Sequence[SyntheticExample],
-    providers: SignalProviders,
-    skip_failures: bool = False,
+    examples: Sequence[SyntheticExample], providers: SignalProviders
 ) -> tuple[list[tuple[SyntheticExample, SignalVector]], list[str]]:
     """Compute signals for many examples, preserving input order.
 
-    With skip_failures, per-example SignalErrors (e.g. an empty candidate
-    after a full word drop) are collected instead of raised.
+    Per-example SignalErrors (e.g. an empty candidate after a full word drop)
+    are collected and returned beside the computed pairs, not raised.
     """
-    out, problems = [], []
+    out, failures = [], []
     for ex in examples:
         try:
             out.append((ex, compute_signals(ex, providers)))
         except SignalError as exc:
-            if not skip_failures:
-                raise
-            problems.append(str(exc))
-    return out, problems
+            failures.append(str(exc))
+    return out, failures
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -62,20 +62,6 @@ class CorrelationReport:
             self.pairs_total - self.pairs_filtered - self.ties_discarded
         ):
             raise NumericError("pair counts are inconsistent")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kendall": self.kendall,
-            "pearson": self.pearson,
-            "darr": self.darr,
-            "pairs_total": self.pairs_total,
-            "pairs_filtered": self.pairs_filtered,
-            "ties_discarded": self.ties_discarded,
-            "concordant": self.concordant,
-            "discordant": self.discordant,
-            "threshold": self.threshold,
-            "variant": self.variant,
-        }
 
     def to_text_table(self) -> str:
         rows = [
@@ -333,6 +319,6 @@ def multiref_score(candidate, references: Sequence, scorer: Callable) -> float:
 
 
 def save_report(report: CorrelationReport, path, meta: dict | None = None) -> None:
-    payload = report.to_json_dict()
+    payload = asdict(report)
     payload.update(meta or {})
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")

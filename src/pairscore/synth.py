@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 import numpy as np
 
 from .errors import DataError, SchemaVersionError, ScorerProtocolError
-from .text import RESERVED_TOKENS, TokenSeq, Vocabulary, read_text
+from .text import RESERVED_TOKENS, TokenSeq, Vocabulary, json_object, read_lines
 
 MAX_MASKS = 15
 
@@ -564,31 +564,22 @@ def read_records(
 
     A malformed line raises DataError naming ``path:line``.
     """
-    lines = read_text(path, fmt).splitlines()
-    if not lines:
+    header = None
+
+    def record(line: str) -> T | None:
+        nonlocal header
+        obj = json_object(line)
+        if header is not None:
+            return parse(obj)
+        if obj.get("format") != fmt or obj.get("version") != version:
+            raise SchemaVersionError(f"{fmt}/{version}", f"{obj.get('format')}/{obj.get('version')}")
+        header = obj
+        return None
+
+    records = read_lines(path, fmt, record)
+    if header is None:
         raise DataError(f"empty {fmt} file {path}")
-    header = _record_line(path, 1, lines[0], dict)
-    if header.get("format") != fmt or header.get("version") != version:
-        raise SchemaVersionError(f"{fmt}/{version}", f"{header.get('format')}/{header.get('version')}")
-    out = [
-        _record_line(path, lineno, line, parse)
-        for lineno, line in enumerate(lines[1:], start=2)
-        if line.strip()
-    ]
-    return out, header
-
-
-def _record_line(path, lineno: int, line: str, parse: Callable[[dict], T]) -> T:
-    try:
-        obj = json.loads(line)
-        if not isinstance(obj, dict):
-            raise DataError(f"expected a JSON object, got {type(obj).__name__}")
-        return parse(obj)
-    except KeyError as exc:
-        problem = f"record lacks key {exc}"
-    except (DataError, TypeError, ValueError, AttributeError) as exc:
-        problem = str(exc)
-    raise DataError(f"{path}:{lineno}: {problem}")
+    return records, header
 
 
 def write_synthetic(

@@ -14,11 +14,11 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, SchemaVersionError
 
 PAD = "[pad]"
 UNK = "[unk]"
@@ -33,6 +33,8 @@ _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
 TOKENIZER_VERSION = "lower-ws-punct/1"
 
+T = TypeVar("T")
+
 
 def read_text(path: str | Path, what: str) -> str:
     """The UTF-8 text of the ``what`` file at ``path``; DataError naming it if unreadable."""
@@ -42,6 +44,41 @@ def read_text(path: str | Path, what: str) -> str:
         raise DataError(f"{what} {path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+
+
+def read_lines(path: str | Path, what: str, parse: Callable[[str], T | None]) -> list[T]:
+    """``parse`` each non-blank line of the ``what`` file at ``path``, in order.
+
+    A None result (a comment or a header) is dropped.  A DataError, KeyError,
+    TypeError or ValueError from ``parse`` becomes a DataError naming
+    ``path:line``; a SchemaVersionError passes unchanged, as it is about the
+    whole file.
+    """
+    out = []
+    for lineno, line in enumerate(read_text(path, what).splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = parse(line)
+        except SchemaVersionError:
+            raise
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+        except KeyError as exc:
+            raise DataError(f"{path}:{lineno}: record lacks key {exc}") from None
+        except (DataError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        if record is not None:
+            out.append(record)
+    return out
+
+
+def json_object(line: str) -> dict:
+    """The JSON object on ``line``; DataError if the line holds another JSON value."""
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise DataError(f"expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 @dataclass(frozen=True)
@@ -218,115 +255,93 @@ class RatingRecord:
 @dataclass
 class IngestResult:
     examples: list[RatedExample]
-    skipped: int
-    problems: list[str]
 
 
-def _parse_tsv_records(lines: Iterable[str], require_rating: bool):
-    records, problems, raw_scores = [], [], False
-    for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            if "raw-scores" in line:
-                raw_scores = True
-            continue
-        cols = line.split("\t")
-        if len(cols) == 3 and not require_rating:
-            cols.append("")
-        if len(cols) != 4:
-            problems.append(f"line {lineno}: expected 4 tab-separated columns, got {len(cols)}")
-            continue
-        source_id, reference, candidate, rating_text = cols
-        rating = None
-        if rating_text != "":
-            try:
-                rating = float(rating_text)
-            except ValueError:
-                problems.append(f"line {lineno}: non-numeric rating {rating_text!r}")
-                continue
-            if not math.isfinite(rating):
-                problems.append(f"line {lineno}: non-finite rating {rating_text!r}")
-                continue
-        elif require_rating:
-            problems.append(f"line {lineno}: missing rating")
-            continue
-        if not source_id:
-            problems.append(f"line {lineno}: empty source_id")
-            continue
-        records.append(RatingRecord(source_id, (reference,), candidate, rating))
-    return records, problems, raw_scores
-
-
-def _parse_jsonl_records(lines: Iterable[str], require_rating: bool):
-    records, problems, raw_scores = [], [], False
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
+def _tsv_record(line: str, require_rating: bool, header: dict) -> RatingRecord | None:
+    if line.startswith("#"):
+        if "raw-scores" in line:
+            header["raw_scores"] = True
+        return None
+    cols = line.split("\t")
+    if len(cols) == 3 and not require_rating:
+        cols.append("")
+    if len(cols) != 4:
+        raise DataError(f"expected 4 tab-separated columns, got {len(cols)}")
+    source_id, reference, candidate, rating_text = cols
+    rating = None
+    if rating_text != "":
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            problems.append(f"line {lineno}: invalid JSON ({exc.msg})")
-            continue
-        if not isinstance(obj, dict):
-            problems.append(f"line {lineno}: expected a JSON object, got {type(obj).__name__}")
-            continue
-        if obj.get("record") == "header":
-            raw_scores = bool(obj.get("raw_scores", False))
-            continue
-        refs = obj.get("references")
-        if refs is None and "reference" in obj:
-            refs = [obj["reference"]]
-        source_id = obj.get("source_id", "")
-        candidate = obj.get("candidate")
-        rating = obj.get("rating")
-        if not source_id or candidate is None or not refs:
-            problems.append(f"line {lineno}: missing source_id/references/candidate")
-            continue
-        if not isinstance(source_id, str) or not isinstance(candidate, str):
-            problems.append(f"line {lineno}: source_id and candidate must be strings")
-            continue
-        if not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
-            problems.append(f"line {lineno}: references must be a list of strings")
-            continue
-        if rating is None and require_rating:
-            problems.append(f"line {lineno}: missing rating")
-            continue
-        if rating is not None:
-            try:
-                finite = not isinstance(rating, bool) and math.isfinite(rating)
-            except (TypeError, OverflowError):
-                finite = False
-            if not finite:
-                problems.append(f"line {lineno}: non-numeric rating {rating!r}")
-                continue
-            rating = float(rating)
-        records.append(RatingRecord(source_id, tuple(refs), candidate, rating))
-    return records, problems, raw_scores
+            rating = float(rating_text)
+        except ValueError:
+            raise DataError(f"non-numeric rating {rating_text!r}") from None
+        if not math.isfinite(rating):
+            raise DataError(f"non-finite rating {rating_text!r}")
+    elif require_rating:
+        raise DataError("missing rating")
+    if not source_id:
+        raise DataError("empty source_id")
+    return RatingRecord(source_id, (reference,), candidate, rating)
+
+
+def _jsonl_record(line: str, require_rating: bool, header: dict) -> RatingRecord | None:
+    obj = json_object(line)
+    if obj.get("record") == "header":
+        header["raw_scores"] = bool(obj.get("raw_scores", False))
+        return None
+    refs = obj.get("references")
+    if refs is None and "reference" in obj:
+        refs = [obj["reference"]]
+    source_id = obj.get("source_id", "")
+    candidate = obj.get("candidate")
+    rating = obj.get("rating")
+    if not source_id or candidate is None or not refs:
+        raise DataError("missing source_id/references/candidate")
+    if not isinstance(source_id, str) or not isinstance(candidate, str):
+        raise DataError("source_id and candidate must be strings")
+    if not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
+        raise DataError("references must be a list of strings")
+    if rating is None and require_rating:
+        raise DataError("missing rating")
+    if rating is not None:
+        try:
+            finite = not isinstance(rating, bool) and math.isfinite(rating)
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            raise DataError(f"non-numeric rating {rating!r}")
+        rating = float(rating)
+    return RatingRecord(source_id, tuple(refs), candidate, rating)
+
+
+_RECORD_PARSERS = {"wmt-tsv": _tsv_record, "jsonl": _jsonl_record}
 
 
 def read_rating_records(
     path: str | Path, fmt: str, require_rating: bool = True
-) -> tuple[list[RatingRecord], list[str], bool]:
-    """Parse a ratings file into records; returns (records, problems, raw_scores_flag)."""
-    lines = read_text(path, "ratings file").splitlines()
-    if fmt == "wmt-tsv":
-        return _parse_tsv_records(lines, require_rating)
-    if fmt == "jsonl":
-        return _parse_jsonl_records(lines, require_rating)
-    raise DataError(f"unknown ratings format {fmt!r}")
+) -> tuple[list[RatingRecord], bool]:
+    """Parse a ratings file into (records, raw_scores_flag).
+
+    The first malformed record raises DataError naming ``path:line``.  With
+    ``require_rating`` every record needs a rating and the file at least one
+    record; without it (inputs to score) the rating is optional.
+    """
+    if fmt not in _RECORD_PARSERS:
+        raise DataError(f"unknown ratings format {fmt!r}")
+    parse, header = _RECORD_PARSERS[fmt], {"raw_scores": False}
+    records = read_lines(path, "ratings file", lambda line: parse(line, require_rating, header))
+    if require_rating and not records:
+        raise DataError(f"ratings file {path} has no records")
+    return records, header["raw_scores"]
 
 
 def ingest_ratings(path: str | Path, fmt: str, vocab: Vocabulary) -> IngestResult:
     """Load rated pairs, expanding multi-reference records one example per reference.
 
-    Records with missing or non-numeric ratings are skipped and counted.  If
-    the file header declares raw scores, ratings are standardized to mean 0 /
+    A malformed record or an empty file raises DataError naming it.  If the
+    file header declares raw scores, ratings are standardized to mean 0 /
     std 1 over the file; otherwise they are taken as-is.
     """
-    records, problems, raw_scores = read_rating_records(path, fmt, require_rating=True)
+    records, raw_scores = read_rating_records(path, fmt, require_rating=True)
     ratings = [r.rating for r in records]
     if raw_scores and len(ratings) >= 2:
         arr = np.asarray(ratings, dtype=np.float64)
@@ -344,7 +359,7 @@ def ingest_ratings(path: str | Path, fmt: str, vocab: Vocabulary) -> IngestResul
                     source_id=record.source_id,
                 )
             )
-    return IngestResult(examples=examples, skipped=len(problems), problems=problems)
+    return IngestResult(examples=examples)
 
 
 def serialize_ratings(examples: Sequence[RatedExample], path: str | Path, fmt: str = "wmt-tsv") -> None:

@@ -307,12 +307,10 @@ def finetune(
 
 
 def set_task_weights(
-    groups: Sequence[Sequence[str]],
-    group_weights: Sequence[float],
-    base: Sequence[TaskSpec] | None = None,
+    groups: Sequence[Sequence[str]], group_weights: Sequence[float]
 ) -> tuple[TaskSpec, ...]:
     """Assign one shared weight per task group; groups must partition the tasks."""
-    base = tuple(base if base is not None else default_task_specs())
+    base = default_task_specs()
     if len(groups) != len(group_weights):
         raise DataError("need exactly one weight per group")
     weight_of: dict[str, float] = {}
@@ -346,24 +344,21 @@ def params_digest(params: ModelParams) -> str:
 
 
 def manifest_entry(
-    name: str,
-    kind: str,
+    stage: str,
     steps: int,
     history: Sequence[EvalPoint],
     params: ModelParams,
-    checkpoint: str | Path | None = None,
+    checkpoint: str | Path,
 ) -> dict:
-    """One stage of a training manifest; ``checkpoint`` is included when given."""
-    entry = {
-        "stage": name,
-        "kind": kind,
+    """One stage of a training manifest; ``stage`` fills both its name and its kind."""
+    return {
+        "stage": stage,
+        "kind": stage,
         "steps": steps,
         "history": [{"step": p.step, "metric": p.metric} for p in history],
         "params_digest": params_digest(params),
+        "checkpoint": str(checkpoint),
     }
-    if checkpoint is not None:
-        entry["checkpoint"] = str(checkpoint)
-    return entry
 
 
 def save_manifest(manifest: Sequence[Mapping], path: str | Path, meta: Mapping | None = None) -> None:

@@ -284,6 +284,16 @@ class TestCommandContracts:
         assert not report.exists()
         assert run_cli("--set", "eval_grouping=all", "evaluate", preds, ratings, report) == 0
 
+    def test_bad_grouping_is_usage_error_before_any_read(self, workdir, capsys):
+        report = workdir / "grouping_report.json"
+        capsys.readouterr()
+        rc = run_cli("--set", "eval_grouping=bogus", "evaluate",
+                     workdir / "absent_preds.tsv", workdir / "absent.tsv", report)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "eval_grouping" in err
+        assert not report.exists()
+
     def test_usage_error_exit_2(self, capsys):
         rc = run_cli("--set", "bogus=1", "gen-pairs", "x", "y")
         assert rc == 2
@@ -685,7 +695,21 @@ BAD_RECORDS = {
     "int-candidate": {**GOOD_RECORD, "candidate": 5},
     "int-source-id": {**GOOD_RECORD, "source_id": 7},
     "bool-rating": {**GOOD_RECORD, "rating": True},
+    "string-rating": {**GOOD_RECORD, "rating": "high"},
+    "nan-rating": {**GOOD_RECORD, "rating": float("nan")},
+    "missing-candidate": {key: v for key, v in GOOD_RECORD.items() if key != "candidate"},
 }
+
+
+def _tiny_checkpoint(path):
+    """An untrained one-layer checkpoint whose vocabulary covers GOOD_RECORD."""
+    from pairscore.text import Vocabulary
+
+    vocab = Vocabulary.build([["the", "cat", "sat"]], min_count=1)
+    config = EncoderConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2,
+                           d_ff=16, max_seq_len=40)
+    save_checkpoint(init_model(config), path, meta={"vocab": list(vocab.tokens)})
+    return path
 
 
 class TestJsonlRatingRecords:
@@ -705,23 +729,72 @@ class TestJsonlRatingRecords:
 
     @pytest.mark.parametrize("name", sorted(BAD_RECORDS))
     def test_predict(self, tmp_path, capsys, name):
-        from pairscore.text import Vocabulary
-
-        vocab = Vocabulary.build([["the", "cat", "sat"]], min_count=1)
-        config = EncoderConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2,
-                               d_ff=16, max_seq_len=40)
-        ckpt, out = tmp_path / "m.ckpt", tmp_path / "preds.tsv"
-        save_checkpoint(init_model(config), ckpt, meta={"vocab": list(vocab.tokens)})
-        rc, err = self.run(capsys, "predict", ckpt, self.ratings(tmp_path, name), out)
+        ckpt, out = _tiny_checkpoint(tmp_path / "m.ckpt"), tmp_path / "preds.tsv"
+        path = self.ratings(tmp_path, name)
+        rc, err = self.run(capsys, "predict", ckpt, path, out)
         assert rc == 3
         assert len(err.splitlines()) == 1, err
-        assert "line 2:" in err
+        assert f"{path}:2:" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("name", sorted(BAD_RECORDS))
     def test_skew_split(self, tmp_path, capsys, name):
         train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
-        rc, err = self.run(capsys, "skew-split", self.ratings(tmp_path, name, good=False), train, test)
+        path = self.ratings(tmp_path, name, good=False)
+        rc, err = self.run(capsys, "skew-split", path, train, test)
         assert rc == 3
         assert len(err.splitlines()) == 1, err
+        assert f"{path}:1:" in err
         assert not train.exists() and not test.exists()
+
+
+RATED_LINE = "s0\tthe cat sat\tthe cat\t1.0\n"
+GOOD_JSONL = json.dumps(GOOD_RECORD) + "\n"
+# name: (ratings file name, its content, the line the message names; None: only the file)
+MALFORMED_RATINGS = {
+    "tsv-3-columns": ("r.tsv", RATED_LINE + "s1\tthe cat\tthe cat\n", 2),
+    "tsv-5-columns": ("r.tsv", RATED_LINE + "s1\tthe cat\tthe cat\t2.0\t3.0\n", 2),
+    "non-numeric": ("r.tsv", RATED_LINE + "s1\tthe cat\tthe cat\tabc\n", 2),
+    "nan": ("r.tsv", RATED_LINE + "s1\tthe cat\tthe cat\tNaN\n", 2),
+    "jsonl-non-object": ("r.jsonl", GOOD_JSONL + json.dumps(BAD_RECORDS["non-object"]) + "\n", 2),
+    "jsonl-field-type": ("r.jsonl", GOOD_JSONL + json.dumps(BAD_RECORDS["int-candidate"]) + "\n", 2),
+    "empty": ("r.tsv", "", None),
+}
+# predict scores unrated records, so three columns are a record and an empty input is no error
+PREDICT_ACCEPTS = {"tsv-3-columns", "empty"}
+RATINGS_COMMANDS = ["finetune", "predict", "evaluate", "skew-split", "ablate"]
+
+
+class TestMalformedRatings:
+    """Every ratings command exits 3 at the first malformed record, naming file:line, writing nothing."""
+
+    @staticmethod
+    def argv(command, ratings, chain, work):
+        """The command line for ``command`` on ``ratings`` and the files it would write."""
+        out, other = work / "out", work / "other"
+        if command in ("finetune", "predict"):
+            return [command, _tiny_checkpoint(work / "m.ckpt"), ratings, out], [out]
+        if command == "evaluate":
+            preds = work / "preds.tsv"
+            preds.write_text("s0\t0.5\ns1\t0.7\n", encoding="utf-8")
+            return [command, preds, ratings, out], [out]
+        if command == "skew-split":
+            return [command, ratings, out, other], [out, other]
+        return [command, chain["signals.jsonl"], chain["vocab.json"], ratings, out], [out]
+
+    @pytest.mark.parametrize("command, case", [
+        (command, case) for command in RATINGS_COMMANDS for case in sorted(MALFORMED_RATINGS)
+        if not (command == "predict" and case in PREDICT_ACCEPTS)
+    ])
+    def test_first_malformed_record(self, chain, tmp_path, capsys, command, case):
+        name, content, lineno = MALFORMED_RATINGS[case]
+        ratings = tmp_path / name
+        ratings.write_text(content, encoding="utf-8")
+        argv, outputs = self.argv(command, ratings, chain, tmp_path)
+        capsys.readouterr()
+        rc = run_cli(*FAST_SETTINGS, *argv)
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert len(err.splitlines()) == 1, err
+        assert (f"{ratings}:{lineno}:" if lineno else str(ratings)) in err
+        assert not any(path.exists() for path in outputs)

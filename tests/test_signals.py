@@ -205,11 +205,9 @@ class TestComputeSignals:
         good1 = example(vocab, "the cat sat", "the dog sat")
         bad = example(vocab, "the cat sat", "", Origin(WORD_DROP, MASK_SCATTER))
         good2 = example(vocab, "the dog ran", "the dog ran fast")
-        pairs, problems = compute_signals_corpus(
-            [good1, bad, good2], providers, skip_failures=True
-        )
+        pairs, failures = compute_signals_corpus([good1, bad, good2], providers)
         assert [p[0] for p in pairs] == [good1, good2]
-        assert len(problems) == 1
+        assert len(failures) == 1
 
 
 class TestSignalVectorValidation:

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from pairscore.text import (
     TokenSeq,
     Vocabulary,
     ingest_ratings,
+    read_lines,
     serialize_ratings,
     split_no_leak,
     tokenize,
@@ -87,15 +91,13 @@ class TestIngestRatings:
         )
         result = ingest_ratings(path, "wmt-tsv", vocab)
         assert len(result.examples) == 3
-        assert result.skipped == 0
         assert result.examples[1].rating == -0.25
 
-    def test_nan_rating_skipped(self, tmp_path, vocab):
+    def test_nan_rating_rejected(self, tmp_path, vocab):
         path = tmp_path / "r.tsv"
         path.write_text("s1\tthe cat\tthe cat\tNaN\ns2\tthe dog\tthe dog\t0.1\n")
-        result = ingest_ratings(path, "wmt-tsv", vocab)
-        assert len(result.examples) == 1
-        assert result.skipped == 1
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:1: non-finite rating 'NaN'$"):
+            ingest_ratings(path, "wmt-tsv", vocab)
 
     def test_jsonl_multi_reference_expansion(self, tmp_path, vocab):
         path = tmp_path / "r.jsonl"
@@ -145,6 +147,26 @@ class TestIngestRatings:
         out = tmp_path / "out.jsonl"
         serialize_ratings(first, out, "jsonl")
         assert ingest_ratings(out, "jsonl", vocab).examples == first
+
+
+class TestReadLines:
+    def test_blank_lines_and_none_results_are_dropped(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("# comment\n1\n\n  \n2\n")
+        parse = lambda line: None if line.startswith("#") else int(line)
+        assert read_lines(path, "numbers file", parse) == [1, 2]
+
+    def test_first_bad_line_is_named(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("1\n\nx\ny\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: "):
+            read_lines(path, "numbers file", int)
+
+    def test_missing_key_wording(self, tmp_path):
+        path = tmp_path / "f.jsonl"
+        path.write_text('{"a": 1}\n{"b": 2}\n')
+        with pytest.raises(DataError, match=":2: record lacks key 'a'$"):
+            read_lines(path, "records file", lambda line: json.loads(line)["a"])
 
 
 def _rated(vocab, source_id, text="the cat sat", rating=0.0):
