@@ -52,8 +52,6 @@ from .synth import (
 )
 from .text import (
     TOKENIZER_VERSION,
-    RatedExample,
-    SentencePair,
     Vocabulary,
     ingest_ratings,
     read_lines,
@@ -68,7 +66,7 @@ from .training import (
     TrainConfig,
     finetune,
     manifest_entry,
-    predict_ratings,
+    predict_records,
     pretrain,
     save_manifest,
     set_task_weights,
@@ -434,20 +432,8 @@ def cmd_predict(args, config) -> int:
     records, _ = read_rating_records(
         args.input, _ratings_format(args.input, args.format), require_rating=False
     )
-
-    def scores() -> list[tuple[str, float]]:
-        out = []
-        for record in records:
-            candidate = tokenize(record.candidate, vocab)
-            candidates = [
-                RatedExample(SentencePair(tokenize(ref, vocab), candidate), 0.0, record.source_id)
-                for ref in record.references
-            ]
-            per_ref = predict_ratings(params, candidates, vocab)
-            out.append((record.source_id, float(per_ref.max())))
-        return out
-
-    rows = scores()
+    scores = predict_records(params, records, vocab, config["batch_size"])
+    rows = [(record.source_id, float(score)) for record, score in zip(records, scores)]
 
     def write(p: Path):
         lines = [f"{source_id}\t{repr(score)}" for source_id, score in rows]

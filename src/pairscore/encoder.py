@@ -273,6 +273,15 @@ class ForwardResult:
     cache: dict | None = None
 
 
+def rating_head(params: ModelParams, cls: np.ndarray) -> np.ndarray:
+    """The rating of each [cls] row of ``cls`` (B, d).
+
+    BLAS picks its kernel for this product by the number of rows, so a row's
+    bits can depend on which other rows share the call.
+    """
+    return cls @ params.tensors["rating.w"] + params.tensors["rating.b"][0]
+
+
 def _check_finite(x, where):
     if not np.all(np.isfinite(x)):
         raise NumericError(f"non-finite values in {where}")
@@ -363,12 +372,11 @@ def forward(
         task.name: cls @ t[f"head.{task.name}.w"] + t[f"head.{task.name}.b"]
         for task in params.tasks
     }
-    ratings = cls @ t["rating.w"] + t["rating.b"][0]
     cache["cls"] = cls
     return ForwardResult(
         cls=cls,
         task_outputs=task_outputs,
-        ratings=ratings,
+        ratings=rating_head(params, cls),
         cache=cache if want_cache else None,
     )
 

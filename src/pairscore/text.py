@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import DataError, SchemaVersionError
+from .errors import DataError, NumericError
 
 PAD = "[pad]"
 UNK = "[unk]"
@@ -49,10 +49,10 @@ def read_text(path: str | Path, what: str) -> str:
 def read_lines(path: str | Path, what: str, parse: Callable[[str], T | None]) -> list[T]:
     """``parse`` each non-blank line of the ``what`` file at ``path``, in order.
 
-    A None result (a comment or a header) is dropped.  A DataError, KeyError,
-    TypeError or ValueError from ``parse`` becomes a DataError naming
-    ``path:line``; a SchemaVersionError passes unchanged, as it is about the
-    whole file.
+    A None result (a comment or a header) is dropped.  A DataError (a wrong
+    header's SchemaVersionError too), NumericError, KeyError, TypeError or
+    ValueError from ``parse`` becomes a DataError naming ``path:line``: the
+    fault is in the file.
     """
     out = []
     for lineno, line in enumerate(read_text(path, what).splitlines(), start=1):
@@ -60,13 +60,11 @@ def read_lines(path: str | Path, what: str, parse: Callable[[str], T | None]) ->
             continue
         try:
             record = parse(line)
-        except SchemaVersionError:
-            raise
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
         except KeyError as exc:
             raise DataError(f"{path}:{lineno}: record lacks key {exc}") from None
-        except (DataError, TypeError, ValueError) as exc:
+        except (DataError, NumericError, TypeError, ValueError) as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
         if record is not None:
             out.append(record)

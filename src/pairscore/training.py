@@ -29,13 +29,15 @@ from .encoder import (
     build_batch,
     forward,
     gradients,
+    pack_pair,
     pretrain_loss,
+    rating_head,
 )
 from .errors import DataError, NumericError, TrainingDiverged
 from .signals import TaskSpec, SignalVector, default_task_specs
 from .stats import kendall_pairwise
 from .synth import SyntheticExample
-from .text import RatedExample, SentencePair, Vocabulary
+from .text import RatedExample, RatingRecord, SentencePair, TokenSeq, Vocabulary, tokenize
 
 
 @dataclass(frozen=True)
@@ -263,6 +265,59 @@ def predict_ratings(
         batch = build_batch([ex.pair for ex in chunk], vocab)
         out[start : start + len(chunk)] = forward(params, batch).ratings
     return out
+
+
+def predict_records(
+    params: ModelParams, records: Sequence[RatingRecord], vocab: Vocabulary, batch_size: int
+) -> np.ndarray:
+    """Each record's score: the max predicted rating over its references.
+
+    Bit-identical to ``predict_ratings`` on one record's references at a
+    time, then ``max``.  The encoder gives a row the same bits in any batch
+    of the same width, but padding it to a wider batch changes them, and so
+    does the number of rows in the rating head's product.  So records of
+    equal width (the longest packed pair of the record, the width it pads to
+    alone) share batches of whole records, at most ``batch_size`` rows, and
+    the head runs on each record's rows alone.  A record too large for one
+    batch is scored alone by ``predict_ratings``.  Each distinct string is
+    tokenized once.
+    """
+    if batch_size < 1:
+        raise DataError("batch_size must be >= 1")
+    # predict_ratings cuts more than 64 examples into chunks of their own width
+    limit = min(batch_size, 64)
+    tokens: dict[str, TokenSeq] = {}
+
+    def tokenized(s: str) -> TokenSeq:
+        if s not in tokens:
+            tokens[s] = tokenize(s, vocab)
+        return tokens[s]
+
+    scores = np.empty(len(records))
+
+    def run(batch: list[tuple[int, list[SentencePair]]]) -> None:
+        cls = forward(params, build_batch([pair for _, pairs in batch for pair in pairs], vocab)).cls
+        start = 0
+        for i, pairs in batch:
+            scores[i] = rating_head(params, cls[start : start + len(pairs)]).max()
+            start += len(pairs)
+
+    open_batches: dict[int, list[tuple[int, list[SentencePair]]]] = {}  # by width
+    for i, record in enumerate(records):
+        candidate = tokenized(record.candidate)
+        pairs = [SentencePair(tokenized(ref), candidate) for ref in record.references]
+        if len(pairs) > limit:
+            examples = [RatedExample(pair, 0.0, record.source_id) for pair in pairs]
+            scores[i] = predict_ratings(params, examples, vocab).max()
+            continue
+        batch = open_batches.setdefault(max(len(pack_pair(p, vocab)[0]) for p in pairs), [])
+        if sum(len(p) for _, p in batch) + len(pairs) > limit:
+            run(batch)
+            batch.clear()
+        batch.append((i, pairs))
+    for batch in open_batches.values():
+        run(batch)
+    return scores
 
 
 def validation_kendall(

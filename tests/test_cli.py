@@ -8,7 +8,10 @@ from pairscore.cli import DEFAULTS, config_hash, load_config, main, render_confi
 from pairscore.demo import demo_sentences, load_demo_ratings_path
 from pairscore.encoder import EncoderConfig, init_model, load_checkpoint, save_checkpoint
 from pairscore.errors import UsageError
+from pairscore.text import RatingRecord
 from pairscore.training import params_digest
+
+from predict_oracle import reference_predict_records
 
 
 @pytest.fixture(scope="module")
@@ -536,6 +539,27 @@ class TestMalformedArtifacts:
         err = self.assert_data_error(capsys, rc, bad, out, 3)
         assert "'seed'" in err
 
+    def test_wrong_header_names_the_file(self, chain, tmp_path, capsys):
+        # a signals file given where a pairs file belongs
+        out = tmp_path / "signals.jsonl"
+        capsys.readouterr()
+        rc = run_cli(*FAST_SETTINGS, "compute-signals", chain["signals.jsonl"], chain["vocab.json"], out)
+        err = self.assert_data_error(capsys, rc, chain["signals.jsonl"], out, 1)
+        assert "expected artifact schema 'synthetic-corpus/1', found 'signal-corpus/1'" in err
+
+    def test_non_finite_signal_is_a_data_error(self, chain, tmp_path, capsys):
+        lines = chain["signals.jsonl"].read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[2])
+        record["signals"]["bleu"] = [float("nan")]
+        lines[2] = json.dumps(record, sort_keys=True)
+        bad = tmp_path / "nan.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "pre.ckpt"
+        capsys.readouterr()
+        rc = run_cli(*FAST_SETTINGS, "pretrain", bad, chain["vocab.json"], out)
+        err = self.assert_data_error(capsys, rc, bad, out, 3)
+        assert "task 'bleu' has non-finite values" in err
+
 
 def _drop_bleu_head(tensors):
     del tensors["head.bleu.w"]
@@ -798,3 +822,60 @@ class TestMalformedRatings:
         assert len(err.splitlines()) == 1, err
         assert (f"{ratings}:{lineno}:" if lineno else str(ratings)) in err
         assert not any(path.exists() for path in outputs)
+
+
+class TestPredictBatching:
+    """predict shares batches between records and writes what per-record scoring writes."""
+
+    @pytest.fixture
+    def setup(self, tmp_path):
+        from pairscore.text import Vocabulary, split_tokens
+
+        sentences = demo_sentences(40, seed=23)
+        vocab = Vocabulary.build([split_tokens(s) for s in sentences], min_count=1)
+        config = EncoderConfig(vocab_size=len(vocab), d_model=16, n_layers=2, n_heads=2,
+                               d_ff=32, max_seq_len=40, init_seed=4)
+        params = init_model(config)
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(params, ckpt, meta={"vocab": list(vocab.tokens)})
+        return ckpt, params, vocab, sentences
+
+    @staticmethod
+    def write_records(path, records):
+        path.write_text("".join(
+            json.dumps({"source_id": r.source_id, "references": list(r.references),
+                        "candidate": r.candidate}) + "\n" for r in records
+        ), encoding="utf-8")
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 32])
+    def test_preds_equal_per_record_scoring(self, setup, tmp_path, capsys, batch_size):
+        # 1-3 references a record: at batch_size 1 and 2 some records are larger than a batch
+        ckpt, params, vocab, sentences = setup
+        records = [
+            RatingRecord(f"s{i % 7}", tuple(sentences[(i + k) % 40] for k in range(1 + i % 3)),
+                         sentences[(3 * i) % 40], None)
+            for i in range(60)
+        ]
+        ratings = tmp_path / "r.jsonl"
+        self.write_records(ratings, records)
+        out = tmp_path / "preds.tsv"
+        assert run_cli("--set", f"batch_size={batch_size}", "predict", ckpt, ratings, out) == 0
+        want = "".join(f"{r.source_id}\t{score!r}\n"
+                       for r, score in zip(records, reference_predict_records(params, records, vocab)))
+        assert out.read_bytes() == want.encode("utf-8")
+
+    def test_record_wider_than_max_seq_len(self, setup, tmp_path, capsys):
+        ckpt, _, _, sentences = setup
+        long_candidate = " ".join(sentences[:6])
+        records = [RatingRecord(f"s{i}", (sentences[i],), sentences[i + 1], None) for i in range(5)]
+        records.insert(3, RatingRecord("wide", (sentences[0],), long_candidate, None))
+        ratings = tmp_path / "r.jsonl"
+        self.write_records(ratings, records)
+        out = tmp_path / "preds.tsv"
+        capsys.readouterr()
+        rc = run_cli("predict", ckpt, ratings, out)
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert len(err.splitlines()) == 1, err
+        assert "exceeds max_seq_len 40" in err
+        assert not out.exists()
