@@ -23,7 +23,6 @@ from pairscore import (
 )
 from pairscore.demo import load_demo_corpus, load_demo_ratings_path
 from pairscore.experiments import build_offline_pretraining_data
-from pairscore.signals import default_task_specs
 
 
 def main():
@@ -45,7 +44,7 @@ def main():
         total_steps=1500, eval_every=500, batch_size=32, learning_rate=2e-3, seed=0,
     )
     print(f"pre-training {pre_cfg.total_steps} steps...")
-    params, history = pretrain(params, synthetic, default_task_specs(), pre_cfg, vocab)
+    params, history = pretrain(params, synthetic, pre_cfg, vocab)
     print(f"  mixture loss: {[round(h.metric, 3) for h in history]}")
 
     # demo ratings cover the full corpus; tokens outside this vocab become [unk]

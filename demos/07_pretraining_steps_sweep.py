@@ -17,15 +17,13 @@ from pairscore import (
     Vocabulary,
     finetune,
     init_model,
-    kendall_pairwise,
-    predict_ratings,
     pretrain,
     split_no_leak,
     split_tokens,
 )
 from pairscore.demo import load_demo_corpus
 from pairscore.experiments import build_drift_dataset, build_offline_pretraining_data
-from pairscore.signals import default_task_specs
+from pairscore.training import validation_kendall
 
 STEP_BUDGETS = [0, 250, 500, 1000, 2000]
 
@@ -38,7 +36,6 @@ def main():
     data = build_drift_dataset(corpus, vocab, n_records=900, seed=1, noise_sd=3.0)
     train_pool, test = split_no_leak(data, 0.3, seed=0)
     train, validation = split_no_leak(train_pool, 0.15, seed=0)
-    human = [ex.rating for ex in test]
 
     encoder = EncoderConfig(
         vocab_size=len(vocab), d_model=32, n_layers=2, n_heads=4, d_ff=64, max_seq_len=40,
@@ -58,10 +55,9 @@ def main():
                 total_steps=steps, eval_every=max(steps // 4, 1), batch_size=32,
                 learning_rate=2e-3, seed=0,
             )
-            start, _ = pretrain(init, synthetic, default_task_specs(), pre_cfg, vocab)
+            start, _ = pretrain(init, synthetic, pre_cfg, vocab)
         tuned, _ = finetune(start, train, validation, ft_cfg, vocab)
-        preds = predict_ratings(tuned, test, vocab)
-        tau = kendall_pairwise(human, list(preds), ["all"] * len(test))
+        tau = validation_kendall(tuned, test, vocab)
         print(f"{steps:>14d} {tau:>+13.4f}   [{time.time() - t0:5.0f}s]")
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import json
 import math
 import os
 import shlex
@@ -27,7 +26,6 @@ from .errors import DataError, NumericError, PairscoreError, ScorerProtocolError
 from .experiments import AblationPipeline, ablation_to_csv, run_ablation
 from .metrics import BLEU_SMOOTHING, EmbeddingTable
 from .signals import (
-    WEIGHT_GROUPS,
     BaselineEntailment,
     ExternalEntailment,
     ExternalLikelihoodScorer,
@@ -127,8 +125,6 @@ DEFAULTS: dict[str, object] = {
     "skew_disjoint": False,
 }
 
-SCORER_COMMAND_ENV = "PAIRSCORE_SCORER_COMMAND"
-
 
 def _coerce(key: str, raw: str):
     default = DEFAULTS[key]
@@ -222,9 +218,7 @@ def _atomic_write(path: Path, writer: Callable[[Path], None]) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _ratings_format(path: str, override: str | None) -> str:
-    if override:
-        return override
+def _ratings_format(path: str) -> str:
     return "jsonl" if str(path).endswith(".jsonl") else "wmt-tsv"
 
 
@@ -253,9 +247,8 @@ def _providers(config: Mapping, segments, children: contextlib.ExitStack) -> Sig
         embeddings = EmbeddingTable.hashed(
             (tok for seg in segments for tok in seg.tokens), dim=config["embedding_dim"]
         )
-    scorer_command = os.environ.get(SCORER_COMMAND_ENV, "") or config["scorer_command"]
-    if scorer_command:
-        likelihood = ExternalLikelihoodScorer(_child(children, scorer_command))
+    if config["scorer_command"]:
+        likelihood = ExternalLikelihoodScorer(_child(children, config["scorer_command"]))
     else:
         likelihood = UnigramScorer.train(segments)
     if config["entailment_command"]:
@@ -281,10 +274,7 @@ def _train_config(config: Mapping, stage: str) -> TrainConfig:
 
 
 def _task_weights(config: Mapping):
-    return set_task_weights(
-        WEIGHT_GROUPS,
-        [config["gamma_metrics"], config["gamma_likelihood"], config["gamma_semantic"]],
-    )
+    return set_task_weights([config["gamma_metrics"], config["gamma_likelihood"], config["gamma_semantic"]])
 
 
 def _encoder_config(config: Mapping, vocab: Vocabulary) -> EncoderConfig:
@@ -389,10 +379,9 @@ def cmd_pretrain(args, config) -> int:
     dataset, stats, header = read_signals(args.signals, vocab)
     if stats is None:
         raise DataError("signals file lacks normalization stats; run compute-signals first")
-    tasks = _task_weights(config)
-    params = init_model(_encoder_config(config, vocab), tasks)
+    params = init_model(_encoder_config(config, vocab), _task_weights(config))
     train_config = _train_config(config, "pretrain")
-    params, history = pretrain(params, dataset, tasks, train_config, vocab)
+    params, history = pretrain(params, dataset, train_config, vocab)
     _save_stage(args, chash, "pretrain", params, vocab, train_config.total_steps, history)
     print(f"config-hash: {chash}")
     final = history[-1].metric if history else float("nan")
@@ -411,7 +400,7 @@ def _load_params(path: str):
 def cmd_finetune(args, config) -> int:
     chash = config_hash(config)
     params, vocab, _ = _load_params(args.checkpoint)
-    fmt = _ratings_format(args.ratings, args.format)
+    fmt = _ratings_format(args.ratings)
     examples = ingest_ratings(args.ratings, fmt, vocab).examples
     train, validation = split_no_leak(examples, config["holdout_fraction"], seed=config["seed"])
     train_config = _train_config(config, "finetune")
@@ -429,9 +418,7 @@ def cmd_finetune(args, config) -> int:
 def cmd_predict(args, config) -> int:
     chash = config_hash(config)
     params, vocab, _ = _load_params(args.checkpoint)
-    records, _ = read_rating_records(
-        args.input, _ratings_format(args.input, args.format), require_rating=False
-    )
+    records, _ = read_rating_records(args.input, _ratings_format(args.input), require_rating=False)
     scores = predict_records(params, records, vocab, config["batch_size"])
     rows = [(record.source_id, float(score)) for record, score in zip(records, scores)]
 
@@ -463,9 +450,7 @@ def cmd_evaluate(args, config) -> int:
         return cols[0], score
 
     predictions = read_lines(args.predictions, "predictions file", prediction)
-    records, _ = read_rating_records(
-        args.ratings, _ratings_format(args.ratings, args.format), require_rating=True
-    )
+    records, _ = read_rating_records(args.ratings, _ratings_format(args.ratings), require_rating=True)
     if len(records) != len(predictions):
         raise DataError(
             f"record count mismatch: {len(predictions)} predictions vs {len(records)} rated records"
@@ -493,7 +478,7 @@ def cmd_evaluate(args, config) -> int:
 def cmd_skew_split(args, config) -> int:
     chash = config_hash(config)
     vocab = Vocabulary(("[pad]", "[unk]", "[cls]", "[sep]", "[mask]"))
-    fmt = _ratings_format(args.ratings, args.format)
+    fmt = _ratings_format(args.ratings)
     examples = ingest_ratings(args.ratings, fmt, vocab).examples
     skew = SkewConfig(
         alpha_train=config["alpha_train"],
@@ -519,7 +504,7 @@ def cmd_ablate(args, config) -> int:
     dataset, stats, _ = read_signals(args.signals, vocab)
     if stats is None:
         raise DataError("signals file lacks normalization stats")
-    fmt = _ratings_format(args.ratings, args.format)
+    fmt = _ratings_format(args.ratings)
     examples = ingest_ratings(args.ratings, fmt, vocab).examples
     train_pool, test = split_no_leak(examples, 0.25, seed=config["seed"])
     train, validation = split_no_leak(train_pool, config["holdout_fraction"], seed=config["seed"])
@@ -551,8 +536,15 @@ def cmd_ablate(args, config) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line, as every other error is reported."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pairscore",
         description="Train and evaluate a learned reference-based text metric.",
     )
@@ -587,7 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("checkpoint", help="input checkpoint")
     p.add_argument("ratings", help="ratings file (.tsv or .jsonl)")
     p.add_argument("out", help="output checkpoint")
-    p.add_argument("--format", choices=["wmt-tsv", "jsonl"], help="override ratings format")
     p.add_argument("--manifest", help="optional training manifest JSON")
     p.set_defaults(func=cmd_finetune)
 
@@ -595,21 +586,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("checkpoint")
     p.add_argument("input", help="ratings-format file; rating column optional")
     p.add_argument("out", help="output TSV of source_id<TAB>score")
-    p.add_argument("--format", choices=["wmt-tsv", "jsonl"])
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="agreement statistics for predictions vs human ratings")
     p.add_argument("predictions", help="TSV from predict")
     p.add_argument("ratings", help="ratings file with human scores")
     p.add_argument("out", help="output report JSON")
-    p.add_argument("--format", choices=["wmt-tsv", "jsonl"])
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("skew-split", help="drift resampling into skewed train/test sides")
     p.add_argument("ratings")
     p.add_argument("train_out")
     p.add_argument("test_out")
-    p.add_argument("--format", choices=["wmt-tsv", "jsonl"])
     p.set_defaults(func=cmd_skew_split)
 
     p = sub.add_parser("ablate", help="single-task / leave-one-out pre-training ablations")
@@ -618,7 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ratings")
     p.add_argument("out", help="output CSV")
     p.add_argument("--mode", choices=["single-task", "leave-one-out"], default="single-task")
-    p.add_argument("--format", choices=["wmt-tsv", "jsonl"])
     p.set_defaults(func=cmd_ablate)
 
     return parser

@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import DataError, NumericError, SchemaVersionError
+from .errors import DataError, NumericError
 from .signals import REGRESSION, TaskSpec, default_task_specs
 from .text import SentencePair, Vocabulary
 
@@ -629,7 +629,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
     data = Path(path).read_bytes()
     magic = data[: len(CHECKPOINT_MAGIC)]
     if magic != CHECKPOINT_MAGIC:
-        raise SchemaVersionError("checkpoint/1", f"{path}: unrecognized magic {magic!r}")
+        found = f"{path}: unrecognized magic {magic!r}"
+        raise DataError(f"expected artifact schema 'checkpoint/1', found {found!r}")
     start = len(CHECKPOINT_MAGIC) + 4
     if len(data) < start:
         raise DataError(f"checkpoint {path}: truncated header")
@@ -642,7 +643,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
     try:
         header = json.loads(data[start:payload_start].decode("utf-8"))
         if (header["format"], header["version"]) != ("checkpoint", 1):
-            raise SchemaVersionError("checkpoint/1", f"{header['format']}/{header['version']}")
+            found = f"{header['format']}/{header['version']}"
+            raise DataError(f"expected artifact schema 'checkpoint/1', found {found!r}")
         config = EncoderConfig(**header["config"])
         tasks = tuple(TaskSpec(x["name"], x["kind"], x["dim"], x["weight"]) for x in header["tasks"])
         entries = [

@@ -13,15 +13,6 @@ class DataError(PairscoreError):
     """Malformed, missing, or schema-incompatible input data."""
 
 
-class SchemaVersionError(DataError):
-    """An artifact file declares a format/version this code does not accept."""
-
-    def __init__(self, expected: str, found: str):
-        super().__init__(f"expected artifact schema {expected!r}, found {found!r}")
-        self.expected = expected
-        self.found = found
-
-
 class NumericError(PairscoreError):
     """A numerical precondition failed (zero variance, non-finite value, ...)."""
 

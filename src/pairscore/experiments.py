@@ -27,7 +27,6 @@ from .signals import (
     UnigramScorer,
     apply_normalization,
     compute_signals_corpus,
-    default_task_specs,
     fit_normalization,
 )
 # kendall_pairwise is not called here: bench/workloads.py wraps experiments.kendall_pairwise
@@ -86,16 +85,17 @@ def run_ablation(pipeline: AblationPipeline, mode: str) -> list[AblationRow]:
     """One row per pre-training task, plus the delta vs no pre-training.
 
     single-task: only the named task keeps its base weight.  leave-one-out:
-    the named task's weight is zeroed, all others keep theirs.  Rows share
-    the same seeds and initial parameters, so a row whose pre-training has no
-    active weight reports a delta of exactly zero.  Failures are recorded per
-    row and do not stop the run.
+    the named task's weight is zeroed, all others keep theirs.  Each row's
+    model carries the row's task table; rows share the same seeds and initial
+    tensors (the weights do not change them), so a row whose pre-training has
+    no active weight reports a delta of exactly zero.  Failures are recorded
+    per row and do not stop the run.
     """
     if mode not in ("single-task", "leave-one-out"):
         raise DataError(f"unknown ablation mode {mode!r}")
-    init = init_model(pipeline.encoder_config, pipeline.base_tasks)
     baseline_params, _ = finetune(
-        init, pipeline.train, pipeline.validation, pipeline.finetune_config, pipeline.vocab
+        init_model(pipeline.encoder_config, pipeline.base_tasks), pipeline.train,
+        pipeline.validation, pipeline.finetune_config, pipeline.vocab,
     )
     baseline_tau = validation_kendall(baseline_params, pipeline.test, pipeline.vocab)
 
@@ -114,7 +114,8 @@ def run_ablation(pipeline: AblationPipeline, mode: str) -> list[AblationRow]:
         active = tuple(t.name for t in tasks if t.weight != 0.0)
         try:
             pretrained, _ = pretrain(
-                init, pipeline.synthetic, tasks, pipeline.pretrain_config, pipeline.vocab
+                init_model(pipeline.encoder_config, tasks), pipeline.synthetic,
+                pipeline.pretrain_config, pipeline.vocab,
             )
             tuned, _ = finetune(
                 pretrained, pipeline.train, pipeline.validation, pipeline.finetune_config,
@@ -337,7 +338,7 @@ def run_drift_study(
         seed=0,
     )
     say(f"pre-training {config.pretrain_steps} steps")
-    pretrained, _ = pretrain(init, synthetic, default_task_specs(), pre_cfg, vocab)
+    pretrained, _ = pretrain(init, synthetic, pre_cfg, vocab)
 
     dataset = build_drift_dataset(
         segments, vocab, config.n_records, seed=config.data_seed + 1, noise_sd=config.noise_sd

@@ -22,6 +22,8 @@ from .text import UNK, as_tokens, read_lines
 # Recorded in artifact metadata: add-one smoothing applies to orders >= 2 and
 # only when the raw clipped precision is zero.
 BLEU_SMOOTHING = "add-one-on-zero-n2plus"
+# Sentence BLEU takes the geometric mean over n-gram orders 1..BLEU_MAX_ORDER.
+BLEU_MAX_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,7 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def sentence_bleu(reference, candidate, max_order: int = 4) -> float:
+def sentence_bleu(reference, candidate) -> float:
     """Sentence BLEU: geometric mean of clipped n-gram precisions times brevity penalty.
 
     Orders >= 2 with zero clipped matches are smoothed to 1/(count+1); a zero
@@ -59,15 +61,13 @@ def sentence_bleu(reference, candidate, max_order: int = 4) -> float:
     """
     ref = as_tokens(reference)
     cand = as_tokens(candidate)
-    if max_order < 1:
-        raise DataError("max_order must be >= 1")
     if not ref:
         raise DataError("sentence_bleu requires a non-empty reference")
     if not cand:
         return 0.0
 
     log_sum = 0.0
-    for n in range(1, max_order + 1):
+    for n in range(1, BLEU_MAX_ORDER + 1):
         cand_counts = _ngram_counts(cand, n)
         total = sum(cand_counts.values())
         ref_counts = _ngram_counts(ref, n)
@@ -80,7 +80,7 @@ def sentence_bleu(reference, candidate, max_order: int = 4) -> float:
             precision = matches / total
         log_sum += math.log(precision)
 
-    score = math.exp(log_sum / max_order)
+    score = math.exp(log_sum / BLEU_MAX_ORDER)
     if len(cand) < len(ref):
         score *= math.exp(1.0 - len(ref) / len(cand))
     return score

@@ -153,10 +153,6 @@ class SignalVector:
     def to_json_dict(self) -> dict:
         return {name: [float(x) for x in self._blocks[name]] for name in TASK_NAMES}
 
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, Sequence[float]], normalized: bool = False) -> "SignalVector":
-        return cls(payload, normalized=normalized)
-
 
 # ---------------------------------------------------------------------------
 # Likelihood and entailment providers.
@@ -188,8 +184,6 @@ class UnigramScorer:
     distinct but reproducible.  Not a translation model.
     """
 
-    label = "stub"
-
     def __init__(self, counts: Counter, total: int):
         self._counts = counts
         self._total = total
@@ -215,7 +209,7 @@ class UnigramScorer:
         return sum(self.token_log_prob(tok, direction) for tok in target.tokens)
 
 
-DEFAULT_ANTONYMS: Mapping[str, tuple[str, ...]] = {
+ANTONYMS: Mapping[str, tuple[str, ...]] = {
     "big": ("small", "little"),
     "small": ("big", "large"),
     "large": ("small", "little"),
@@ -244,13 +238,8 @@ class BaselineEntailment:
 
     Entail mass follows the fraction of candidate tokens present in the
     source; Contradict follows antonym-table hits; Neutral takes the rest.
-    Labeled baseline: not equivalent to a trained entailment classifier.
+    A baseline, not equivalent to a trained entailment classifier.
     """
-
-    label = "baseline"
-
-    def __init__(self, antonyms: Mapping[str, tuple[str, ...]] | None = None):
-        self.antonyms = dict(DEFAULT_ANTONYMS if antonyms is None else antonyms)
 
     def probs(self, z: TokenSeq, z_tilde: TokenSeq) -> tuple[float, float, float]:
         cand_types = set(z_tilde.tokens)
@@ -259,7 +248,7 @@ class BaselineEntailment:
             return (0.0, 0.0, 1.0)
         containment = len(cand_types & src_types) / len(cand_types)
         hits = sum(
-            1 for tok in cand_types if any(a in src_types for a in self.antonyms.get(tok, ()))
+            1 for tok in cand_types if any(a in src_types for a in ANTONYMS.get(tok, ()))
         )
         antonym_rate = hits / len(cand_types)
         entail = containment * (1.0 - antonym_rate)
@@ -308,7 +297,6 @@ class ExternalLikelihoodScorer:
     """Likelihood provider over a LineClient speaking the scorer protocol."""
 
     client: LineClient
-    label = "external"
 
     def log_prob(self, direction: str, target: TokenSeq, conditioning: TokenSeq) -> float:
         (value,) = request_reals(
@@ -322,7 +310,6 @@ class ExternalEntailment:
     """Entailment provider over a LineClient speaking the scorer protocol."""
 
     client: LineClient
-    label = "external"
 
     def probs(self, z: TokenSeq, z_tilde: TokenSeq) -> tuple[float, ...]:
         return tuple(
@@ -472,7 +459,7 @@ def read_signals(
     path: str | Path, vocab: Vocabulary
 ) -> tuple[list[tuple[SyntheticExample, SignalVector]], NormalizationStats | None, dict]:
     def parse(obj: dict) -> tuple[SyntheticExample, SignalVector]:
-        vec = SignalVector.from_json_dict(obj["signals"], normalized=bool(obj.get("normalized")))
+        vec = SignalVector(obj["signals"], normalized=bool(obj.get("normalized")))
         return example_from_record(obj, vocab), vec
 
     pairs, header = read_records(path, SIGNALS_FORMAT, SIGNALS_VERSION, parse)

@@ -19,9 +19,9 @@ them.  The tree then tells how many admitted partners score below, level
 with and above m_k on the metric: concordant, metric-tied and discordant
 pairs.  Human ties, counted only when the threshold does not filter them,
 come from the counts of equal scores; every other pair was filtered.
-That is O(n log n) time and O(n) memory per call.  ``_walk_pairs``, which
-classifies every pair in turn, is kept as the reference the tests compare
-against.
+That is O(n log n) time and O(n) memory per call.  The walk that
+classifies every pair in turn is the reference the tests compare against
+(``tests/stats_oracle.py``).
 
 Human and metric values must be finite: a NaN has no place in a sort, so
 ``kendall_pairwise`` and ``darr`` raise ``DataError`` on NaN or infinity.
@@ -79,45 +79,8 @@ class CorrelationReport:
         return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
 
 
-def _group_pairs(groups: Sequence) -> list[tuple[int, int]]:
-    by_group: dict = {}
-    for i, g in enumerate(groups):
-        by_group.setdefault(g, []).append(i)
-    pairs = []
-    for members in by_group.values():
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                pairs.append((members[a], members[b]))
-    return pairs
-
-
-def _walk_pairs(human, metric, groups, threshold: float):
-    """Classify every within-group pair; returns the count tuple."""
-    if len(human) != len(metric) or len(human) != len(groups):
-        raise DataError("human, metric, and groups must have equal length")
-    concordant = discordant = filtered = ties = 0
-    for i, j in _group_pairs(groups):
-        dh = human[i] - human[j]
-        if abs(dh) < threshold:
-            filtered += 1
-            continue
-        if dh == 0:
-            ties += 1  # human tie, only reachable when threshold == 0
-            continue
-        dm = metric[i] - metric[j]
-        if dm == 0:
-            ties += 1  # metric tie: assert neither ordering
-            continue
-        if (dh > 0) == (dm > 0):
-            concordant += 1
-        else:
-            discordant += 1
-    total = concordant + discordant + filtered + ties
-    return concordant, discordant, filtered, ties, total
-
-
 def _count_pairs(human, metric, groups, threshold: float):
-    """The counts of ``_walk_pairs`` from one sorted sweep per group."""
+    """(concordant, discordant, filtered, ties, total) from one sorted sweep per group."""
     if len(human) != len(metric) or len(human) != len(groups):
         raise DataError("human, metric, and groups must have equal length")
     for name, values in (("human", human), ("metric", metric)):

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import DataError, SchemaVersionError, ScorerProtocolError
+from .errors import DataError, ScorerProtocolError
 from .text import RESERVED_TOKENS, TokenSeq, Vocabulary, json_object, read_lines
 
 MAX_MASKS = 15
@@ -572,7 +572,8 @@ def read_records(
         if header is not None:
             return parse(obj)
         if obj.get("format") != fmt or obj.get("version") != version:
-            raise SchemaVersionError(f"{fmt}/{version}", f"{obj.get('format')}/{obj.get('version')}")
+            found = f"{obj.get('format')}/{obj.get('version')}"
+            raise DataError(f"expected artifact schema '{fmt}/{version}', found {found!r}")
         header = obj
         return None
 

@@ -50,9 +50,9 @@ def read_lines(path: str | Path, what: str, parse: Callable[[str], T | None]) ->
     """``parse`` each non-blank line of the ``what`` file at ``path``, in order.
 
     A None result (a comment or a header) is dropped.  A DataError (a wrong
-    header's SchemaVersionError too), NumericError, KeyError, TypeError or
-    ValueError from ``parse`` becomes a DataError naming ``path:line``: the
-    fault is in the file.
+    header's too), NumericError, KeyError, TypeError or ValueError from
+    ``parse`` becomes a DataError naming ``path:line``: the fault is in the
+    file.
     """
     out = []
     for lineno, line in enumerate(read_text(path, what).splitlines(), start=1):
@@ -287,8 +287,6 @@ def _jsonl_record(line: str, require_rating: bool, header: dict) -> RatingRecord
         header["raw_scores"] = bool(obj.get("raw_scores", False))
         return None
     refs = obj.get("references")
-    if refs is None and "reference" in obj:
-        refs = [obj["reference"]]
     source_id = obj.get("source_id", "")
     candidate = obj.get("candidate")
     rating = obj.get("rating")

@@ -34,7 +34,7 @@ from .encoder import (
     rating_head,
 )
 from .errors import DataError, NumericError, TrainingDiverged
-from .signals import TaskSpec, SignalVector, default_task_specs
+from .signals import WEIGHT_GROUPS, TaskSpec, SignalVector, default_task_specs
 from .stats import kendall_pairwise
 from .synth import SyntheticExample
 from .text import RatedExample, RatingRecord, SentencePair, TokenSeq, Vocabulary, tokenize
@@ -222,19 +222,19 @@ def _make_batch(pairs, vocab, idx, targets=None, ratings=None) -> Batch:
 def pretrain(
     params: ModelParams,
     dataset: Sequence[tuple[SyntheticExample, SignalVector]],
-    tasks: Sequence[TaskSpec],
     config: TrainConfig,
     vocab: Vocabulary,
 ) -> tuple[ModelParams, list[EvalPoint]]:
-    """Minimize the weighted multitask loss; keep the min-loss checkpoint.
+    """Minimize the multitask loss weighted by ``params.tasks``; keep the min-loss checkpoint.
 
-    Expects normalized signal vectors (regression labels standardized over
-    the corpus).  On divergence raises TrainingDiverged carrying the last
-    good checkpoint.
+    The model's task table is the only source of the weights, so a
+    checkpoint records the weights it was trained with.  Expects normalized
+    signal vectors (regression labels standardized over the corpus).  On
+    divergence raises TrainingDiverged carrying the last good checkpoint.
     """
     if not dataset:
         raise DataError("pretrain requires a non-empty dataset")
-    tasks = tuple(tasks)
+    tasks = params.tasks
     pairs = [SentencePair(ex.z, ex.z_tilde) for ex, _ in dataset]
     targets = {task.name: np.stack([vec[task.name] for _, vec in dataset]) for task in tasks}
 
@@ -255,8 +255,13 @@ def pretrain(
     )
 
 
+# Examples per forward call of predict_ratings, and so the most rows a batch
+# of predict_records may hold.
+PREDICT_CHUNK = 64
+
+
 def predict_ratings(
-    params: ModelParams, examples: Sequence[RatedExample], vocab: Vocabulary, batch_size: int = 64
+    params: ModelParams, examples: Sequence[RatedExample], vocab: Vocabulary, batch_size: int = PREDICT_CHUNK
 ) -> np.ndarray:
     """Inference-mode rating predictions, one scalar per example."""
     out = np.empty(len(examples))
@@ -284,8 +289,8 @@ def predict_records(
     """
     if batch_size < 1:
         raise DataError("batch_size must be >= 1")
-    # predict_ratings cuts more than 64 examples into chunks of their own width
-    limit = min(batch_size, 64)
+    # predict_ratings cuts more than PREDICT_CHUNK examples into chunks of their own width
+    limit = min(batch_size, PREDICT_CHUNK)
     tokens: dict[str, TokenSeq] = {}
 
     def tokenized(s: str) -> TokenSeq:
@@ -361,27 +366,12 @@ def finetune(
 # ---------------------------------------------------------------------------
 
 
-def set_task_weights(
-    groups: Sequence[Sequence[str]], group_weights: Sequence[float]
-) -> tuple[TaskSpec, ...]:
-    """Assign one shared weight per task group; groups must partition the tasks."""
-    base = default_task_specs()
-    if len(groups) != len(group_weights):
+def set_task_weights(group_weights: Sequence[float]) -> tuple[TaskSpec, ...]:
+    """The default tasks with one shared weight per group of ``WEIGHT_GROUPS``, in order."""
+    if len(group_weights) != len(WEIGHT_GROUPS):
         raise DataError("need exactly one weight per group")
-    weight_of: dict[str, float] = {}
-    for group, weight in zip(groups, group_weights):
-        for name in group:
-            if name in weight_of:
-                raise DataError(f"task {name!r} appears in two groups")
-            weight_of[name] = float(weight)
-    names = {t.name for t in base}
-    unknown = set(weight_of) - names
-    if unknown:
-        raise DataError(f"groups name unknown tasks: {sorted(unknown)}")
-    missing = names - set(weight_of)
-    if missing:
-        raise DataError(f"groups do not cover tasks: {sorted(missing)}")
-    return tuple(t.with_weight(weight_of[t.name]) for t in base)
+    weight_of = {name: float(w) for group, w in zip(WEIGHT_GROUPS, group_weights) for name in group}
+    return tuple(t.with_weight(weight_of[t.name]) for t in default_task_specs())
 
 
 # ---------------------------------------------------------------------------

@@ -223,14 +223,13 @@ class TestCommandContracts:
         assert rc == 3
         assert not out.exists()
 
-    def test_predict_empty_input(self, workdir, corpus_file, capsys):
-        # reuse the fine-tuned checkpoint built by the chain test if present
-        ckpt = workdir / "ft.ckpt"
-        if not ckpt.exists():
-            pytest.skip("chain checkpoint not built yet")
-        empty = workdir / "empty.tsv"
+    def test_predict_empty_input(self, chain, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        assert run_cli(*FAST_SETTINGS, "--set", "pretrain_steps=0", "pretrain",
+                       chain["signals.jsonl"], chain["vocab.json"], ckpt) == 0
+        empty = tmp_path / "empty.tsv"
         empty.write_text("")
-        out = workdir / "empty_preds.tsv"
+        out = tmp_path / "empty_preds.tsv"
         rc = run_cli(*FAST_SETTINGS, "predict", ckpt, empty, out)
         assert rc == 0
         assert out.read_text() == ""
@@ -297,6 +296,18 @@ class TestCommandContracts:
         assert "eval_grouping" in err
         assert not report.exists()
 
+    def test_format_flag_is_gone(self, tmp_path, capsys):
+        # A ratings file's format follows its extension: `.jsonl`, otherwise TSV.
+        ckpt, out = _tiny_checkpoint(tmp_path / "m.ckpt"), tmp_path / "ft.ckpt"
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            run_cli(*FAST_SETTINGS, "finetune", ckpt, load_demo_ratings_path(), out, "--format", "jsonl")
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert len(err.splitlines()) == 1, err
+        assert "--format" in err
+        assert not out.exists()
+
     def test_usage_error_exit_2(self, capsys):
         rc = run_cli("--set", "bogus=1", "gen-pairs", "x", "y")
         assert rc == 2
@@ -334,7 +345,7 @@ class TestProviderWiring:
         assert len(records) == n_segments
         assert all(r["origin"]["kind"] == "mask_fill_scatter" for r in records)
 
-    def test_scorer_command_env_override(self, corpus_file, tmp_path, monkeypatch, capsys):
+    def test_scorer_command_key(self, corpus_file, tmp_path, capsys):
         import sys as _sys
 
         script = tmp_path / "fixed_scorer.py"
@@ -344,12 +355,12 @@ class TestProviderWiring:
             "    print(-1.25)\n"
             "    sys.stdout.flush()\n"
         )
-        monkeypatch.setenv("PAIRSCORE_SCORER_COMMAND", f"{_sys.executable} {script}")
         pairs = tmp_path / "pairs.jsonl"
         vocab = tmp_path / "vocab.json"
         signals = tmp_path / "signals.jsonl"
         assert run_cli(*FAST_SETTINGS, "gen-pairs", corpus_file, pairs, "--vocab-out", vocab) == 0
-        assert run_cli(*FAST_SETTINGS, "compute-signals", pairs, vocab, signals) == 0
+        assert run_cli(*FAST_SETTINGS, "--set", f"scorer_command={_sys.executable} {script}",
+                       "compute-signals", pairs, vocab, signals) == 0
         records = [json.loads(line) for line in signals.read_text().splitlines()[1:]]
         # every likelihood dim is -1.25 / |target|; check the raw value via the stats header
         header = json.loads(signals.read_text().splitlines()[0])
@@ -359,6 +370,16 @@ class TestProviderWiring:
         z_lengths = [len(r["z"]) for r in records]
         expected = sum(-1.25 / n for n in z_lengths) / len(z_lengths)
         assert abs(raw_means["bt_en_fr_ref"] - expected) < 1e-9
+
+    def test_scorer_environment_variable_is_ignored(self, chain, tmp_path, monkeypatch, capsys):
+        # The scorer is set by the `scorer_command` key alone, which the config hash sees.
+        plain, with_env = tmp_path / "plain.jsonl", tmp_path / "env.jsonl"
+        assert run_cli(*FAST_SETTINGS, "compute-signals", chain["pairs.jsonl"], chain["vocab.json"],
+                       plain) == 0
+        monkeypatch.setenv("PAIRSCORE_SCORER_COMMAND", 'sh -c "while read -r line; do echo -1.25; done"')
+        assert run_cli(*FAST_SETTINGS, "compute-signals", chain["pairs.jsonl"], chain["vocab.json"],
+                       with_env) == 0
+        assert with_env.read_bytes() == plain.read_bytes()
 
     def test_vocabulary_covers_capitalized_punctuated_corpus(self, tmp_path, capsys):
         corpus = tmp_path / "mixed.txt"
@@ -416,16 +437,13 @@ class TestChildProcesses:
         assert rc == 0
         assert marker.exists()
 
-    def test_compute_signals_closes_scorer_and_entailment(
-        self, small_corpus, tmp_path, monkeypatch, capsys
-    ):
+    def test_compute_signals_closes_scorer_and_entailment(self, small_corpus, tmp_path, capsys):
         pairs, vocab = tmp_path / "pairs.jsonl", tmp_path / "v.json"
         assert run_cli(*FAST_SETTINGS, "gen-pairs", small_corpus, pairs, "--vocab-out", vocab) == 0
         scorer, scorer_marker = self.child(tmp_path, "scorer", "-1.25")
         entail, entail_marker = self.child(tmp_path, "entailment", "0.6", "0.1", "0.3")
-        monkeypatch.setenv("PAIRSCORE_SCORER_COMMAND", scorer)
         rc = run_cli(
-            *FAST_SETTINGS, "--set", f"entailment_command={entail}",
+            *FAST_SETTINGS, "--set", f"scorer_command={scorer}", "--set", f"entailment_command={entail}",
             "compute-signals", pairs, vocab, tmp_path / "signals.jsonl",
         )
         assert rc == 0
@@ -442,12 +460,12 @@ class TestChildProcesses:
         assert run_cli(*FAST_SETTINGS, "gen-pairs", small_corpus, pairs, "--vocab-out", vocab) == 0
         script = tmp_path / "silent.py"
         script.write_text("import time\ntime.sleep(60)\n")
-        monkeypatch.setenv("PAIRSCORE_SCORER_COMMAND", f"{_sys.executable} {script}")
         monkeypatch.setattr(synth, "READ_DEADLINE_S", 0.5)
         out = tmp_path / "signals.jsonl"
         capsys.readouterr()
         start = time.monotonic()
-        rc = run_cli(*FAST_SETTINGS, "compute-signals", pairs, vocab, out)
+        rc = run_cli(*FAST_SETTINGS, "--set", f"scorer_command={_sys.executable} {script}",
+                     "compute-signals", pairs, vocab, out)
         assert time.monotonic() - start < 10
         assert rc == 3
         err = capsys.readouterr().err
@@ -455,17 +473,17 @@ class TestChildProcesses:
         assert len(err.splitlines()) == 1, err
         assert not out.exists()
 
-    def test_chatty_scorer_keeps_stderr_to_one_line(self, small_corpus, tmp_path, monkeypatch, capfd):
+    def test_chatty_scorer_keeps_stderr_to_one_line(self, small_corpus, tmp_path, capfd):
         import sys as _sys
 
         pairs, vocab = tmp_path / "pairs.jsonl", tmp_path / "v.json"
         assert run_cli(*FAST_SETTINGS, "gen-pairs", small_corpus, pairs, "--vocab-out", vocab) == 0
         script = tmp_path / "chatty.py"
         script.write_text("import sys\nfor i in range(3):\n    print(f'warning {i}', file=sys.stderr)\n")
-        monkeypatch.setenv("PAIRSCORE_SCORER_COMMAND", f"{_sys.executable} {script}")
         out = tmp_path / "signals.jsonl"
         capfd.readouterr()
-        rc = run_cli(*FAST_SETTINGS, "compute-signals", pairs, vocab, out)
+        rc = run_cli(*FAST_SETTINGS, "--set", f"scorer_command={_sys.executable} {script}",
+                     "compute-signals", pairs, vocab, out)
         err = capfd.readouterr().err
         assert rc == 3
         assert len(err.splitlines()) == 1, err
@@ -722,6 +740,9 @@ BAD_RECORDS = {
     "string-rating": {**GOOD_RECORD, "rating": "high"},
     "nan-rating": {**GOOD_RECORD, "rating": float("nan")},
     "missing-candidate": {key: v for key, v in GOOD_RECORD.items() if key != "candidate"},
+    "reference-not-references": {
+        **{key: v for key, v in GOOD_RECORD.items() if key != "references"}, "reference": "the cat sat",
+    },
 }
 
 

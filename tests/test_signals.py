@@ -226,7 +226,7 @@ class TestSignalVectorValidation:
 
     def test_valid_vector_roundtrips_json(self):
         vec = SignalVector(self._values())
-        again = SignalVector.from_json_dict(json.loads(json.dumps(vec.to_json_dict())))
+        again = SignalVector(json.loads(json.dumps(vec.to_json_dict())))
         assert vec == again
 
     def test_regression_dim_is_eleven(self):

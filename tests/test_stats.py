@@ -8,7 +8,6 @@ from pairscore.stats import (
     CorrelationReport,
     SkewConfig,
     _count_pairs,
-    _walk_pairs,
     darr,
     expected_train_fraction,
     kendall_pairwise,
@@ -18,6 +17,8 @@ from pairscore.stats import (
     skew_split,
 )
 from pairscore.text import RatedExample, SentencePair, TokenSeq
+
+from stats_oracle import reference_walk_pairs
 
 # ---------------------------------------------------------------------------
 # Exhaustive pair-enumeration oracle, independent of the implementation.
@@ -192,7 +193,7 @@ class TestDarr:
 
 
 def assert_counts_match(human, metric, groups, threshold):
-    want = _walk_pairs(human, metric, groups, threshold)
+    want = reference_walk_pairs(human, metric, groups, threshold)
     assert _count_pairs(human, metric, groups, threshold) == want
     return want
 

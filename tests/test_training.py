@@ -9,7 +9,7 @@ from pairscore.encoder import EncoderConfig, init_model
 from pairscore.errors import DataError, NumericError, TrainingDiverged
 from pairscore.experiments import build_offline_pretraining_data
 from pairscore.metrics import sentence_bleu
-from pairscore.signals import SignalVector, default_task_specs
+from pairscore.signals import WEIGHT_GROUPS, SignalVector, default_task_specs
 from pairscore.synth import GenerationConfig
 from pairscore.text import (
     RatedExample,
@@ -105,14 +105,14 @@ class TestPretrain:
     def test_loss_decreases(self, vocab, synthetic, encoder_config):
         params = init_model(encoder_config)
         config = TrainConfig(total_steps=60, eval_every=20, batch_size=16, learning_rate=2e-3, seed=0)
-        _, history = pretrain(params, synthetic[:60], default_task_specs(), config, vocab)
+        _, history = pretrain(params, synthetic[:60], config, vocab)
         assert history[-1].metric < history[0].metric
 
     def test_zero_weights_leave_params_unchanged(self, vocab, synthetic, encoder_config):
-        params = init_model(encoder_config)
         tasks = tuple(t.with_weight(0.0) for t in default_task_specs())
+        params = init_model(encoder_config, tasks)
         config = TrainConfig(total_steps=10, eval_every=5, batch_size=8, learning_rate=1e-2, seed=0)
-        out, _ = pretrain(params, synthetic[:20], tasks, config, vocab)
+        out, _ = pretrain(params, synthetic[:20], config, vocab)
         assert out.allclose(params)
 
     def test_deterministic_under_seed(self, vocab, synthetic, encoder_config):
@@ -120,7 +120,7 @@ class TestPretrain:
         runs = []
         for _ in range(2):
             params = init_model(encoder_config)
-            out, history = pretrain(params, synthetic[:30], default_task_specs(), config, vocab)
+            out, history = pretrain(params, synthetic[:30], config, vocab)
             runs.append((out, [p.metric for p in history]))
         assert runs[0][1] == runs[1][1]
         assert runs[0][0].allclose(runs[1][0])
@@ -128,13 +128,13 @@ class TestPretrain:
     def test_best_checkpoint_is_min_loss(self, vocab, synthetic, encoder_config):
         params = init_model(encoder_config)
         config = TrainConfig(total_steps=40, eval_every=10, batch_size=8, learning_rate=2e-3, seed=1)
-        _, history = pretrain(params, synthetic[:30], default_task_specs(), config, vocab)
+        _, history = pretrain(params, synthetic[:30], config, vocab)
         assert len(history) == 4
 
     def test_zero_steps_identity(self, vocab, synthetic, encoder_config):
         params = init_model(encoder_config)
         config = TrainConfig(total_steps=0, eval_every=1, batch_size=8, seed=0)
-        out, history = pretrain(params, synthetic[:10], default_task_specs(), config, vocab)
+        out, history = pretrain(params, synthetic[:10], config, vocab)
         assert history == []
         assert out.allclose(params)
 
@@ -202,9 +202,7 @@ class TestDivergence:
     @pytest.fixture(params=["pretrain", "finetune"])
     def stage(self, request, vocab, synthetic):
         if request.param == "pretrain":
-            return lambda params, config: pretrain(
-                params, synthetic[:30], default_task_specs(), config, vocab
-            )
+            return lambda params, config: pretrain(params, synthetic[:30], config, vocab)
         train, val = split_no_leak(rated_dataset(vocab, n=60), 0.2, seed=2)
         return lambda params, config: finetune(params, train, val, config, vocab)
 
@@ -247,7 +245,7 @@ class TestDivergence:
         blocks = {t.name: [1e200] if t.name == "bleu" else vec[t.name] for t in default_task_specs()}
         dataset[bad] = (ex, SignalVector(blocks, normalized=True))
         with pytest.raises(TrainingDiverged) as info:
-            pretrain(init_model(encoder_config), dataset, default_task_specs(), config, vocab)
+            pretrain(init_model(encoder_config), dataset, config, vocab)
         assert info.value.step == 1
         assert info.value.history == []
 
@@ -278,44 +276,45 @@ class TestBestTracker:
 
 class TestSetTaskWeights:
     def test_group_weights_applied(self):
-        groups = [
-            ("bleu", "rouge", "soft_overlap"),
-            ("bt_en_fr_ref", "bt_en_fr_cand", "bt_en_de_ref", "bt_en_de_cand"),
-            ("entailment", "bt_flag"),
-        ]
-        tasks = set_task_weights(groups, [1.0, 0.0, 0.0])
+        tasks = set_task_weights([1.0, 0.5, 0.0])
         weights = {t.name: t.weight for t in tasks}
-        assert weights["bleu"] == 1.0 and weights["rouge"] == 1.0
-        assert weights["bt_en_fr_ref"] == 0.0 and weights["entailment"] == 0.0
+        for group, weight in zip(WEIGHT_GROUPS, [1.0, 0.5, 0.0]):
+            assert all(weights[name] == weight for name in group)
+        assert [t.name for t in tasks] == [t.name for t in default_task_specs()]
 
-    def test_singleton_groups_pass_through(self):
-        names = [t.name for t in default_task_specs()]
-        tasks = set_task_weights([[n] for n in names], list(range(len(names))))
-        assert [t.weight for t in tasks] == [float(i) for i in range(len(names))]
+    def test_singleton_groups_pass_through(self, vocab, synthetic, encoder_config):
+        # One weight per task: the model's task table carries it through pretraining.
+        tasks = tuple(t.with_weight(float(i)) for i, t in enumerate(default_task_specs()))
+        config = TrainConfig(total_steps=2, eval_every=1, batch_size=8, learning_rate=1e-3, seed=0)
+        out, _ = pretrain(init_model(encoder_config, tasks), synthetic[:10], config, vocab)
+        assert [t.weight for t in out.tasks] == [float(i) for i in range(len(tasks))]
 
     def test_duplicate_task_errors(self):
+        # No task sits in two groups, so no task can be given two weights.
+        names = [name for group in WEIGHT_GROUPS for name in group]
+        assert len(names) == len(set(names))
         with pytest.raises(DataError):
-            set_task_weights([("bleu",), ("bleu", "rouge")], [1.0, 1.0])
+            set_task_weights([1.0, -1.0, 0.0])
 
     def test_missing_task_errors(self):
+        # Every task has a group, and every group needs its weight.
+        grouped = {name for group in WEIGHT_GROUPS for name in group}
+        assert {t.name for t in default_task_specs()} <= grouped
         with pytest.raises(DataError):
-            set_task_weights([("bleu",)], [1.0])
+            set_task_weights([1.0, 1.0])
 
     def test_unknown_task_errors(self):
-        names = [t.name for t in default_task_specs()]
+        # Every grouped name is a task, and there is no weight for a fourth group.
+        grouped = {name for group in WEIGHT_GROUPS for name in group}
+        assert grouped <= {t.name for t in default_task_specs()}
         with pytest.raises(DataError):
-            set_task_weights([names + ["made_up"]], [1.0])
+            set_task_weights([1.0, 1.0, 1.0, 1.0])
 
     def test_grid_enumeration(self):
         import itertools
 
-        groups = [
-            ("bleu", "rouge", "soft_overlap"),
-            ("bt_en_fr_ref", "bt_en_fr_cand", "bt_en_de_ref", "bt_en_de_cand"),
-            ("entailment", "bt_flag"),
-        ]
         grid = list(itertools.product([0.0, 0.5, 1.0], repeat=3))
-        task_sets = [set_task_weights(groups, w) for w in grid]
+        task_sets = [set_task_weights(w) for w in grid]
         assert len(task_sets) == 27
         assert len({tuple(t.weight for t in ts) for ts in task_sets}) == 27
 
