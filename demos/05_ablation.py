@@ -8,9 +8,9 @@ Run:  python demos/05_ablation.py
 """
 
 from pairscore import (
-    AblationPipeline,
     EncoderConfig,
     GenerationConfig,
+    Split,
     TrainConfig,
     Vocabulary,
     run_ablation,
@@ -30,25 +30,16 @@ def main():
     train_pool, test = split_no_leak(data, 0.3, seed=0)
     train, validation = split_no_leak(train_pool, 0.15, seed=0)
 
-    pipeline = AblationPipeline(
-        vocab=vocab,
-        encoder_config=EncoderConfig(
-            vocab_size=len(vocab), d_model=24, n_layers=1, n_heads=4, d_ff=48,
-            max_seq_len=26, init_seed=0,
-        ),
-        base_tasks=default_task_specs(),
-        synthetic=synthetic,
-        train=train,
-        validation=validation,
-        test=test,
-        pretrain_config=TrainConfig(total_steps=120, eval_every=60, batch_size=32,
-                                    learning_rate=2e-3, seed=0),
-        finetune_config=TrainConfig(total_steps=80, eval_every=40, batch_size=32,
-                                    learning_rate=5e-4, seed=0),
+    encoder = EncoderConfig(
+        vocab_size=len(vocab), d_model=24, n_layers=1, n_heads=4, d_ff=48, max_seq_len=26,
+        init_seed=0,
     )
+    pre_cfg = TrainConfig(total_steps=120, eval_every=60, batch_size=32, learning_rate=2e-3, seed=0)
+    ft_cfg = TrainConfig(total_steps=80, eval_every=40, batch_size=32, learning_rate=5e-4, seed=0)
+    split = Split(train, validation, test, ft_cfg)
     for mode in ("single-task", "leave-one-out"):
         print(f"\n== {mode} ==")
-        for row in run_ablation(pipeline, mode):
+        for row in run_ablation(vocab, encoder, default_task_specs(), synthetic, pre_cfg, split, mode):
             if row.error:
                 print(f"  {row.name:16s} ERROR: {row.error}")
             else:

@@ -13,17 +13,17 @@ import time
 from pairscore import (
     EncoderConfig,
     GenerationConfig,
+    Split,
     TrainConfig,
     Vocabulary,
-    finetune,
     init_model,
     pretrain,
+    run_grid,
     split_no_leak,
     split_tokens,
 )
 from pairscore.demo import load_demo_corpus
 from pairscore.experiments import build_drift_dataset, build_offline_pretraining_data
-from pairscore.training import validation_kendall
 
 STEP_BUDGETS = [0, 250, 500, 1000, 2000]
 
@@ -46,19 +46,20 @@ def main():
         total_steps=300, eval_every=100, batch_size=32, learning_rate=3e-4, seed=0,
     )
 
+    starts = {"0": init}
+    for steps in STEP_BUDGETS[1:]:
+        pre_cfg = TrainConfig(
+            total_steps=steps, eval_every=max(steps // 4, 1), batch_size=32,
+            learning_rate=2e-3, seed=0,
+        )
+        starts[str(steps)], _ = pretrain(init, synthetic, pre_cfg, vocab)
+        print(f"pre-trained {steps} steps   [{time.time() - t0:5.0f}s]")
+    taus = run_grid(starts, {"test": [Split(train, validation, test, ft_cfg)]}, vocab)
+
     print(f"{'pretrain steps':>14} {'test kendall':>13}")
-    for steps in STEP_BUDGETS:
-        if steps == 0:
-            start = init
-        else:
-            pre_cfg = TrainConfig(
-                total_steps=steps, eval_every=max(steps // 4, 1), batch_size=32,
-                learning_rate=2e-3, seed=0,
-            )
-            start, _ = pretrain(init, synthetic, pre_cfg, vocab)
-        tuned, _ = finetune(start, train, validation, ft_cfg, vocab)
-        tau = validation_kendall(tuned, test, vocab)
-        print(f"{steps:>14d} {tau:>+13.4f}   [{time.time() - t0:5.0f}s]")
+    for steps, by_condition in taus.items():
+        print(f"{steps:>14} {by_condition['test'][0]:>+13.4f}")
+    print(f"[{time.time() - t0:5.0f}s]")
 
 
 if __name__ == "__main__":

@@ -34,7 +34,6 @@ from .metrics import PRF, EmbeddingTable, rouge_n, sentence_bleu, soft_overlap
 from .synth import (
     BigramLM,
     GenerationConfig,
-    IdentityTranslator,
     MaskPlan,
     Origin,
     StubBacktranslator,
@@ -85,17 +84,17 @@ from .stats import (
     darr,
     expected_train_fraction,
     kendall_pairwise,
-    multiref_score,
     pearson,
     skew_split,
 )
 from .experiments import (
-    AblationPipeline,
     AblationRow,
     DriftStudyConfig,
     DriftStudyResult,
+    Split,
     build_drift_dataset,
     edit_similarity,
     run_ablation,
     run_drift_study,
+    run_grid,
 )

@@ -23,7 +23,7 @@ from . import __version__
 from .demo import load_demo_corpus
 from .encoder import EncoderConfig, init_model, load_checkpoint, save_checkpoint
 from .errors import DataError, NumericError, PairscoreError, ScorerProtocolError, UsageError
-from .experiments import AblationPipeline, ablation_to_csv, run_ablation
+from .experiments import Split, ablation_to_csv, run_ablation
 from .metrics import BLEU_SMOOTHING, EmbeddingTable
 from .signals import (
     BaselineEntailment,
@@ -55,10 +55,10 @@ from .text import (
     read_lines,
     read_rating_records,
     read_text,
-    serialize_ratings,
     split_no_leak,
     split_tokens,
     tokenize,
+    write_rating_records,
 )
 from .training import (
     TrainConfig,
@@ -477,9 +477,8 @@ def cmd_evaluate(args, config) -> int:
 
 def cmd_skew_split(args, config) -> int:
     chash = config_hash(config)
-    vocab = Vocabulary(("[pad]", "[unk]", "[cls]", "[sep]", "[mask]"))
     fmt = _ratings_format(args.ratings)
-    examples = ingest_ratings(args.ratings, fmt, vocab).examples
+    records, raw_scores = read_rating_records(args.ratings, fmt)
     skew = SkewConfig(
         alpha_train=config["alpha_train"],
         alpha_test=config["alpha_test"],
@@ -487,13 +486,13 @@ def cmd_skew_split(args, config) -> int:
         seed=config["seed"],
         disjoint=config["skew_disjoint"],
     )
-    train, test = skew_split(examples, skew)
-    _atomic_write(Path(args.train_out), lambda p: serialize_ratings(train, p, fmt))
-    _atomic_write(Path(args.test_out), lambda p: serialize_ratings(test, p, fmt))
+    train, test = skew_split(records, skew)
+    _atomic_write(Path(args.train_out), lambda p: write_rating_records(train, raw_scores, p, fmt))
+    _atomic_write(Path(args.test_out), lambda p: write_rating_records(test, raw_scores, p, fmt))
     print(f"config-hash: {chash}")
     print(
         f"skew split alpha=({skew.alpha_train}, {skew.alpha_test}): "
-        f"{len(train)} train, {len(test)} test of {len(examples)} records"
+        f"{len(train)} train, {len(test)} test of {len(records)} records"
     )
     return 0
 
@@ -508,18 +507,11 @@ def cmd_ablate(args, config) -> int:
     examples = ingest_ratings(args.ratings, fmt, vocab).examples
     train_pool, test = split_no_leak(examples, 0.25, seed=config["seed"])
     train, validation = split_no_leak(train_pool, config["holdout_fraction"], seed=config["seed"])
-    pipeline = AblationPipeline(
-        vocab=vocab,
-        encoder_config=_encoder_config(config, vocab),
-        base_tasks=_task_weights(config),
-        synthetic=dataset,
-        train=train,
-        validation=validation,
-        test=test,
-        pretrain_config=_train_config(config, "pretrain"),
-        finetune_config=_train_config(config, "finetune"),
+    rows = run_ablation(
+        vocab, _encoder_config(config, vocab), _task_weights(config), dataset,
+        _train_config(config, "pretrain"),
+        Split(train, validation, test, _train_config(config, "finetune")), args.mode,
     )
-    rows = run_ablation(pipeline, args.mode)
     _atomic_write(Path(args.out), lambda p: ablation_to_csv(rows, p))
     print(f"config-hash: {chash}")
     for row in rows:
@@ -617,8 +609,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.dump_defaults:
         print(render_config(DEFAULTS))
         return 0
-    if not getattr(args, "command", None):
-        parser.print_usage(sys.stderr)
+    if args.command is None:
+        print(f"{parser.prog}: error: name a command; see `{parser.prog} --help`", file=sys.stderr)
         return 2
     try:
         config = load_config(args.config, args.set)

@@ -1,10 +1,11 @@
-"""Experiment harnesses: per-task ablations and the quality-drift study.
+"""Experiment harnesses: the study grid, per-task ablations and the quality-drift study.
 
 The ablation runner retrains the metric with individual pre-training tasks
 switched on or off and reports the Kendall delta against a no-pre-training
 baseline, sharing seeds across rows so dead configurations reproduce the
 baseline exactly.  The drift study fine-tunes on left-skewed ratings and
-evaluates on right-skewed ones across a range of skew factors.
+evaluates on right-skewed ones across a range of skew factors.  Both score
+their starting points through one grid.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .encoder import EncoderConfig, init_model
+from .encoder import EncoderConfig, ModelParams, init_model
 from .errors import DataError
 from .metrics import EmbeddingTable
 from .signals import (
@@ -52,23 +53,48 @@ from .training import TrainConfig, finetune, pretrain, validation_kendall
 
 
 # ---------------------------------------------------------------------------
-# Ablations over the pre-training task set.
+# The study grid: every comparison fine-tunes and scores its starts one way.
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AblationPipeline:
-    """Everything an ablation row needs to train and score one configuration."""
+@dataclass(frozen=True)
+class Split:
+    """One fine-tuning split: train and validation sides, a held-out test side, the settings."""
 
-    vocab: Vocabulary
-    encoder_config: EncoderConfig
-    base_tasks: tuple[TaskSpec, ...]
-    synthetic: Sequence[tuple[SyntheticExample, SignalVector]]
     train: Sequence[RatedExample]
     validation: Sequence[RatedExample]
     test: Sequence[RatedExample]
-    pretrain_config: TrainConfig
-    finetune_config: TrainConfig
+    config: TrainConfig
+
+
+def run_grid(
+    arms: Mapping[str, ModelParams],
+    splits: Mapping[object, Sequence[Split]],
+    vocab: Vocabulary,
+    progress: Callable[[str], None] | None = None,
+) -> dict[str, dict[object, list[float]]]:
+    """Fine-tune each arm on each split; arm -> condition -> test-side Kendall per split.
+
+    ``splits`` files the splits under a condition, such as a skew factor, and
+    each condition's taus are in split order.  Every cell starts from its
+    arm's parameters, so the arms differ only in where they start.  The
+    first failure stops the grid.
+    """
+    say = progress or (lambda _msg: None)
+    taus: dict[str, dict[object, list[float]]] = {arm: {c: [] for c in splits} for arm in arms}
+    for condition, condition_splits in splits.items():
+        for i, split in enumerate(condition_splits):
+            for arm, start in arms.items():
+                tuned, _ = finetune(start, split.train, split.validation, split.config, vocab)
+                tau = validation_kendall(tuned, split.test, vocab)
+                taus[arm][condition].append(tau)
+                say(f"condition {condition} split {i} {arm}: tau={tau:+.4f}")
+    return taus
+
+
+# ---------------------------------------------------------------------------
+# Ablations over the pre-training task set.
+# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -81,7 +107,15 @@ class AblationRow:
     error: str | None = None
 
 
-def run_ablation(pipeline: AblationPipeline, mode: str) -> list[AblationRow]:
+def run_ablation(
+    vocab: Vocabulary,
+    encoder_config: EncoderConfig,
+    base_tasks: tuple[TaskSpec, ...],
+    synthetic: Sequence[tuple[SyntheticExample, SignalVector]],
+    pretrain_config: TrainConfig,
+    split: Split,
+    mode: str,
+) -> list[AblationRow]:
     """One row per pre-training task, plus the delta vs no pre-training.
 
     single-task: only the named task keeps its base weight.  leave-one-out:
@@ -89,40 +123,29 @@ def run_ablation(pipeline: AblationPipeline, mode: str) -> list[AblationRow]:
     model carries the row's task table; rows share the same seeds and initial
     tensors (the weights do not change them), so a row whose pre-training has
     no active weight reports a delta of exactly zero.  Failures are recorded
-    per row and do not stop the run.
+    per row and do not stop the run; a failed baseline does.
     """
     if mode not in ("single-task", "leave-one-out"):
         raise DataError(f"unknown ablation mode {mode!r}")
-    baseline_params, _ = finetune(
-        init_model(pipeline.encoder_config, pipeline.base_tasks), pipeline.train,
-        pipeline.validation, pipeline.finetune_config, pipeline.vocab,
-    )
-    baseline_tau = validation_kendall(baseline_params, pipeline.test, pipeline.vocab)
 
+    def tau(arm: str, start: ModelParams) -> float:
+        return run_grid({arm: start}, {mode: [split]}, vocab)[arm][mode][0]
+
+    baseline_tau = tau("no pre-training", init_model(encoder_config, base_tasks))
     rows: list[AblationRow] = []
-    for focus in pipeline.base_tasks:
-        if mode == "single-task":
-            tasks = tuple(
-                t.with_weight(t.weight if t.name == focus.name else 0.0)
-                for t in pipeline.base_tasks
-            )
-        else:
-            tasks = tuple(
-                t.with_weight(0.0 if t.name == focus.name else t.weight)
-                for t in pipeline.base_tasks
-            )
+    for focus in base_tasks:
+        # single-task keeps the focus task's weight, leave-one-out every other one
+        tasks = tuple(
+            t.with_weight(t.weight if (t.name == focus.name) == (mode == "single-task") else 0.0)
+            for t in base_tasks
+        )
         active = tuple(t.name for t in tasks if t.weight != 0.0)
         try:
             pretrained, _ = pretrain(
-                init_model(pipeline.encoder_config, tasks), pipeline.synthetic,
-                pipeline.pretrain_config, pipeline.vocab,
+                init_model(encoder_config, tasks), synthetic, pretrain_config, vocab
             )
-            tuned, _ = finetune(
-                pretrained, pipeline.train, pipeline.validation, pipeline.finetune_config,
-                pipeline.vocab,
-            )
-            tau = validation_kendall(tuned, pipeline.test, pipeline.vocab)
-            rows.append(AblationRow(focus.name, mode, active, tau, tau - baseline_tau))
+            row_tau = tau(focus.name, pretrained)
+            rows.append(AblationRow(focus.name, mode, active, row_tau, row_tau - baseline_tau))
         except Exception as exc:  # keep remaining rows running
             rows.append(AblationRow(focus.name, mode, active, None, None, error=str(exc)))
     return rows
@@ -343,25 +366,22 @@ def run_drift_study(
     dataset = build_drift_dataset(
         segments, vocab, config.n_records, seed=config.data_seed + 1, noise_sd=config.noise_sd
     )
-    taus: dict[str, dict[float, list[float]]] = {
-        "pretrained": {a: [] for a in config.alphas},
-        "scratch": {a: [] for a in config.alphas},
+
+    def drift_split(alpha: float, seed: int) -> Split:
+        skew = SkewConfig(alpha, alpha, seed=1000 + seed, disjoint=True)
+        train_side, test_side = skew_split(dataset, skew)
+        train, validation = split_no_leak(train_side, config.holdout_fraction, seed=seed)
+        ft_cfg = TrainConfig(
+            total_steps=config.finetune_steps,
+            eval_every=config.finetune_eval_every,
+            batch_size=config.batch_size,
+            learning_rate=config.finetune_learning_rate,
+            seed=seed,
+        )
+        return Split(train, validation, test_side, ft_cfg)
+
+    splits = {
+        alpha: [drift_split(alpha, seed) for seed in range(config.n_seeds)] for alpha in config.alphas
     }
-    for alpha in config.alphas:
-        for seed in range(config.n_seeds):
-            skew = SkewConfig(alpha, alpha, seed=1000 + seed, disjoint=True)
-            train_side, test_side = skew_split(dataset, skew)
-            train, validation = split_no_leak(train_side, config.holdout_fraction, seed=seed)
-            ft_cfg = TrainConfig(
-                total_steps=config.finetune_steps,
-                eval_every=config.finetune_eval_every,
-                batch_size=config.batch_size,
-                learning_rate=config.finetune_learning_rate,
-                seed=seed,
-            )
-            for arm, start in (("pretrained", pretrained), ("scratch", init)):
-                tuned, _ = finetune(start, train, validation, ft_cfg, vocab)
-                tau = validation_kendall(tuned, test_side, vocab)
-                taus[arm][alpha].append(tau)
-                say(f"alpha={alpha} seed={seed} {arm}: tau={tau:+.4f}")
+    taus = run_grid({"pretrained": pretrained, "scratch": init}, splits, vocab, say)
     return DriftStudyResult(alphas=tuple(config.alphas), taus=taus)

@@ -34,7 +34,7 @@ import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -272,13 +272,6 @@ def skew_split(
     train = [data[i] for i in range(n) if in_train[i]]
     test = [data[i] for i in range(n) if in_test[i]]
     return train, test
-
-
-def multiref_score(candidate, references: Sequence, scorer: Callable) -> float:
-    """Max over per-reference scores of ``scorer(reference, candidate)``."""
-    if not references:
-        raise DataError("multiref_score requires at least one reference")
-    return max(scorer(ref, candidate) for ref in references)
 
 
 def save_report(report: CorrelationReport, path, meta: dict | None = None) -> None:

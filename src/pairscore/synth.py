@@ -162,10 +162,6 @@ class BigramLM:
         lm._candidates = tuple((tok, vocab.id(tok)) for tok in candidates)
         return lm
 
-    @classmethod
-    def train_unigram(cls, segments, vocab, add_k: float = 0.1) -> "BigramLM":
-        return cls.train(segments, vocab, add_k=add_k, interpolation=0.0)
-
     def candidates(self) -> tuple[tuple[str, int], ...]:
         return self._candidates
 
@@ -274,15 +270,6 @@ DEFAULT_SYNONYMS: Mapping[str, str] = {
     "near": "close",
     "builds": "constructs",
 }
-
-
-class IdentityTranslator:
-    """Round-trip stub that returns its input unchanged."""
-
-    label = "identity-stub"
-
-    def round_trip(self, tokens: Sequence[str], rng=None) -> list[str]:
-        return list(tokens)
 
 
 class StubBacktranslator:

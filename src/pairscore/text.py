@@ -12,7 +12,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -358,32 +358,35 @@ def ingest_ratings(path: str | Path, fmt: str, vocab: Vocabulary) -> IngestResul
     return IngestResult(examples=examples)
 
 
-def serialize_ratings(examples: Sequence[RatedExample], path: str | Path, fmt: str = "wmt-tsv") -> None:
-    """Write examples one per line; inverse of ingest_ratings for in-memory data."""
-    path = Path(path)
+def write_rating_records(
+    records: Sequence[RatingRecord], raw_scores: bool, path: str | Path, fmt: str
+) -> None:
+    """Write rated records one per line, as ``read_rating_records`` reads them.
+
+    With ``raw_scores`` the file starts with the header that marks its
+    ratings as raw scores.
+    """
     if fmt == "wmt-tsv":
-        lines = [
-            "\t".join(
-                [ex.source_id, ex.pair.reference.detokenize(), ex.pair.candidate.detokenize(), repr(ex.rating)]
-            )
-            for ex in examples
-        ]
+        header = "# raw-scores"
+        lines = ["\t".join([r.source_id, *r.references, r.candidate, repr(r.rating)]) for r in records]
     elif fmt == "jsonl":
-        lines = [
-            json.dumps(
-                {
-                    "source_id": ex.source_id,
-                    "references": [ex.pair.reference.detokenize()],
-                    "candidate": ex.pair.candidate.detokenize(),
-                    "rating": ex.rating,
-                },
-                sort_keys=True,
-            )
-            for ex in examples
-        ]
+        header = json.dumps({"record": "header", "raw_scores": True}, sort_keys=True)
+        lines = [json.dumps(asdict(r), sort_keys=True) for r in records]
     else:
         raise DataError(f"unknown ratings format {fmt!r}")
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    lines = [header, *lines] if raw_scores else lines
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+
+
+def serialize_ratings(examples: Sequence[RatedExample], path: str | Path, fmt: str = "wmt-tsv") -> None:
+    """Write examples one per line; inverse of ingest_ratings for in-memory data."""
+    records = [
+        RatingRecord(
+            ex.source_id, (ex.pair.reference.detokenize(),), ex.pair.candidate.detokenize(), ex.rating
+        )
+        for ex in examples
+    ]
+    write_rating_records(records, False, path, fmt)
 
 
 def split_no_leak(

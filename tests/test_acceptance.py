@@ -22,8 +22,8 @@ from pairscore.encoder import (
     supervised_loss,
 )
 from pairscore.experiments import (
-    AblationPipeline,
     DriftStudyConfig,
+    Split,
     build_drift_dataset,
     build_offline_pretraining_data,
     run_ablation,
@@ -36,20 +36,20 @@ from pairscore.stats import (
     darr,
     expected_train_fraction,
     kendall_pairwise,
-    multiref_score,
     pearson,
     skew_split,
 )
 from pairscore.synth import GenerationConfig
 from pairscore.text import (
     RatedExample,
+    RatingRecord,
     SentencePair,
     TokenSeq,
     Vocabulary,
     split_no_leak,
     tokenize,
 )
-from pairscore.training import TrainConfig
+from pairscore.training import TrainConfig, predict_ratings, predict_records
 
 from test_encoder import make_pairs, max_relative_fd_error, signal_targets_for
 from test_metrics import oracle_bleu, oracle_rouge, oracle_soft_overlap, random_pair
@@ -211,7 +211,8 @@ def test_c6_drift_robustness_direction():
 SEGMENTS = [s for s in demo_sentences(150, seed=31) if len(s.split()) <= 10][:60]
 
 
-def _ablation_pipeline(base_tasks):
+def _ablation_args(base_tasks):
+    """The arguments of ``run_ablation`` but its mode."""
     vocab = Vocabulary.build([s.split() for s in SEGMENTS], min_count=1)
     synthetic = build_offline_pretraining_data(
         SEGMENTS, vocab, GenerationConfig(1, 0, 1, word_drop_rate=0.2), seed=6
@@ -219,7 +220,7 @@ def _ablation_pipeline(base_tasks):
     data = build_drift_dataset(SEGMENTS, vocab, n_records=100, seed=8)
     train_pool, test = split_no_leak(data, 0.3, seed=0)
     train, validation = split_no_leak(train_pool, 0.2, seed=0)
-    return AblationPipeline(
+    return dict(
         vocab=vocab,
         encoder_config=EncoderConfig(
             vocab_size=len(vocab), d_model=16, n_layers=1, n_heads=2, d_ff=32,
@@ -227,13 +228,10 @@ def _ablation_pipeline(base_tasks):
         ),
         base_tasks=base_tasks,
         synthetic=synthetic,
-        train=train,
-        validation=validation,
-        test=test,
         pretrain_config=TrainConfig(total_steps=12, eval_every=6, batch_size=8, learning_rate=1e-3, seed=0),
-        finetune_config=TrainConfig(
+        split=Split(train, validation, test, TrainConfig(
             total_steps=12, eval_every=6, batch_size=8, learning_rate=1e-3, seed=0,
-        ),
+        )),
     )
 
 
@@ -243,16 +241,14 @@ def test_c7_ablation_harness():
         t.with_weight(0.0 if t.name in ("rouge", "bt_flag") else t.weight)
         for t in default_task_specs()
     )
-    pipeline = _ablation_pipeline(zeroed)
-    single = run_ablation(pipeline, "single-task")
+    single = run_ablation(**_ablation_args(zeroed), mode="single-task")
     assert len(single) == 9
     assert all(row.error is None for row in single)
     by_name = {row.name: row for row in single}
     assert by_name["rouge"].delta == 0.0      # gamma 0 in both arms -> exact dead path
     assert by_name["bt_flag"].delta == 0.0
 
-    full = _ablation_pipeline(default_task_specs())
-    loo = run_ablation(full, "leave-one-out")
+    loo = run_ablation(**_ablation_args(default_task_specs()), mode="leave-one-out")
     assert len(loo) == 9
     assert all(row.error is None for row in loo)
     assert all(len(row.active) == 8 for row in loo)
@@ -323,19 +319,27 @@ def test_c8_end_to_end_determinism(tmp_path):
 
 
 def test_c9_multireference_invariant():
-    """multiref_score dominates every per-reference score; singleton equality exact."""
+    """predict's record score dominates every per-reference score; singleton equality exact."""
     rng = np.random.default_rng(99)
     sentences = demo_sentences(300, seed=55)
     vocab = Vocabulary.build([s.split() for s in sentences], min_count=1)
-    for _ in range(1000):
+    params = init_model(EncoderConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2,
+                                      d_ff=16, max_seq_len=48, init_seed=0))
+    records = []
+    for i in range(300):
         n_refs = int(rng.integers(1, 4))
-        refs = [tokenize(sentences[int(rng.integers(0, len(sentences)))], vocab) for _ in range(n_refs)]
-        cand_src = tokenize(sentences[int(rng.integers(0, len(sentences)))], vocab)
-        keep = int(rng.integers(1, len(cand_src) + 1))
-        cand = TokenSeq(cand_src.tokens[:keep], cand_src.ids[:keep])
-        best = multiref_score(cand, refs, sentence_bleu)
-        per_ref = [sentence_bleu(ref, cand) for ref in refs]
+        refs = tuple(sentences[int(rng.integers(0, len(sentences)))] for _ in range(n_refs))
+        cand_words = sentences[int(rng.integers(0, len(sentences)))].split()
+        keep = int(rng.integers(1, len(cand_words) + 1))
+        records.append(RatingRecord(f"s{i}", refs, " ".join(cand_words[:keep]), None))
+    scores = predict_records(params, records, vocab, batch_size=32)  # one call, batches shared
+    for record, best in zip(records, scores):
+        candidate = tokenize(record.candidate, vocab)
+        per_ref = predict_ratings(params, [
+            RatedExample(SentencePair(tokenize(ref, vocab), candidate), 0.0, record.source_id)
+            for ref in record.references
+        ], vocab)
         assert all(best >= score for score in per_ref)
         assert best == max(per_ref)
-        if n_refs == 1:
+        if len(record.references) == 1:
             assert best == per_ref[0]  # exact equality on singletons

@@ -8,7 +8,7 @@ from pairscore.cli import DEFAULTS, config_hash, load_config, main, render_confi
 from pairscore.demo import demo_sentences, load_demo_ratings_path
 from pairscore.encoder import EncoderConfig, init_model, load_checkpoint, save_checkpoint
 from pairscore.errors import UsageError
-from pairscore.text import RatingRecord
+from pairscore.text import RatingRecord, read_rating_records
 from pairscore.training import params_digest
 
 from predict_oracle import reference_predict_records
@@ -311,11 +311,63 @@ class TestCommandContracts:
     def test_usage_error_exit_2(self, capsys):
         rc = run_cli("--set", "bogus=1", "gen-pairs", "x", "y")
         assert rc == 2
+        capsys.readouterr()
+        assert run_cli() == 2  # no command
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
 
     def test_version_runs(self):
         with pytest.raises(SystemExit) as info:
             run_cli("--version")
         assert info.value.code == 0
+
+
+class TestSkewSplit:
+    """skew-split resamples whole records and writes them as it read them."""
+
+    def run(self, capsys, ratings, train, test, *settings):
+        capsys.readouterr()
+        rc = run_cli(*[arg for key in settings for arg in ("--set", key)], "skew-split", ratings, train, test)
+        assert rc == 0
+        return capsys.readouterr().out
+
+    def test_disjoint_keeps_every_source_on_one_side(self, tmp_path, capsys):
+        path = tmp_path / "r.jsonl"
+        records = [
+            {"source_id": f"s{i}", "references": [f"ref a {i}", f"ref b {i}"], "candidate": f"cand {i}",
+             "rating": float(i)}
+            for i in range(40)
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+        out = self.run(capsys, path, train, test, "alpha_train=0.0", "alpha_test=0.0", "skew_disjoint=true")
+        sides = [read_rating_records(side, "jsonl")[0] for side in (train, test)]
+        train_ids, test_ids = ({r.source_id for r in side} for side in sides)
+        assert not train_ids & test_ids
+        assert len(train_ids) + len(test_ids) == 40
+        assert all(len(r.references) == 2 for side in sides for r in side)
+        assert f"{len(train_ids)} train, {len(test_ids)} test of 40 records" in out
+
+    @pytest.mark.parametrize("name, lines", [
+        ("plain.tsv", ["s0\tThe Dog, however, sleeps.\tThe dog sleeps!\t72.0", "s1\tNo.\tYes.\t7.5"]),
+        ("r.tsv", ["# raw-scores", "s0\tThe Dog, however, sleeps.\tThe dog sleeps!\t72.5",
+                   "s1\tIt's 5 o'clock.\tIT IS FIVE.\t-3.25"]),
+        ("r.jsonl", [json.dumps({"raw_scores": True, "record": "header"}, sort_keys=True)] + [
+            json.dumps({"candidate": "The dog sleeps!", "rating": 72.5, "references": [
+                "The Dog, however, sleeps.", "Rex sleeps."], "source_id": "s0"}, sort_keys=True),
+            json.dumps({"candidate": "IT IS FIVE.", "rating": -3.25, "references": ["It's 5 o'clock."],
+                        "source_id": "s1"}, sort_keys=True),
+        ]),
+    ])
+    def test_records_come_back_as_read(self, tmp_path, capsys, name, lines):
+        # at alpha 0 every record lands on both sides, each side is the input
+        path = tmp_path / name
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        train, test = tmp_path / f"train-{name}", tmp_path / f"test-{name}"
+        rows = ["n_bins=2", "alpha_train=0.0", "alpha_test=0.0"]
+        assert "2 train, 2 test of 2 records" in self.run(capsys, path, train, test, *rows)
+        assert train.read_bytes() == path.read_bytes()
+        assert test.read_bytes() == path.read_bytes()
 
 
 class TestDeterminism:

@@ -4,20 +4,21 @@ import numpy as np
 import pytest
 
 from pairscore.demo import demo_sentences
-from pairscore.encoder import EncoderConfig
+from pairscore.encoder import EncoderConfig, init_model
 from pairscore.experiments import (
-    AblationPipeline,
+    Split,
     ablation_to_csv,
     build_drift_dataset,
     build_offline_pretraining_data,
     edit_similarity,
     run_ablation,
+    run_grid,
 )
 from pairscore.errors import DataError
 from pairscore.signals import default_task_specs
 from pairscore.synth import GenerationConfig
 from pairscore.text import Vocabulary, split_no_leak
-from pairscore.training import TrainConfig
+from pairscore.training import TrainConfig, finetune, pretrain, validation_kendall
 
 SEGMENTS = [s for s in demo_sentences(120, seed=23) if len(s.split()) <= 10][:50]
 
@@ -29,13 +30,14 @@ def vocab():
 
 @pytest.fixture(scope="module")
 def pipeline(vocab):
+    """The arguments of ``run_ablation`` but its mode."""
     synthetic = build_offline_pretraining_data(
         SEGMENTS, vocab, GenerationConfig(1, 0, 1, word_drop_rate=0.2), seed=1
     )
     data = build_drift_dataset(SEGMENTS, vocab, n_records=90, seed=2)
     train_pool, test = split_no_leak(data, 0.3, seed=0)
     train, validation = split_no_leak(train_pool, 0.2, seed=0)
-    return AblationPipeline(
+    return dict(
         vocab=vocab,
         encoder_config=EncoderConfig(
             vocab_size=len(vocab), d_model=16, n_layers=1, n_heads=2, d_ff=32,
@@ -43,13 +45,10 @@ def pipeline(vocab):
         ),
         base_tasks=default_task_specs(),
         synthetic=synthetic,
-        train=train,
-        validation=validation,
-        test=test,
         pretrain_config=TrainConfig(total_steps=8, eval_every=4, batch_size=8, learning_rate=1e-3, seed=0),
-        finetune_config=TrainConfig(
+        split=Split(train, validation, test, TrainConfig(
             total_steps=8, eval_every=4, batch_size=8, learning_rate=1e-3, seed=0
-        ),
+        )),
     )
 
 
@@ -102,7 +101,7 @@ class TestDriftDataset:
 
 class TestRunAblation:
     def test_single_task_mode_has_nine_rows(self, pipeline):
-        rows = run_ablation(pipeline, "single-task")
+        rows = run_ablation(**pipeline, mode="single-task")
         assert len(rows) == 9
         for row in rows:
             assert row.error is None
@@ -110,7 +109,7 @@ class TestRunAblation:
             assert row.tau is not None and row.delta is not None
 
     def test_leave_one_out_has_eight_active_each(self, pipeline):
-        rows = run_ablation(pipeline, "leave-one-out")
+        rows = run_ablation(**pipeline, mode="leave-one-out")
         assert len(rows) == 9
         for row in rows:
             assert row.error is None
@@ -118,22 +117,19 @@ class TestRunAblation:
             assert row.name not in row.active
 
     def test_dead_path_row_delta_exactly_zero(self, vocab, pipeline):
-        import dataclasses
-
         zeroed = tuple(
-            t.with_weight(0.0 if t.name == "rouge" else t.weight) for t in pipeline.base_tasks
+            t.with_weight(0.0 if t.name == "rouge" else t.weight) for t in pipeline["base_tasks"]
         )
-        p2 = dataclasses.replace(pipeline, base_tasks=zeroed)
-        rows = run_ablation(p2, "single-task")
+        rows = run_ablation(**{**pipeline, "base_tasks": zeroed}, mode="single-task")
         by_name = {r.name: r for r in rows}
         assert by_name["rouge"].delta == 0.0
 
     def test_unknown_mode_errors(self, pipeline):
         with pytest.raises(DataError):
-            run_ablation(pipeline, "everything-at-once")
+            run_ablation(**pipeline, mode="everything-at-once")
 
     def test_csv_output(self, pipeline, tmp_path):
-        rows = run_ablation(pipeline, "single-task")
+        rows = run_ablation(**pipeline, mode="single-task")
         path = tmp_path / "ablation.csv"
         ablation_to_csv(rows, path)
         with open(path) as fh:
@@ -142,3 +138,37 @@ class TestRunAblation:
         assert parsed[0]["task"] == "bleu"
         assert parsed[0]["mode"] == "single-task"
         float(parsed[0]["kendall"])
+
+
+class TestRunGrid:
+    def test_each_tau_is_one_finetune_and_score(self, vocab, pipeline):
+        split = pipeline["split"]
+        scratch = init_model(pipeline["encoder_config"])
+        pretrained, _ = pretrain(scratch, pipeline["synthetic"], pipeline["pretrain_config"], vocab)
+        arms = {"pretrained": pretrained, "scratch": scratch}
+        half = len(split.train) // 2
+        splits = {
+            "low": [split, Split(split.train[:half], split.validation, split.test, split.config)],
+            "high": [
+                Split(split.train[half:], split.validation, split.test, split.config),
+                Split(split.train, split.validation, split.validation,
+                      TrainConfig(total_steps=6, eval_every=3, batch_size=4, learning_rate=2e-3, seed=1)),
+            ],
+        }
+        taus = run_grid(arms, splits, vocab)
+        assert list(taus) == ["pretrained", "scratch"]
+        for arm, start in arms.items():
+            assert list(taus[arm]) == ["low", "high"]
+            for condition, condition_splits in splits.items():
+                want = []
+                for s in condition_splits:
+                    tuned, _ = finetune(start, s.train, s.validation, s.config, vocab)
+                    want.append(validation_kendall(tuned, s.test, vocab))
+                assert taus[arm][condition] == want
+        assert len({tau for by_condition in taus.values() for v in by_condition.values() for tau in v}) > 1
+
+    def test_first_failure_stops_the_grid(self, vocab, pipeline):
+        split = pipeline["split"]
+        bad = Split([], split.validation, split.test, split.config)
+        with pytest.raises(DataError):
+            run_grid({"scratch": init_model(pipeline["encoder_config"])}, {"a": [split, bad]}, vocab)

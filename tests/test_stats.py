@@ -3,7 +3,6 @@ import pytest
 from scipy import stats as scipy_stats
 
 from pairscore.errors import DataError, NumericError
-from pairscore.metrics import sentence_bleu
 from pairscore.stats import (
     CorrelationReport,
     SkewConfig,
@@ -11,7 +10,6 @@ from pairscore.stats import (
     darr,
     expected_train_fraction,
     kendall_pairwise,
-    multiref_score,
     pearson,
     skew_bin_indices,
     skew_split,
@@ -371,32 +369,3 @@ class TestSkewSplit:
     def test_too_few_records_errors(self):
         with pytest.raises(DataError):
             skew_split(_examples([1.0] * 5), SkewConfig(1.0, 1.0, n_bins=10))
-
-
-class TestMultirefScore:
-    def test_singleton_equals_direct(self):
-        ref = ["the", "cat", "sat"]
-        cand = ["the", "cat"]
-        got = multiref_score(cand, [ref], sentence_bleu)
-        assert got == sentence_bleu(ref, cand)
-
-    def test_max_over_scores(self):
-        scores = {"r1": 0.2, "r2": 0.7}
-        got = multiref_score("c", ["r1", "r2"], lambda ref, cand: scores[ref])
-        assert got == 0.7
-
-    def test_duplicates_do_not_change_result(self):
-        got_dup = multiref_score("c", ["r1", "r1", "r2"], lambda r, c: {"r1": 0.4, "r2": 0.1}[r])
-        got = multiref_score("c", ["r1", "r2"], lambda r, c: {"r1": 0.4, "r2": 0.1}[r])
-        assert got_dup == got
-
-    def test_empty_reference_list_errors(self):
-        with pytest.raises(DataError):
-            multiref_score("c", [], lambda r, c: 0.0)
-
-    def test_dominates_every_per_reference_score(self):
-        rng = np.random.default_rng(20)
-        refs = [f"r{i}" for i in range(5)]
-        table = {r: float(rng.uniform(0, 1)) for r in refs}
-        got = multiref_score("c", refs, lambda r, c: table[r])
-        assert all(got >= table[r] for r in refs)

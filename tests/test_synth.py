@@ -16,7 +16,6 @@ from pairscore.synth import (
     BigramLM,
     ExternalRoundTripTranslator,
     GenerationConfig,
-    IdentityTranslator,
     LineClient,
     MaskPlan,
     Origin,
@@ -41,6 +40,13 @@ CORPUS = [
     "a big dog ran to the mat".split(),
     "the small cat sat near the rug".split(),
 ]
+# A round trip that returns its input unchanged.
+IDENTITY = StubBacktranslator(substitute_prob=0.0, shuffle_prob=0.0)
+
+
+def unigram_lm(segments, vocab):
+    """The bigram model with no bigram weight: a pure unigram model."""
+    return BigramLM.train(segments, vocab, interpolation=0.0)
 
 
 @pytest.fixture
@@ -98,7 +104,7 @@ class TestBigramLM:
         assert lm.log_prob("cat", "the") > lm.log_prob("rug", "cat")
 
     def test_unigram_mode_ignores_context(self, vocab):
-        uni = BigramLM.train_unigram(CORPUS, vocab)
+        uni = unigram_lm(CORPUS, vocab)
         assert uni.log_prob("cat", "the") == pytest.approx(uni.log_prob("cat", "zzz"))
 
     def test_reading_an_unseen_context_stores_nothing(self, lm):
@@ -131,7 +137,7 @@ class TestFillMasks:
                 assert filled.tokens[i] == z.tokens[i]
 
     def test_unigram_beam1_picks_most_frequent_token(self, vocab):
-        uni = BigramLM.train_unigram(CORPUS, vocab)
+        uni = unigram_lm(CORPUS, vocab)
         counts = Counter(t for s in CORPUS for t in s)
         best = max(sorted(counts), key=lambda t: counts[t])
         z = seq("a big dog ran", vocab)
@@ -206,10 +212,10 @@ class TestFillMasksOracle:
 
     def test_unigram_lm(self, demo_segments):
         vocab, segments = demo_segments
-        lm = BigramLM.train_unigram(segments, vocab)
+        lm = unigram_lm(segments, vocab)
         self.assert_same(segments, lm, self.random_plans(segments, 12, 99))
 
-    @pytest.mark.parametrize("train", [BigramLM.train, BigramLM.train_unigram], ids=["bigram", "unigram"])
+    @pytest.mark.parametrize("train", [BigramLM.train, unigram_lm], ids=["bigram", "unigram"])
     @pytest.mark.parametrize("known", [TIE_CORPUS, []], ids=["own-ids", "all-unk"])
     def test_ties_fall_to_fill_ids(self, train, known):
         # with no token in the vocabulary, every fill id is [unk]'s and the
@@ -244,7 +250,7 @@ class TestFillMasksOracle:
             ]
             vocab = Vocabulary.build(corpus, min_count=1)
             segments = [TokenSeq.from_tokens(s, vocab) for s in corpus]
-            for train in (BigramLM.train, BigramLM.train_unigram):
+            for train in (BigramLM.train, unigram_lm):
                 lm = train(corpus, vocab)
                 self.assert_same(segments, lm, self.random_plans(segments, 3, corpus_seed))
 
@@ -282,7 +288,7 @@ class TestFillMasksOracle:
 class TestBacktranslate:
     def test_identity_stub(self, vocab):
         z = seq("the cat sat", vocab)
-        assert backtranslate(z, IdentityTranslator(), vocab) == z
+        assert backtranslate(z, IDENTITY, vocab) == z
 
     def test_synonym_stub_substitutes(self, vocab):
         z = seq("a big dog ran", vocab)
@@ -349,18 +355,18 @@ class TestGenerateCorpus:
 
     def test_counts_by_origin(self, vocab, lm):
         config = GenerationConfig(n_scatter=1, n_contiguous=1, n_backtranslation=1, word_drop_rate=0.0)
-        out = generate_corpus(self._segments(vocab), config, lm, IdentityTranslator(), vocab, seed=0)
+        out = generate_corpus(self._segments(vocab), config, lm, IDENTITY, vocab, seed=0)
         kinds = Counter(ex.origin.kind for ex in out)
         assert kinds == {MASK_SCATTER: 5, MASK_CONTIGUOUS: 5, BACKTRANSLATION: 5}
 
     def test_drop_rate_zero_and_one(self, vocab, lm):
         segments = self._segments(vocab)
         none = generate_corpus(
-            segments, GenerationConfig(1, 0, 0, word_drop_rate=0.0), lm, IdentityTranslator(), vocab, 1
+            segments, GenerationConfig(1, 0, 0, word_drop_rate=0.0), lm, IDENTITY, vocab, 1
         )
         assert all(ex.origin.kind != WORD_DROP for ex in none)
         everything = generate_corpus(
-            segments, GenerationConfig(1, 0, 0, word_drop_rate=1.0), lm, IdentityTranslator(), vocab, 1
+            segments, GenerationConfig(1, 0, 0, word_drop_rate=1.0), lm, IDENTITY, vocab, 1
         )
         drops = [ex for ex in everything if ex.origin.kind == WORD_DROP]
         assert len(drops) == len(segments)
@@ -401,7 +407,7 @@ class TestGenerateCorpus:
 
     def test_empty_segment_list_errors(self, vocab, lm):
         with pytest.raises(DataError):
-            generate_corpus([], GenerationConfig(), lm, IdentityTranslator(), vocab, 0)
+            generate_corpus([], GenerationConfig(), lm, IDENTITY, vocab, 0)
 
 
 class TestOriginValidation:
