@@ -18,6 +18,17 @@ Row 1 is kept because a one-row product goes through BLAS gemv, which rounds
 differently from the gemm of the full-width pass; with two rows every output
 and gradient equals the full-width computation bit for bit (the tests hold a
 full-width oracle).
+
+A padding row never reaches a real row, so the row-wise pieces (layer norm
+forward and backward, the attention softmax over query rows, GELU's ``erf``)
+run only on the rows that ``batch.mask`` marks as real, and padding rows hold
+0.  This is exact: masked keys get exactly 0 attention weight, so a real row
+reads nothing of a padding row, and every gradient on a padding row is
+exactly +0 or -0, which leaves any sum over rows unchanged (its sign can
+only pick the sign of a zero result).  A zero's sign never reaches Adam's
+output either: the first moment starts at +0, and b1*m + (1-b1)*(-0) is +0
+when m is.  The matmuls keep their full padded shapes, because BLAS picks
+its kernel, and with it the rounding, by the matrix sizes.
 """
 
 from __future__ import annotations
@@ -146,31 +157,55 @@ def pack_pair(pair: SentencePair, vocab: Vocabulary) -> tuple[list[int], list[in
     return ids, segs
 
 
+class PackedPairs:
+    """Pairs packed once, padded to the longest, with their labels.
+
+    ``batch(idx)`` is the batch of the pairs at ``idx``: their rows, cut to
+    the longest of them, which is what packing those pairs alone gives.
+    """
+
+    def __init__(
+        self,
+        pairs: Sequence[SentencePair],
+        vocab: Vocabulary,
+        ratings: Sequence[float] | None = None,
+        signal_targets: Mapping[str, np.ndarray] | None = None,
+    ):
+        if not pairs:
+            raise DataError("cannot build an empty batch")
+        packed = [pack_pair(p, vocab) for p in pairs]
+        self.lengths = np.array([len(ids) for ids, _ in packed])
+        shape = (len(packed), int(self.lengths.max()))
+        self.ids = np.full(shape, vocab.pad_id, dtype=np.int64)
+        self.segments = np.zeros(shape, dtype=np.int64)
+        self.mask = np.zeros(shape, dtype=np.float64)
+        for i, (row_ids, row_segs) in enumerate(packed):
+            self.ids[i, : len(row_ids)] = row_ids
+            self.segments[i, : len(row_segs)] = row_segs
+            self.mask[i, : len(row_ids)] = 1.0
+        self.ratings = None if ratings is None else np.asarray(ratings, dtype=np.float64)
+        self.signal_targets = {
+            k: np.asarray(v, dtype=np.float64) for k, v in (signal_targets or {}).items()
+        }
+
+    def batch(self, idx: np.ndarray) -> Batch:
+        width = int(self.lengths[idx].max())
+        return Batch(
+            ids=self.ids[idx, :width],
+            segments=self.segments[idx, :width],
+            mask=self.mask[idx, :width],
+            ratings=None if self.ratings is None else self.ratings[idx],
+            signal_targets={k: v[idx] for k, v in self.signal_targets.items()},
+        )
+
+
 def build_batch(
     pairs: Sequence[SentencePair],
     vocab: Vocabulary,
     ratings: Sequence[float] | None = None,
     signal_targets: Mapping[str, np.ndarray] | None = None,
 ) -> Batch:
-    if not pairs:
-        raise DataError("cannot build an empty batch")
-    packed = [pack_pair(p, vocab) for p in pairs]
-    width = max(len(ids) for ids, _ in packed)
-    b = len(packed)
-    ids = np.full((b, width), vocab.pad_id, dtype=np.int64)
-    segs = np.zeros((b, width), dtype=np.int64)
-    mask = np.zeros((b, width), dtype=np.float64)
-    for i, (row_ids, row_segs) in enumerate(packed):
-        ids[i, : len(row_ids)] = row_ids
-        segs[i, : len(row_segs)] = row_segs
-        mask[i, : len(row_ids)] = 1.0
-    return Batch(
-        ids=ids,
-        segments=segs,
-        mask=mask,
-        ratings=None if ratings is None else np.asarray(ratings, dtype=np.float64),
-        signal_targets={k: np.asarray(v, dtype=np.float64) for k, v in (signal_targets or {}).items()},
-    )
+    return PackedPairs(pairs, vocab, ratings, signal_targets).batch(np.arange(len(pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -178,34 +213,61 @@ def build_batch(
 # ---------------------------------------------------------------------------
 
 
-def _layer_norm(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+def _real_rows(mask):
+    """Flat indices of the real rows of ``mask`` (B, T), or None when none is padding."""
+    real = mask.ravel() > 0.0
+    return None if real.all() else np.flatnonzero(real)
+
+
+def _take_rows(x, real):
+    """The rows of ``x`` (..., n) that ``real`` selects, as an (rows, n) array."""
+    flat = x.reshape(-1, x.shape[-1])
+    return flat if real is None else flat[real]
+
+
+def _put_rows(rows, real, shape):
+    """``rows`` placed back at ``real`` in an array of ``shape``, 0 elsewhere."""
+    if real is None:
+        return rows.reshape(shape)
+    out = np.zeros((math.prod(shape[:-1]), shape[-1]))
+    out[real] = rows
+    return out.reshape(shape)
+
+
+def _layer_norm(x, g, b, real):
+    """Layer norm of the real rows of ``x``; the cache holds those rows only."""
+    rows = _take_rows(x, real)
+    mu = rows.mean(axis=-1, keepdims=True)
+    xc = rows - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
-    return g * xhat + b, (xhat, inv)
+    xhat = xc * inv
+    return _put_rows(g * xhat + b, real, x.shape), (xhat, inv)
 
 
-def _layer_norm_backward(dout, g, cache):
+def _layer_norm_backward(dout, g, cache, real):
     xhat, inv = cache
-    dg = (dout * xhat).sum(axis=(0, 1))
-    db = dout.sum(axis=(0, 1))
-    dxhat = dout * g
+    drows = _take_rows(dout, real)
+    dg = (drows * xhat).sum(axis=0)
+    db = drows.sum(axis=0)
+    dxhat = drows * g
     m1 = dxhat.mean(axis=-1, keepdims=True)
     m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
     dx = inv * (dxhat - m1 - xhat * m2)
-    return dx, dg, db
+    return _put_rows(dx, real, dout.shape), dg, db
 
 
-def _gelu(x):
-    """GELU and its CDF, which the backward pass reuses."""
-    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
-    return x * cdf, cdf
+def _gelu(x, real):
+    """GELU of the real rows of ``x``, and those rows with their CDF for the backward pass."""
+    rows = _take_rows(x, real)
+    cdf = 0.5 * (1.0 + erf(rows / math.sqrt(2.0)))
+    return _put_rows(rows * cdf, real, x.shape), (rows, cdf)
 
 
-def _gelu_backward(dout, x, cdf):
-    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return dout * (cdf + x * pdf)
+def _gelu_backward(dout, cache, real):
+    rows, cdf = cache
+    pdf = np.exp(-0.5 * rows * rows) / math.sqrt(2.0 * math.pi)
+    return _put_rows(_take_rows(dout, real) * (cdf + rows * pdf), real, dout.shape)
 
 
 def _linear(x, w, b):
@@ -245,15 +307,27 @@ def _softmax_last(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _attention_softmax(scores, key_mask):
-    """Softmax over keys; masked keys get exactly 0 without calling exp.
+def _attention_softmax(scores, key_mask, queries):
+    """Softmax over keys of the real query rows of ``scores`` (B, h, rows, T); other rows hold 0.
 
-    Their -1e30 bias would underflow exp to 0 anyway, but numpy's exp takes a
-    slow path on underflow.
+    ``queries`` holds the (batch, row) indices of the real query rows, None
+    when all are real.  Masked keys carry a -1e30 bias, and the 0/1
+    ``key_mask`` (B, 1, 1, T; None when no key is padding) makes their
+    weight exactly 0.
     """
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted, out=np.zeros_like(shifted), where=key_mask)
-    return e / e.sum(axis=-1, keepdims=True)
+    if queries is not None:
+        rows, key_mask = scores[queries[0], :, queries[1]], key_mask[queries[0], 0]
+    else:
+        rows = scores
+    e = np.exp(rows - rows.max(axis=-1, keepdims=True))
+    if key_mask is not None:
+        e *= key_mask
+    e /= e.sum(axis=-1, keepdims=True)
+    if queries is None:
+        return e
+    out = np.zeros_like(scores)
+    out[queries[0], :, queries[1]] = e
+    return out
 
 
 def _dropout_mask(rng, shape, rate):
@@ -319,23 +393,30 @@ def forward(
         return x * m
 
     x = t["tok_emb"][batch.ids] + t["pos_emb"][:width][None, :, :] + t["seg_emb"][batch.segments]
-    x, emb_ln_cache = _layer_norm(x, t["emb_ln_g"], t["emb_ln_b"])
+    real = _real_rows(batch.mask)
+    x, emb_ln_cache = _layer_norm(x, t["emb_ln_g"], t["emb_ln_b"], real)
     x = dropout("emb", x, x.shape)
     cache["emb_ln"] = emb_ln_cache
+    cache["real"] = real
     _check_finite(x, "embedding block")
 
     h = cfg.n_heads
     dh = cfg.d_model // h
     scale = 1.0 / math.sqrt(dh)
-    key_bias = (batch.mask - 1.0)[:, None, None, :] * _MASK_BIAS  # 0 real, -inf-ish pad
-    key_mask = batch.mask[:, None, None, :] > 0.0
+    if real is None:  # no padding, so no key to mask
+        key_bias = key_mask = None
+    else:
+        key_bias = (batch.mask - 1.0)[:, None, None, :] * _MASK_BIAS  # 0 real, -inf-ish pad
+        key_mask = batch.mask[:, None, None, :]
 
     for l in range(cfg.n_layers):
         p = f"layer{l}."
         # Only the [cls] row of the last block reaches an output, so its
         # queries and everything after them run on `rows` rows only.
         rows = min(_LAST_BLOCK_ROWS, width) if l == cfg.n_layers - 1 else width
-        lc: dict = {"x_in": x}
+        lreal = real if rows == width else _real_rows(batch.mask[:, :rows])
+        queries = None if lreal is None else np.divmod(lreal, rows)
+        lc: dict = {"x_in": x, "real": lreal}
         x_rows = x[:, :rows]
         q = _linear(x_rows, t[p + "wq"], t[p + "bq"])
         k = _linear(x, t[p + "wk"], t[p + "bk"])
@@ -343,26 +424,28 @@ def forward(
         q4 = q.reshape(b, rows, h, dh).transpose(0, 2, 1, 3)
         k4 = k.reshape(b, width, h, dh).transpose(0, 2, 1, 3)
         v4 = v.reshape(b, width, h, dh).transpose(0, 2, 1, 3)
-        scores = q4 @ k4.swapaxes(-1, -2) * scale + key_bias
-        attn = _attention_softmax(scores, key_mask)
+        scores = q4 @ k4.swapaxes(-1, -2) * scale
+        if key_bias is not None:
+            scores += key_bias
+        attn = _attention_softmax(scores, key_mask, queries)
         attn_used = dropout(f"attn{l}", attn, (b, h, width, width))
         ctx4 = attn_used @ v4
         ctx = ctx4.transpose(0, 2, 1, 3).reshape(b, rows, cfg.d_model)
         attn_out = _linear(ctx, t[p + "wo"], t[p + "bo"])
         attn_out = dropout(f"attn_out{l}", attn_out, (b, width, cfg.d_model))
-        x1, ln1_cache = _layer_norm(x_rows + attn_out, t[p + "attn_ln_g"], t[p + "attn_ln_b"])
+        x1, ln1_cache = _layer_norm(x_rows + attn_out, t[p + "attn_ln_g"], t[p + "attn_ln_b"], lreal)
         _check_finite(x1, f"layer {l} attention output")
 
         ffn_pre = _linear(x1, t[p + "w1"], t[p + "b1"])
-        ffn_act, ffn_cdf = _gelu(ffn_pre)
+        ffn_act, gelu_cache = _gelu(ffn_pre, lreal)
         ffn_out = _linear(ffn_act, t[p + "w2"], t[p + "b2"])
         ffn_out = dropout(f"ffn_out{l}", ffn_out, (b, width, cfg.d_model))
-        x2, ln2_cache = _layer_norm(x1 + ffn_out, t[p + "ffn_ln_g"], t[p + "ffn_ln_b"])
+        x2, ln2_cache = _layer_norm(x1 + ffn_out, t[p + "ffn_ln_g"], t[p + "ffn_ln_b"], lreal)
         _check_finite(x2, f"layer {l} feed-forward output")
 
         lc.update(
             q4=q4, k4=k4, v4=v4, attn=attn, attn_used=attn_used, ctx=ctx, ln1=ln1_cache,
-            x1=x1, ffn_pre=ffn_pre, ffn_act=ffn_act, ffn_cdf=ffn_cdf, ln2=ln2_cache,
+            x1=x1, ffn_act=ffn_act, gelu=gelu_cache, ln2=ln2_cache,
         )
         cache["layers"].append(lc)
         x = x2
@@ -457,7 +540,7 @@ def gradients(
     cache = result.cache
     cls = result.cls
     b = batch.size
-    grads = {name: np.zeros_like(arr) for name, arr in t.items()}
+    grads: dict[str, np.ndarray] = {}
 
     if isinstance(loss_spec, str):
         if loss_spec != "supervised":
@@ -466,8 +549,8 @@ def gradients(
             raise DataError("supervised loss requires batch.ratings")
         loss = supervised_loss(result.ratings, batch.ratings)
         dpred = 2.0 * (result.ratings - batch.ratings) / b
-        grads["rating.w"] += cls.T @ dpred
-        grads["rating.b"][0] += dpred.sum()
+        grads["rating.w"] = cls.T @ dpred
+        grads["rating.b"] = np.array([dpred.sum()])
         dcls = dpred[:, None] * t["rating.w"][None, :]
     else:
         tasks = tuple(loss_spec)
@@ -484,14 +567,17 @@ def gradients(
                 probs = _softmax_last(pred)
                 dpred = task.weight * (probs - tgt) / b
             w = t[f"head.{task.name}.w"]
-            grads[f"head.{task.name}.w"] += cls.T @ dpred
-            grads[f"head.{task.name}.b"] += dpred.sum(axis=0)
+            grads[f"head.{task.name}.w"] = cls.T @ dpred
+            grads[f"head.{task.name}.b"] = dpred.sum(axis=0)
             dcls += dpred @ w.T
 
     if not math.isfinite(loss):
         raise NumericError("loss is non-finite")
 
     _backward_trunk(params, batch, cache, dcls, grads)
+    for name, arr in t.items():  # the heads this loss does not use
+        if name not in grads:
+            grads[name] = np.zeros_like(arr)
     return loss, grads
 
 
@@ -514,31 +600,31 @@ def _backward_trunk(params, batch, cache, dcls, grads):
         rows = dx.shape[1]
 
         # ffn layer norm
-        dsum, dg, db = _layer_norm_backward(dx, t[p + "ffn_ln_g"], lc["ln2"])
-        grads[p + "ffn_ln_g"] += dg
-        grads[p + "ffn_ln_b"] += db
+        dsum, grads[p + "ffn_ln_g"], grads[p + "ffn_ln_b"] = _layer_norm_backward(
+            dx, t[p + "ffn_ln_g"], lc["ln2"], lc["real"]
+        )
         dffn_out = dsum
         if f"ffn_out{l}" in drop:
             dffn_out = dffn_out * drop[f"ffn_out{l}"]
-        dffn_act, dw2, db2 = _linear_backward(dffn_out, lc["ffn_act"], t[p + "w2"], width)
-        grads[p + "w2"] += dw2
-        grads[p + "b2"] += db2
-        dffn_pre = _gelu_backward(dffn_act, lc["ffn_pre"], lc["ffn_cdf"])
-        dx1_ffn, dw1, db1 = _linear_backward(dffn_pre, lc["x1"], t[p + "w1"], width)
-        grads[p + "w1"] += dw1
-        grads[p + "b1"] += db1
+        dffn_act, grads[p + "w2"], grads[p + "b2"] = _linear_backward(
+            dffn_out, lc["ffn_act"], t[p + "w2"], width
+        )
+        dffn_pre = _gelu_backward(dffn_act, lc["gelu"], lc["real"])
+        dx1_ffn, grads[p + "w1"], grads[p + "b1"] = _linear_backward(
+            dffn_pre, lc["x1"], t[p + "w1"], width
+        )
         dx1 = dsum + dx1_ffn
 
         # attention layer norm
-        dsum, dg, db = _layer_norm_backward(dx1, t[p + "attn_ln_g"], lc["ln1"])
-        grads[p + "attn_ln_g"] += dg
-        grads[p + "attn_ln_b"] += db
+        dsum, grads[p + "attn_ln_g"], grads[p + "attn_ln_b"] = _layer_norm_backward(
+            dx1, t[p + "attn_ln_g"], lc["ln1"], lc["real"]
+        )
         dattn_out = dsum
         if f"attn_out{l}" in drop:
             dattn_out = dattn_out * drop[f"attn_out{l}"]
-        dctx, dwo, dbo = _linear_backward(dattn_out, lc["ctx"], t[p + "wo"], width)
-        grads[p + "wo"] += dwo
-        grads[p + "bo"] += dbo
+        dctx, grads[p + "wo"], grads[p + "bo"] = _linear_backward(
+            dattn_out, lc["ctx"], t[p + "wo"], width
+        )
 
         dctx4 = dctx.reshape(b, rows, h, dh).transpose(0, 2, 1, 3)
         attn_used = lc["attn_used"]
@@ -557,26 +643,21 @@ def _backward_trunk(params, batch, cache, dcls, grads):
         dk = dk4.transpose(0, 2, 1, 3).reshape(b, width, cfg.d_model)
         dv = dv4.transpose(0, 2, 1, 3).reshape(b, width, cfg.d_model)
         x_in = lc["x_in"]
-        dx_q, dwq, dbq = _linear_backward(dq, x_in, t[p + "wq"], width)
-        dx_k, dwk, dbk = _linear_backward(dk, x_in, t[p + "wk"], width)
-        dx_v, dwv, dbv = _linear_backward(dv, x_in, t[p + "wv"], width)
-        grads[p + "wq"] += dwq
-        grads[p + "bq"] += dbq
-        grads[p + "wk"] += dwk
-        grads[p + "bk"] += dbk
-        grads[p + "wv"] += dwv
-        grads[p + "bv"] += dbv
+        dx_q, grads[p + "wq"], grads[p + "bq"] = _linear_backward(dq, x_in, t[p + "wq"], width)
+        dx_k, grads[p + "wk"], grads[p + "bk"] = _linear_backward(dk, x_in, t[p + "wk"], width)
+        dx_v, grads[p + "wv"], grads[p + "bv"] = _linear_backward(dv, x_in, t[p + "wv"], width)
 
         dx = _pad_rows(dsum + dx_q, width) + dx_k + dx_v
 
     if "emb" in drop:
         dx = dx * drop["emb"]
-    dx, dg, db = _layer_norm_backward(dx, t["emb_ln_g"], cache["emb_ln"])
-    grads["emb_ln_g"] += dg
-    grads["emb_ln_b"] += db
-    grads["tok_emb"] += _scatter_rows(batch.ids, dx, cfg.vocab_size)
-    grads["pos_emb"][:width] += dx.sum(axis=0)
-    grads["seg_emb"] += _scatter_rows(batch.segments, dx, 2)
+    dx, grads["emb_ln_g"], grads["emb_ln_b"] = _layer_norm_backward(
+        dx, t["emb_ln_g"], cache["emb_ln"], cache["real"]
+    )
+    grads["tok_emb"] = _scatter_rows(batch.ids, dx, cfg.vocab_size)
+    grads["pos_emb"] = np.zeros_like(t["pos_emb"])
+    grads["pos_emb"][:width] = dx.sum(axis=0)
+    grads["seg_emb"] = _scatter_rows(batch.segments, dx, 2)
 
 
 def _scatter_rows(ids, rows, n):

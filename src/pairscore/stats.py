@@ -206,7 +206,8 @@ class SkewConfig:
     probability 1/(n_bins+1-B)^alpha_test, independently, so a record may
     land on both sides.  With ``disjoint`` set, a doubly-drawn record is
     assigned to one side by a seeded coin flip, keeping the split leak-free
-    without emptying either side.
+    without emptying either side; then a source whose records still landed
+    on both sides keeps one side, by a coin from a second seeded stream.
     """
 
     alpha_train: float
@@ -244,7 +245,8 @@ def skew_split(
     """Independent left-skewed train / right-skewed test resampling.
 
     A record may land on both sides (independent draws) unless
-    ``config.disjoint`` is set.  Output preserves the input order.
+    ``config.disjoint`` is set, which keeps each ``source_id`` on one side.
+    Output preserves the input order.
     """
     n = len(data)
     if n < config.n_bins:
@@ -269,6 +271,20 @@ def skew_split(
                 in_test[idx] = False
             else:
                 in_train[idx] = False
+    if config.disjoint:
+        # Only a source of several records can still span both sides; its
+        # coins come from a stream of their own, so the draws of every record
+        # are those of a split in which each record is its own source.
+        by_source: dict[str, list[int]] = {}
+        for i in range(n):
+            by_source.setdefault(data[i].source_id, []).append(i)
+        coin = np.random.default_rng((config.seed, 1))
+        for members in by_source.values():
+            if in_train[members].any() and in_test[members].any():
+                if coin.random() < 0.5:
+                    in_test[members] = False
+                else:
+                    in_train[members] = False
     train = [data[i] for i in range(n) if in_train[i]]
     test = [data[i] for i in range(n) if in_test[i]]
     return train, test

@@ -26,6 +26,7 @@ import numpy as np
 from .encoder import (
     Batch,
     ModelParams,
+    PackedPairs,
     build_batch,
     forward,
     gradients,
@@ -96,36 +97,51 @@ class _BestTracker:
 
 
 class AdamOptimizer:
-    """Adam with bias correction and a fixed learning rate."""
+    """Adam with bias correction and a fixed learning rate.
+
+    It updates the tensors of the ``params`` it is made for, which it turns
+    into views of one flat vector, the layout of its moments too: a step is
+    one update over every element.  Each element sees the operations of a
+    per-tensor update, so the bits are the same.
+    """
 
     def __init__(self, params: ModelParams, config: TrainConfig):
         self.config = config
-        self.m = {k: np.zeros_like(v) for k, v in params.tensors.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+        self.names = sorted(params.tensors)
+        tensors = [params.tensors[name] for name in self.names]
+        self.flat = np.concatenate([x.ravel() for x in tensors])
+        parts = np.split(self.flat, np.cumsum([x.size for x in tensors])[:-1])
+        for name, x, part in zip(self.names, tensors, parts):
+            params.tensors[name] = part.reshape(x.shape)
+        self.params = params
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
         self.t = 0
 
     def step(self, params: ModelParams, grads: Mapping[str, np.ndarray]) -> None:
+        if params is not self.params:
+            raise ValueError("AdamOptimizer.step takes the params it was made for")
         cfg = self.config
         self.t += 1
         correction1 = 1.0 - cfg.beta1**self.t
         correction2 = 1.0 - cfg.beta2**self.t
+        g = np.concatenate([grads[name].ravel() for name in self.names])
+        m, v = self.m, self.v
         # In place, each expression in the operation order of
         # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
         # p -= lr * (m/c1) / (sqrt(v/c2) + eps).
-        for name in sorted(params.tensors):
-            g, m, v = grads[name], self.m[name], self.v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            g2 = (1.0 - cfg.beta2) * g
-            g2 *= g
-            v *= cfg.beta2
-            v += g2
-            denom = np.sqrt(v / correction2, out=g2)
-            denom += cfg.adam_eps
-            step = m / correction1
-            step *= cfg.learning_rate
-            step /= denom
-            params.tensors[name] -= step
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        g2 = (1.0 - cfg.beta2) * g
+        g2 *= g
+        v *= cfg.beta2
+        v += g2
+        denom = np.sqrt(v / correction2, out=g2)
+        denom += cfg.adam_eps
+        step = m / correction1
+        step *= cfg.learning_rate
+        step /= denom
+        self.flat -= step
 
 
 class _EpochSampler:
@@ -209,16 +225,6 @@ def _fit(
     return tracker.record.params, history
 
 
-def _make_batch(pairs, vocab, idx, targets=None, ratings=None) -> Batch:
-    chosen = [pairs[i] for i in idx]
-    return build_batch(
-        chosen,
-        vocab,
-        ratings=None if ratings is None else [ratings[i] for i in idx],
-        signal_targets=None if targets is None else {k: v[idx] for k, v in targets.items()},
-    )
-
-
 def pretrain(
     params: ModelParams,
     dataset: Sequence[tuple[SyntheticExample, SignalVector]],
@@ -235,14 +241,15 @@ def pretrain(
     if not dataset:
         raise DataError("pretrain requires a non-empty dataset")
     tasks = params.tasks
-    pairs = [SentencePair(ex.z, ex.z_tilde) for ex, _ in dataset]
     targets = {task.name: np.stack([vec[task.name] for _, vec in dataset]) for task in tasks}
+    pairs = [SentencePair(ex.z, ex.z_tilde) for ex, _ in dataset]
+    packed = PackedPairs(pairs, vocab, signal_targets=targets)
 
     def full_loss(working: ModelParams) -> float:
         total, count = 0.0, 0
         for start in range(0, len(dataset), config.batch_size):
             idx = np.arange(start, min(start + config.batch_size, len(dataset)))
-            batch = _make_batch(pairs, vocab, idx, targets=targets)
+            batch = packed.batch(idx)
             outputs = forward(working, batch).task_outputs
             loss = pretrain_loss(outputs, batch.signal_targets, tasks)
             total += loss * len(idx)
@@ -250,8 +257,7 @@ def pretrain(
         return total / count
 
     return _fit(
-        params, config, len(dataset), lambda idx: _make_batch(pairs, vocab, idx, targets=targets),
-        tasks, full_loss, maximize=False,
+        params, config, len(dataset), packed.batch, tasks, full_loss, maximize=False,
     )
 
 
@@ -350,13 +356,12 @@ def finetune(
         raise DataError("finetune requires a non-empty training set")
     if not validation_set:
         raise DataError("finetune requires a non-empty validation set")
-    pairs = [ex.pair for ex in train_set]
     ratings = [ex.rating for ex in train_set]
+    packed = PackedPairs([ex.pair for ex in train_set], vocab, ratings=ratings)
     # validation_kendall is looked up at each call, so a rebinding of the module
     # global (bench/layers.py times it that way) sees every evaluation.
     return _fit(
-        params, config, len(train_set),
-        lambda idx: _make_batch(pairs, vocab, idx, ratings=ratings), "supervised",
+        params, config, len(train_set), packed.batch, "supervised",
         lambda working: validation_kendall(working, validation_set, vocab), maximize=True,
     )
 

@@ -348,6 +348,20 @@ class TestSkewSplit:
         assert all(len(r.references) == 2 for side in sides for r in side)
         assert f"{len(train_ids)} train, {len(test_ids)} test of 40 records" in out
 
+    def test_disjoint_keeps_sources_of_several_records_apart(self, tmp_path, capsys):
+        # the WMT layout: 20 sources, two candidate lines each
+        path = tmp_path / "r.tsv"
+        path.write_text("".join(
+            f"s{i}\tref {i}\tcand {i} {j}\t{10.0 * i + j}\n" for i in range(20) for j in range(2)
+        ), encoding="utf-8")
+        train, test = tmp_path / "train.tsv", tmp_path / "test.tsv"
+        self.run(capsys, path, train, test, "alpha_train=0.0", "alpha_test=0.0", "skew_disjoint=true")
+        train_ids, test_ids = (
+            {r.source_id for r in read_rating_records(side, "wmt-tsv")[0]} for side in (train, test)
+        )
+        assert not train_ids & test_ids
+        assert len(train_ids | test_ids) == 20
+
     @pytest.mark.parametrize("name, lines", [
         ("plain.tsv", ["s0\tThe Dog, however, sleeps.\tThe dog sleeps!\t72.0", "s1\tNo.\tYes.\t7.5"]),
         ("r.tsv", ["# raw-scores", "s0\tThe Dog, however, sleeps.\tThe dog sleeps!\t72.5",

@@ -116,10 +116,15 @@ class TestForward:
     def test_attention_rows_sum_to_one(self, vocab, small_config):
         params = init_model(small_config)
         pairs = make_pairs(vocab, [("the cat sat", "a dog"), ("the", "a")])
-        result = forward(params, build_batch(pairs, vocab), want_cache=True)
+        batch = build_batch(pairs, vocab)
+        result = forward(params, batch, want_cache=True)
         for lc in result.cache["layers"]:
+            # (B, h, rows) sums of the query rows the block computes
             sums = lc["attn"].sum(axis=-1)
-            np.testing.assert_allclose(sums, 1.0, atol=1e-6)
+            real = batch.mask[:, None, : sums.shape[-1]] > 0.0
+            np.testing.assert_allclose(sums[np.broadcast_to(real, sums.shape)], 1.0, atol=1e-6)
+            # padding query rows are never computed and hold exactly 0
+            assert not lc["attn"][np.broadcast_to(~real, sums.shape)].any()
 
     def test_padded_keys_get_zero_attention(self, vocab, small_config):
         params = init_model(small_config)

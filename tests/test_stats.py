@@ -340,6 +340,31 @@ class TestSkewSplit:
         train_ids = {ex.source_id for ex in train}
         assert all(ex.source_id not in train_ids for ex in test)
 
+    def test_disjoint_keeps_sources_of_several_records_apart(self):
+        ratings = np.random.default_rng(5).uniform(0, 100, size=40)
+        data = [
+            RatedExample(ex.pair, ex.rating, f"s{i // 2}") for i, ex in enumerate(_examples(ratings))
+        ]
+        train, test = skew_split(data, SkewConfig(0.0, 0.0, seed=1, disjoint=True))
+        train_ids, test_ids = {ex.source_id for ex in train}, {ex.source_id for ex in test}
+        assert not train_ids & test_ids
+        assert len(train_ids | test_ids) == 20 and train_ids and test_ids
+
+    def test_disjoint_draws_records_as_if_each_were_its_own_source(self):
+        ratings = np.random.default_rng(6).uniform(0, 100, size=300)
+        alone = _examples(ratings)
+        # records 0-59 share sources in threes; the rest stay alone
+        shared = [
+            RatedExample(ex.pair, ex.rating, f"g{i // 3}" if i < 60 else ex.source_id)
+            for i, ex in enumerate(alone)
+        ]
+        config = SkewConfig(0.5, 0.5, seed=3, disjoint=True)
+        single = set(ratings[60:])  # the ratings are distinct, so they name the records
+        for got, want in zip(skew_split(shared, config), skew_split(alone, config)):
+            got, want = {ex.rating for ex in got}, {ex.rating for ex in want}
+            assert got & single == want & single
+            assert got <= want
+
     def test_disjoint_alpha_zero_populates_both_sides(self):
         data = _examples(np.random.default_rng(4).uniform(0, 100, size=400))
         train, test = skew_split(data, SkewConfig(0.0, 0.0, seed=2, disjoint=True))

@@ -5,7 +5,7 @@ import pytest
 
 from pairscore import training
 from pairscore.demo import demo_sentences
-from pairscore.encoder import EncoderConfig, init_model
+from pairscore.encoder import EncoderConfig, PackedPairs, build_batch, init_model
 from pairscore.errors import DataError, NumericError, TrainingDiverged
 from pairscore.experiments import build_offline_pretraining_data
 from pairscore.metrics import sentence_bleu
@@ -29,6 +29,8 @@ from pairscore.training import (
     pretrain,
     set_task_weights,
 )
+
+from training_oracle import reference_finetune, reference_pretrain
 
 SEGMENTS = demo_sentences(60, seed=11)
 SHORT_SEGMENTS = [s for s in SEGMENTS if len(s.split()) <= 12][:40]
@@ -326,6 +328,83 @@ class TestPredictRatings:
         batched = predict_ratings(params, data, vocab, batch_size=4)
         single = predict_ratings(params, data, vocab, batch_size=1)
         np.testing.assert_allclose(batched, single, atol=1e-12)
+
+
+def same_length_rated(vocab, n=24):
+    """Rated pairs of 3 + 3 tokens, so every batch packs without padding."""
+    out = []
+    for i, s in enumerate(s for s in SHORT_SEGMENTS if len(s.split()) >= 4):
+        toks = s.split()
+        ref, cand = TokenSeq.from_tokens(toks[:3], vocab), TokenSeq.from_tokens(toks[-3:], vocab)
+        out.append(RatedExample(SentencePair(ref, cand), sentence_bleu(ref, cand), f"s{i}"))
+    return out[:n]
+
+
+class TestTrainingOracle:
+    """pretrain and finetune against the per-step loop of tests/training_oracle.py, with ``==``."""
+
+    @pytest.fixture
+    def config2(self, encoder_config):
+        """Two layers, so the first block runs on every row and skips padding."""
+        return dataclasses.replace(encoder_config, n_layers=2)
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got[1] == want[1]
+        assert params_digest(got[0]) == params_digest(want[0])
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    def test_pretrain(self, vocab, synthetic, config2, dropout):
+        params = init_model(dataclasses.replace(config2, dropout=dropout))
+        config = TrainConfig(total_steps=12, eval_every=4, batch_size=8, learning_rate=2e-3, seed=3)
+        got = pretrain(params, synthetic[:30], config, vocab)
+        self.assert_same(got, reference_pretrain(params, synthetic[:30], config, vocab))
+        assert params_digest(got[0]) != params_digest(params)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    def test_finetune(self, vocab, config2, dropout):
+        train, val = split_no_leak(rated_dataset(vocab, n=60), 0.2, seed=2)
+        params = init_model(dataclasses.replace(config2, dropout=dropout))
+        config = TrainConfig(total_steps=12, eval_every=4, batch_size=8, learning_rate=2e-3, seed=4)
+        got = finetune(params, train, val, config, vocab)
+        self.assert_same(got, reference_finetune(params, train, val, config, vocab))
+
+    def test_training_set_smaller_than_batch(self, vocab, synthetic, config2):
+        params = init_model(config2)
+        config = TrainConfig(total_steps=6, eval_every=3, batch_size=32, learning_rate=2e-3, seed=1)
+        self.assert_same(
+            pretrain(params, synthetic[:5], config, vocab),
+            reference_pretrain(params, synthetic[:5], config, vocab),
+        )
+        train, val = split_no_leak(rated_dataset(vocab, n=12), 0.4, seed=0)
+        assert len(train) < config.batch_size
+        self.assert_same(
+            finetune(params, train, val, config, vocab),
+            reference_finetune(params, train, val, config, vocab),
+        )
+
+    def test_batches_without_padding(self, vocab, config2):
+        data = same_length_rated(vocab)
+        train, val = data[:16], data[16:]
+        params = init_model(config2)
+        config = TrainConfig(total_steps=8, eval_every=4, batch_size=8, learning_rate=2e-3, seed=2)
+        assert PackedPairs([ex.pair for ex in train], vocab).mask.all()
+        self.assert_same(
+            finetune(params, train, val, config, vocab),
+            reference_finetune(params, train, val, config, vocab),
+        )
+
+    def test_packed_batch_equals_build_batch(self, vocab):
+        pairs = [ex.pair for ex in rated_dataset(vocab, n=40)]
+        packed = PackedPairs(pairs, vocab)
+        rng = np.random.default_rng(0)
+        for size in (1, 3, 8, 40):
+            idx = rng.permutation(len(pairs))[:size]
+            got = packed.batch(idx)
+            want = build_batch([pairs[i] for i in idx], vocab)
+            for name in ("ids", "segments", "mask"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 class TestLearnableTargetSmoke:

@@ -1,0 +1,88 @@
+"""Per-step reference for ``pairscore.training.pretrain`` and ``finetune``.
+
+This is the plain formulation of the training loop: every step packs its
+examples with ``build_batch``, the pre-training loss is evaluated on batches
+packed the same way, and Adam updates one tensor at a time.  The package
+packs each dataset once, slices its batches from it and updates all tensors
+in one flat pass, and must agree with this module bit for bit.  Divergence
+handling is not modelled.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from pairscore.encoder import build_batch, forward, gradients, pretrain_loss
+from pairscore.text import SentencePair
+from pairscore.training import EvalPoint, _BestTracker, _EpochSampler, _eval_steps, validation_kendall
+
+
+def _adam_step(params, grads, m, v, t, cfg):
+    c1 = 1.0 - cfg.beta1**t
+    c2 = 1.0 - cfg.beta2**t
+    for name in sorted(params.tensors):
+        g = grads[name]
+        m[name] = cfg.beta1 * m[name] + (1.0 - cfg.beta1) * g
+        v[name] = cfg.beta2 * v[name] + (1.0 - cfg.beta2) * g * g
+        params.tensors[name] -= cfg.learning_rate * (m[name] / c1) / (np.sqrt(v[name] / c2) + cfg.adam_eps)
+
+
+def _fit(params, config, n, batch_at, loss_spec, evaluate, maximize):
+    working = params.copy()
+    history = []
+    if config.total_steps == 0:
+        return working, history
+    m = {k: np.zeros_like(x) for k, x in working.tensors.items()}
+    v = {k: np.zeros_like(x) for k, x in working.tensors.items()}
+    sampler = _EpochSampler(n, config.batch_size, config.seed)
+    dropout_rng = np.random.default_rng((config.seed, 1))
+    eval_at = set(_eval_steps(config.total_steps, config.eval_every))
+    tracker = _BestTracker(maximize)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, config.total_steps + 1):
+            batch = batch_at(sampler.next_indices())
+            _, grads = gradients(working, batch, loss_spec, train=True, rng=dropout_rng)
+            _adam_step(working, grads, m, v, step, config)
+            if step in eval_at:
+                metric = evaluate(working)
+                history.append(EvalPoint(step, metric))
+                tracker.offer(step, metric, working)
+    return tracker.record.params, history
+
+
+def _batch(pairs, vocab, idx, ratings=None, targets=None):
+    return build_batch(
+        [pairs[i] for i in idx],
+        vocab,
+        ratings=None if ratings is None else [ratings[i] for i in idx],
+        signal_targets=None if targets is None else {k: t[idx] for k, t in targets.items()},
+    )
+
+
+def reference_pretrain(params, dataset, config, vocab):
+    tasks = params.tasks
+    pairs = [SentencePair(ex.z, ex.z_tilde) for ex, _ in dataset]
+    targets = {task.name: np.stack([vec[task.name] for _, vec in dataset]) for task in tasks}
+
+    def full_loss(working):
+        total, count = 0.0, 0
+        for start in range(0, len(dataset), config.batch_size):
+            idx = np.arange(start, min(start + config.batch_size, len(dataset)))
+            batch = _batch(pairs, vocab, idx, targets=targets)
+            total += pretrain_loss(forward(working, batch).task_outputs, batch.signal_targets, tasks) * len(idx)
+            count += len(idx)
+        return total / count
+
+    return _fit(
+        params, config, len(dataset), lambda idx: _batch(pairs, vocab, idx, targets=targets),
+        tasks, full_loss, maximize=False,
+    )
+
+
+def reference_finetune(params, train_set, validation_set, config, vocab):
+    pairs = [ex.pair for ex in train_set]
+    ratings = [ex.rating for ex in train_set]
+    return _fit(
+        params, config, len(train_set), lambda idx: _batch(pairs, vocab, idx, ratings=ratings),
+        "supervised", lambda working: validation_kendall(working, validation_set, vocab), maximize=True,
+    )
