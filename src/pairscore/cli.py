@@ -376,9 +376,7 @@ def cmd_compute_signals(args, config) -> int:
 def cmd_pretrain(args, config) -> int:
     chash = config_hash(config)
     vocab = Vocabulary.load(args.vocab)
-    dataset, stats, header = read_signals(args.signals, vocab)
-    if stats is None:
-        raise DataError("signals file lacks normalization stats; run compute-signals first")
+    dataset, _, _ = read_signals(args.signals, vocab)
     params = init_model(_encoder_config(config, vocab), _task_weights(config))
     train_config = _train_config(config, "pretrain")
     params, history = pretrain(params, dataset, train_config, vocab)
@@ -500,9 +498,7 @@ def cmd_skew_split(args, config) -> int:
 def cmd_ablate(args, config) -> int:
     chash = config_hash(config)
     vocab = Vocabulary.load(args.vocab)
-    dataset, stats, _ = read_signals(args.signals, vocab)
-    if stats is None:
-        raise DataError("signals file lacks normalization stats")
+    dataset, _, _ = read_signals(args.signals, vocab)
     fmt = _ratings_format(args.ratings)
     examples = ingest_ratings(args.ratings, fmt, vocab).examples
     train_pool, test = split_no_leak(examples, 0.25, seed=config["seed"])

@@ -525,15 +525,14 @@ def pretrain_loss(
 def gradients(
     params: ModelParams,
     batch: Batch,
-    loss_spec,
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and exact gradients for every tensor.
 
-    ``loss_spec`` is either the string "supervised" (mean squared error on
-    batch.ratings through the rating head) or a sequence of TaskSpec driving
-    the weighted multitask loss on batch.signal_targets.
+    The batch's labels pick the loss: mean squared error of the rating head
+    on ``batch.ratings`` when the batch has ratings, otherwise the multitask
+    loss on ``batch.signal_targets`` weighted by ``params.tasks``.
     """
     t = params.tensors
     result = forward(params, batch, train=train, rng=rng, want_cache=True)
@@ -542,21 +541,16 @@ def gradients(
     b = batch.size
     grads: dict[str, np.ndarray] = {}
 
-    if isinstance(loss_spec, str):
-        if loss_spec != "supervised":
-            raise DataError(f"unknown loss selector {loss_spec!r}")
-        if batch.ratings is None:
-            raise DataError("supervised loss requires batch.ratings")
+    if batch.ratings is not None:
         loss = supervised_loss(result.ratings, batch.ratings)
         dpred = 2.0 * (result.ratings - batch.ratings) / b
         grads["rating.w"] = cls.T @ dpred
         grads["rating.b"] = np.array([dpred.sum()])
         dcls = dpred[:, None] * t["rating.w"][None, :]
     else:
-        tasks = tuple(loss_spec)
-        loss = pretrain_loss(result.task_outputs, batch.signal_targets, tasks)
+        loss = pretrain_loss(result.task_outputs, batch.signal_targets, params.tasks)
         dcls = np.zeros_like(cls)
-        for task in tasks:
+        for task in params.tasks:
             if task.weight == 0.0:
                 continue
             pred = result.task_outputs[task.name]

@@ -104,7 +104,7 @@ REGRESSION_DIM = sum(t.dim for t in REGRESSION_TASKS)  # 11
 class SignalVector:
     """Per-task value blocks for one synthetic pair, validated on construction."""
 
-    def __init__(self, values: Mapping[str, Sequence[float]], normalized: bool = False):
+    def __init__(self, values: Mapping[str, Sequence[float]]):
         blocks: dict[str, np.ndarray] = {}
         for task in default_task_specs():
             if task.name not in values:
@@ -127,7 +127,6 @@ class SignalVector:
             raise NumericError("bt_flag block must be exactly one-hot")
 
         self._blocks = blocks
-        self.normalized = normalized
 
     def __getitem__(self, task_name: str) -> np.ndarray:
         return self._blocks[task_name]
@@ -135,20 +134,18 @@ class SignalVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignalVector):
             return NotImplemented
-        return self.normalized == other.normalized and all(
-            np.array_equal(self._blocks[k], other._blocks[k]) for k in TASK_NAMES
-        )
+        return all(np.array_equal(self._blocks[k], other._blocks[k]) for k in TASK_NAMES)
 
     def regression_concat(self) -> np.ndarray:
         return np.concatenate([self._blocks[t.name] for t in REGRESSION_TASKS])
 
-    def replace_regression(self, flat: np.ndarray, normalized: bool) -> "SignalVector":
+    def replace_regression(self, flat: np.ndarray) -> "SignalVector":
         values = {t.name: self._blocks[t.name] for t in CLASSIFICATION_TASKS}
         offset = 0
         for task in REGRESSION_TASKS:
             values[task.name] = flat[offset : offset + task.dim]
             offset += task.dim
-        return SignalVector(values, normalized=normalized)
+        return SignalVector(values)
 
     def to_json_dict(self) -> dict:
         return {name: [float(x) for x in self._blocks[name]] for name in TASK_NAMES}
@@ -426,11 +423,12 @@ def fit_normalization(vectors: Sequence[SignalVector]) -> NormalizationStats:
 def apply_normalization(vector: SignalVector, stats: NormalizationStats) -> SignalVector:
     """Standardize the regression block; classification blocks pass through."""
     flat = (vector.regression_concat() - stats.mean) / stats.std
-    return vector.replace_regression(flat, normalized=True)
+    return vector.replace_regression(flat)
 
 
 # ---------------------------------------------------------------------------
-# Signal corpus file: JSONL with normalization stats in the header record.
+# Signal corpus file: JSONL with normalization stats in the header record,
+# the one record that its regression blocks are standardized.
 # ---------------------------------------------------------------------------
 
 SIGNALS_FORMAT = "signal-corpus"
@@ -440,16 +438,18 @@ SIGNALS_VERSION = 1
 def write_signals(
     pairs: Sequence[tuple[SyntheticExample, SignalVector]],
     path: str | Path,
-    stats: NormalizationStats | None,
+    stats: NormalizationStats,
     meta: Mapping[str, object] | None = None,
 ) -> None:
+    """Write ``pairs``, whose vectors ``stats`` standardized, with ``stats`` in the header."""
     header = {
         "layout_version": SIGNAL_LAYOUT_VERSION,
-        "normalization": stats.to_json_dict() if stats is not None else None,
+        "normalization": stats.to_json_dict(),
         **(meta or {}),
     }
+    # Each record's "normalized" key is constant; it stays so files keep their bytes.
     records = (
-        {**example_record(ex), "normalized": vec.normalized, "signals": vec.to_json_dict()}
+        {**example_record(ex), "normalized": True, "signals": vec.to_json_dict()}
         for ex, vec in pairs
     )
     write_records(path, SIGNALS_FORMAT, SIGNALS_VERSION, records, header)
@@ -457,13 +457,17 @@ def write_signals(
 
 def read_signals(
     path: str | Path, vocab: Vocabulary
-) -> tuple[list[tuple[SyntheticExample, SignalVector]], NormalizationStats | None, dict]:
+) -> tuple[list[tuple[SyntheticExample, SignalVector]], NormalizationStats, dict]:
+    """The pairs, normalization stats and header of a signals file.
+
+    A header without stats raises DataError naming the file.
+    """
     def parse(obj: dict) -> tuple[SyntheticExample, SignalVector]:
-        vec = SignalVector(obj["signals"], normalized=bool(obj.get("normalized")))
-        return example_from_record(obj, vocab), vec
+        return example_from_record(obj, vocab), SignalVector(obj["signals"])
 
     pairs, header = read_records(path, SIGNALS_FORMAT, SIGNALS_VERSION, parse)
-    stats = None
-    if header.get("normalization"):
+    try:
         stats = NormalizationStats.from_json_dict(header["normalization"])
+    except (KeyError, TypeError, ValueError):
+        raise DataError(f"{path}: header lacks normalization stats; run compute-signals") from None
     return pairs, stats, header

@@ -73,29 +73,6 @@ class EvalPoint:
     metric: float
 
 
-@dataclass
-class CheckpointRecord:
-    """Best checkpoint seen so far: max for Kendall, min for loss."""
-
-    step: int
-    metric: float
-    params: ModelParams
-
-
-class _BestTracker:
-    def __init__(self, maximize: bool):
-        self.maximize = maximize
-        self.record: CheckpointRecord | None = None
-
-    def offer(self, step: int, metric: float, params: ModelParams) -> bool:
-        better = self.record is None or (
-            metric > self.record.metric if self.maximize else metric < self.record.metric
-        )
-        if better:
-            self.record = CheckpointRecord(step, metric, params.copy())
-        return better
-
-
 class AdamOptimizer:
     """Adam with bias correction and a fixed learning rate.
 
@@ -180,15 +157,15 @@ def _fit(
     config: TrainConfig,
     n: int,
     batch_at: Callable[[np.ndarray], Batch],
-    loss_spec,
     evaluate: Callable[[ModelParams], float],
     maximize: bool,
 ) -> tuple[ModelParams, list[EvalPoint]]:
-    """Adam on ``loss_spec`` over batches of ``n`` examples; keep the best evaluated checkpoint.
+    """Adam over batches of ``n`` examples; keep the best evaluated checkpoint.
 
-    ``batch_at(idx)`` packs the examples at ``idx``; ``evaluate`` scores the
-    working parameters at each eval step, best being the max when
-    ``maximize`` and the min otherwise.  Zero steps return a copy of
+    ``batch_at(idx)`` packs the examples at ``idx``, and its labels pick the
+    loss (see ``gradients``); ``evaluate`` scores the working parameters at
+    each eval step, best being the max when ``maximize`` and the min
+    otherwise, the earliest on a tie.  Zero steps return a copy of
     ``params``.  A non-finite value in a step or an evaluation raises
     TrainingDiverged carrying the best checkpoint so far (``params`` before
     the first evaluation) and the history.
@@ -203,26 +180,27 @@ def _fit(
     # drawn from it when the model's dropout rate is 0.
     dropout_rng = np.random.default_rng((config.seed, 1))
     eval_at = set(_eval_steps(config.total_steps, config.eval_every))
-    tracker = _BestTracker(maximize)
+    best: tuple[float, ModelParams] | None = None
     # Overflow is caught by the encoder's finiteness checks, not by warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, config.total_steps + 1):
             try:
                 batch = batch_at(sampler.next_indices())
-                _, grads = gradients(working, batch, loss_spec, train=True, rng=dropout_rng)
+                _, grads = gradients(working, batch, train=True, rng=dropout_rng)
                 optimizer.step(working, grads)
                 if step in eval_at:
                     metric = evaluate(working)
                     if not math.isfinite(metric):
                         raise NumericError(f"evaluation metric is {metric}")
                     history.append(EvalPoint(step, metric))
-                    tracker.offer(step, metric, working)
+                    if best is None or (metric > best[0] if maximize else metric < best[0]):
+                        best = (metric, working.copy())
             except NumericError as exc:
-                best = tracker.record.params if tracker.record else params.copy()
-                raise TrainingDiverged(step, last_good=best, history=history) from exc
+                last_good = best[1] if best else params.copy()
+                raise TrainingDiverged(step, last_good=last_good, history=history) from exc
 
-    assert tracker.record is not None
-    return tracker.record.params, history
+    assert best is not None
+    return best[1], history
 
 
 def pretrain(
@@ -256,9 +234,7 @@ def pretrain(
             count += len(idx)
         return total / count
 
-    return _fit(
-        params, config, len(dataset), packed.batch, tasks, full_loss, maximize=False,
-    )
+    return _fit(params, config, len(dataset), packed.batch, full_loss, maximize=False)
 
 
 # Examples per forward call of predict_ratings, and so the most rows a batch
@@ -361,7 +337,7 @@ def finetune(
     # validation_kendall is looked up at each call, so a rebinding of the module
     # global (bench/layers.py times it that way) sees every evaluation.
     return _fit(
-        params, config, len(train_set), packed.batch, "supervised",
+        params, config, len(train_set), packed.batch,
         lambda working: validation_kendall(working, validation_set, vocab), maximize=True,
     )
 

@@ -51,7 +51,7 @@ from pairscore.text import (
 )
 from pairscore.training import TrainConfig, predict_ratings, predict_records
 
-from test_encoder import make_pairs, max_relative_fd_error, signal_targets_for
+from test_encoder import make_pairs, max_relative_fd_error, signal_targets_for, with_tasks
 from test_metrics import oracle_bleu, oracle_rouge, oracle_soft_overlap, random_pair
 from test_stats import oracle_pair_walk, random_instance
 
@@ -132,7 +132,7 @@ GRAD_CORPUS = ["the cat sat on the mat".split(), "a dog ran to the rug".split()]
 
 
 def test_c4_gradient_check():
-    """Analytic gradients vs central differences (h=1e-4) < 1e-4 for all selectors."""
+    """Analytic gradients vs central differences (h=1e-4) < 1e-4 for every loss head."""
     start = time.monotonic()
     vocab = Vocabulary.build(GRAD_CORPUS, min_count=1)
     config = EncoderConfig(
@@ -141,19 +141,18 @@ def test_c4_gradient_check():
     )
     params = init_model(config)
     pairs = make_pairs(vocab, [("the cat sat", "a dog")])
-    batch = build_batch(
-        pairs, vocab, ratings=[0.8], signal_targets=signal_targets_for(params.tasks, 1, seed=5)
-    )
+    rated = build_batch(pairs, vocab, ratings=[0.8])
+    signals = build_batch(pairs, vocab, signal_targets=signal_targets_for(params.tasks, 1, seed=5))
     failures = []
-    err = max_relative_fd_error(params, batch, "supervised")
+    err = max_relative_fd_error(params, rated)
     if err >= 1e-4:
         failures.append(("supervised", err))
-    err = max_relative_fd_error(params, batch, params.tasks)
+    err = max_relative_fd_error(params, signals)
     if err >= 1e-4:
         failures.append(("mixture", err))
     for task in params.tasks:
         spec = tuple(t.with_weight(1.0 if t.name == task.name else 0.0) for t in params.tasks)
-        err = max_relative_fd_error(params, batch, spec)
+        err = max_relative_fd_error(with_tasks(params, spec), signals)
         if err >= 1e-4:
             failures.append((task.name, err))
     assert not failures, failures

@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 
@@ -8,6 +9,7 @@ from pairscore.cli import DEFAULTS, config_hash, load_config, main, render_confi
 from pairscore.demo import demo_sentences, load_demo_ratings_path
 from pairscore.encoder import EncoderConfig, init_model, load_checkpoint, save_checkpoint
 from pairscore.errors import UsageError
+from pairscore.signals import TASK_NAMES
 from pairscore.text import RatingRecord, read_rating_records
 from pairscore.training import params_digest
 
@@ -644,6 +646,24 @@ class TestMalformedArtifacts:
         err = self.assert_data_error(capsys, rc, bad, out, 3)
         assert "task 'bleu' has non-finite values" in err
 
+    @pytest.mark.parametrize("command", ["pretrain", "ablate"])
+    def test_signals_header_without_stats(self, chain, tmp_path, capsys, command):
+        lines = chain["signals.jsonl"].read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        header["normalization"] = None
+        lines[0] = json.dumps(header, sort_keys=True)
+        bad = tmp_path / "nostats.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        ratings = [load_demo_ratings_path()] if command == "ablate" else []
+        capsys.readouterr()
+        rc = run_cli(*FAST_SETTINGS, command, bad, chain["vocab.json"], *ratings, out)
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert len(err.splitlines()) == 1, err
+        assert f"{bad}: header lacks normalization stats" in err
+        assert not out.exists()
+
 
 def _drop_bleu_head(tensors):
     del tensors["head.bleu.w"]
@@ -910,6 +930,18 @@ class TestMalformedRatings:
         assert (f"{ratings}:{lineno}:" if lineno else str(ratings)) in err
         assert not any(path.exists() for path in outputs)
 
+    def test_empty_rating_column(self, chain, tmp_path, capsys):
+        ratings = tmp_path / "r.tsv"
+        ratings.write_text(RATED_LINE + "s1\tthe cat\tthe cat\t\n", encoding="utf-8")
+        argv, outputs = self.argv("finetune", ratings, chain, tmp_path)
+        capsys.readouterr()
+        rc = run_cli(*FAST_SETTINGS, *argv)
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert len(err.splitlines()) == 1, err
+        assert f"{ratings}:2: missing rating" in err
+        assert not any(path.exists() for path in outputs)
+
 
 class TestPredictBatching:
     """predict shares batches between records and writes what per-record scoring writes."""
@@ -951,6 +983,19 @@ class TestPredictBatching:
                        for r, score in zip(records, reference_predict_records(params, records, vocab)))
         assert out.read_bytes() == want.encode("utf-8")
 
+    def test_unrated_tsv(self, setup, tmp_path, capsys):
+        # the README's three-column TSV: source_id, reference, candidate
+        ckpt, params, vocab, sentences = setup
+        records = [RatingRecord(f"s{i}", (sentences[i],), sentences[i + 1], None) for i in range(12)]
+        ratings = tmp_path / "r.tsv"
+        ratings.write_text("".join(f"{r.source_id}\t{r.references[0]}\t{r.candidate}\n" for r in records),
+                           encoding="utf-8")
+        out = tmp_path / "preds.tsv"
+        assert run_cli("predict", ckpt, ratings, out) == 0
+        want = "".join(f"{r.source_id}\t{score!r}\n"
+                       for r, score in zip(records, reference_predict_records(params, records, vocab)))
+        assert out.read_bytes() == want.encode("utf-8")
+
     def test_record_wider_than_max_seq_len(self, setup, tmp_path, capsys):
         ckpt, _, _, sentences = setup
         long_candidate = " ".join(sentences[:6])
@@ -966,3 +1011,20 @@ class TestPredictBatching:
         assert len(err.splitlines()) == 1, err
         assert "exceeds max_seq_len 40" in err
         assert not out.exists()
+
+
+class TestAblate:
+    """ablate end to end: a header and one row per task, byte-identical on a rerun."""
+
+    @pytest.mark.parametrize("mode", ["single-task", "leave-one-out"])
+    def test_rows_and_rerun(self, chain, tmp_path, capsys, mode):
+        outs = [tmp_path / "first.csv", tmp_path / "second.csv"]
+        for out in outs:
+            rc = run_cli(*FAST_SETTINGS, "--set", "max_seq_len=64", "ablate", chain["signals.jsonl"],
+                         chain["vocab.json"], load_demo_ratings_path(), out, "--mode", mode)
+            assert rc == 0
+        rows = list(csv.reader(outs[0].read_text(encoding="utf-8").splitlines()))
+        assert rows[0] == ["task", "mode", "active_tasks", "kendall", "delta_vs_no_pretraining", "error"]
+        assert [row[:2] for row in rows[1:]] == [[name, mode] for name in TASK_NAMES]
+        assert all(row[5] == "" and np.isfinite(float(row[3])) for row in rows[1:])
+        assert outs[0].read_bytes() == outs[1].read_bytes()

@@ -7,6 +7,7 @@ from encoder_oracle import reference_forward, reference_gradients
 from pairscore.encoder import (
     Batch,
     EncoderConfig,
+    ModelParams,
     build_batch,
     forward,
     gradients,
@@ -227,14 +228,19 @@ class TestLosses:
 # ---------------------------------------------------------------------------
 
 
-def loss_only(params, batch, loss_spec):
+def loss_only(params, batch):
     result = forward(params, batch)
-    if loss_spec == "supervised":
+    if batch.ratings is not None:
         return supervised_loss(result.ratings, batch.ratings)
-    return pretrain_loss(result.task_outputs, batch.signal_targets, loss_spec)
+    return pretrain_loss(result.task_outputs, batch.signal_targets, params.tasks)
 
 
-def max_relative_fd_error(params, batch, loss_spec, h=1e-4):
+def with_tasks(params, tasks):
+    """``params`` with another task table over the same tensors."""
+    return ModelParams(params.config, tasks, params.tensors)
+
+
+def max_relative_fd_error(params, batch, h=1e-4):
     """Max over parameter tensors of ||analytic - central-difference|| / ||gradient||.
 
     Norm-relative per tensor: robust to individual near-saddle coordinates
@@ -242,7 +248,7 @@ def max_relative_fd_error(params, batch, loss_spec, h=1e-4):
     true gradient, while still catching any structural backward-pass bug
     (those corrupt whole tensors, not single entries).
     """
-    _, analytic = gradients(params, batch, loss_spec)
+    _, analytic = gradients(params, batch)
     worst = 0.0
     for name, arr in params.tensors.items():
         fd = np.zeros_like(arr)
@@ -251,9 +257,9 @@ def max_relative_fd_error(params, batch, loss_spec, h=1e-4):
             idx = it.multi_index
             orig = arr[idx]
             arr[idx] = orig + h
-            up = loss_only(params, batch, loss_spec)
+            up = loss_only(params, batch)
             arr[idx] = orig - h
-            down = loss_only(params, batch, loss_spec)
+            down = loss_only(params, batch)
             arr[idx] = orig
             fd[idx] = (up - down) / (2 * h)
             it.iternext()
@@ -265,56 +271,51 @@ def max_relative_fd_error(params, batch, loss_spec, h=1e-4):
 
 @pytest.fixture
 def grad_setup(vocab, tiny_config):
+    """A model, a rated batch and a batch of signal targets over the same pair."""
     params = init_model(tiny_config)
     pairs = make_pairs(vocab, [("the cat sat", "a dog")])
-    rng = np.random.default_rng(9)
-    batch = build_batch(
-        pairs,
-        vocab,
-        ratings=[0.8],
-        signal_targets=signal_targets_for(params.tasks, 1, seed=5),
-    )
-    return params, batch
+    rated = build_batch(pairs, vocab, ratings=[0.8])
+    signals = build_batch(pairs, vocab, signal_targets=signal_targets_for(params.tasks, 1, seed=5))
+    return params, rated, signals
 
 
 class TestGradients:
     def test_supervised_gradient_check(self, grad_setup):
-        params, batch = grad_setup
-        assert max_relative_fd_error(params, batch, "supervised") < 1e-4
+        params, rated, _ = grad_setup
+        assert max_relative_fd_error(params, rated) < 1e-4
 
     def test_full_mixture_gradient_check(self, grad_setup):
-        params, batch = grad_setup
-        assert max_relative_fd_error(params, batch, params.tasks) < 1e-4
+        params, _, signals = grad_setup
+        assert max_relative_fd_error(params, signals) < 1e-4
 
     def test_single_task_gradient_checks(self, grad_setup):
-        params, batch = grad_setup
+        params, _, signals = grad_setup
         for task in params.tasks:
             spec = tuple(
                 t.with_weight(1.0 if t.name == task.name else 0.0) for t in params.tasks
             )
-            assert max_relative_fd_error(params, batch, spec) < 1e-4, task.name
+            assert max_relative_fd_error(with_tasks(params, spec), signals) < 1e-4, task.name
 
     def test_dead_path_gradient_exactly_zero(self, grad_setup):
-        params, batch = grad_setup
+        params, _, signals = grad_setup
         spec = tuple(
             t.with_weight(0.0 if t.name == "rouge" else t.weight) for t in params.tasks
         )
-        _, grads = gradients(params, batch, spec)
+        _, grads = gradients(with_tasks(params, spec), signals)
         assert np.all(grads["head.rouge.w"] == 0.0)
         assert np.all(grads["head.rouge.b"] == 0.0)
 
     def test_supervised_leaves_task_heads_untouched(self, grad_setup):
-        params, batch = grad_setup
-        _, grads = gradients(params, batch, "supervised")
+        params, rated, _ = grad_setup
+        _, grads = gradients(params, rated)
         for task in params.tasks:
             assert np.all(grads[f"head.{task.name}.w"] == 0.0)
 
     def test_doubling_weights_doubles_gradients(self, grad_setup):
-        params, batch = grad_setup
-        base_spec = params.tasks
+        params, _, signals = grad_setup
         double_spec = tuple(t.with_weight(2.0 * t.weight) for t in params.tasks)
-        loss1, g1 = gradients(params, batch, base_spec)
-        loss2, g2 = gradients(params, batch, double_spec)
+        loss1, g1 = gradients(params, signals)
+        loss2, g2 = gradients(with_tasks(params, double_spec), signals)
         assert loss2 == pytest.approx(2.0 * loss1, rel=1e-12)
         for name in g1:
             np.testing.assert_allclose(g2[name], 2.0 * g1[name], atol=1e-12)
@@ -323,11 +324,11 @@ class TestGradients:
         params = init_model(tiny_config)
         pairs = make_pairs(vocab, [("the cat sat on", "a dog"), ("the", "a")])
         batch = build_batch(pairs, vocab, ratings=[0.1, -0.4])
-        _, grads = gradients(params, batch, "supervised")
+        _, grads = gradients(params, batch)
         assert np.all(grads["tok_emb"][vocab.pad_id] == 0.0)
 
     def test_non_finite_input_identifies_layer(self, grad_setup):
-        params, batch = grad_setup
+        params, batch, _ = grad_setup
         params.tensors["layer0.w1"][:] = np.inf
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError) as info:
@@ -347,16 +348,15 @@ class TestPaddedBatches:
         pairs = make_pairs(
             vocab, [("the cat sat on the mat", "a dog ran"), ("the", "a"), ("a dog", "the cat sat")]
         )
-        batch = build_batch(
-            pairs, vocab, ratings=[0.8, -0.3, 0.1],
-            signal_targets=signal_targets_for(params.tasks, 3, seed=6),
-        )
-        assert batch.mask.sum(axis=1).tolist() == [12, 5, 8]
-        assert max_relative_fd_error(params, batch, "supervised") < 1e-4
-        assert max_relative_fd_error(params, batch, params.tasks) < 1e-4
+        rated = build_batch(pairs, vocab, ratings=[0.8, -0.3, 0.1])
+        signals = build_batch(pairs, vocab, signal_targets=signal_targets_for(params.tasks, 3, seed=6))
+        assert rated.mask.sum(axis=1).tolist() == [12, 5, 8]
+        assert max_relative_fd_error(params, rated) < 1e-4
+        assert max_relative_fd_error(params, signals) < 1e-4
 
     @staticmethod
-    def random_batch(rng, lengths, vocab_size, tasks):
+    def random_batches(rng, lengths, vocab_size, tasks):
+        """A rated batch and a batch of signal targets over the same random rows."""
         width = max(lengths)
         ids = np.zeros((len(lengths), width), dtype=np.int64)
         segments = np.zeros_like(ids)
@@ -365,10 +365,9 @@ class TestPaddedBatches:
             ids[i, :n] = rng.integers(2, vocab_size, n)
             segments[i, n // 2 : n] = 1
             mask[i, :n] = 1.0
-        return Batch(
-            ids, segments, mask, ratings=rng.normal(size=len(lengths)),
-            signal_targets=signal_targets_for(tasks, len(lengths), seed=int(rng.integers(100))),
-        )
+        rated = Batch(ids, segments, mask, ratings=rng.normal(size=len(lengths)))
+        targets = signal_targets_for(tasks, len(lengths), seed=int(rng.integers(100)))
+        return rated, Batch(ids, segments, mask, signal_targets=targets)
 
     @pytest.mark.parametrize("dropout", [0.0, 0.1])
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
@@ -381,17 +380,17 @@ class TestPaddedBatches:
         rng = np.random.default_rng(n_layers)
         # Widths below and above the sizes where BLAS switches kernels.
         for lengths in ([3, 3], [12, 5, 9], [34, *rng.integers(3, 34, 31)], [61, 20, 7, 40]):
-            batch = self.random_batch(rng, lengths, config.vocab_size, params.tasks)
-            fwd = forward(params, batch)
-            cls, task_outputs, ratings, _ = reference_forward(params, batch)
+            rated, signals = self.random_batches(rng, lengths, config.vocab_size, params.tasks)
+            fwd = forward(params, rated)
+            cls, task_outputs, ratings, _ = reference_forward(params, rated)
             np.testing.assert_array_equal(fwd.cls, cls)
             np.testing.assert_array_equal(fwd.ratings, ratings)
             for name, out in task_outputs.items():
                 np.testing.assert_array_equal(fwd.task_outputs[name], out)
-            for spec in ("supervised", params.tasks):
+            for batch, spec in ((rated, "supervised"), (signals, params.tasks)):
                 train = dropout > 0.0
                 loss, grads = gradients(
-                    params, batch, spec, train=train, rng=np.random.default_rng(7) if train else None
+                    params, batch, train=train, rng=np.random.default_rng(7) if train else None
                 )
                 want_loss, want = reference_gradients(
                     params, batch, spec, rng=np.random.default_rng(7) if train else None

@@ -22,7 +22,6 @@ from pairscore.text import (
 from pairscore.training import (
     AdamOptimizer,
     TrainConfig,
-    _BestTracker,
     finetune,
     params_digest,
     predict_ratings,
@@ -245,7 +244,7 @@ class TestDivergence:
         bad = min(set(range(len(dataset))) - first)
         ex, vec = dataset[bad]
         blocks = {t.name: [1e200] if t.name == "bleu" else vec[t.name] for t in default_task_specs()}
-        dataset[bad] = (ex, SignalVector(blocks, normalized=True))
+        dataset[bad] = (ex, SignalVector(blocks))
         with pytest.raises(TrainingDiverged) as info:
             pretrain(init_model(encoder_config), dataset, config, vocab)
         assert info.value.step == 1
@@ -253,27 +252,50 @@ class TestDivergence:
 
 
 class TestBestTracker:
-    def test_argmax_rule_keeps_earliest_best(self):
-        tracker = _BestTracker(maximize=True)
-        params = init_model(EncoderConfig(vocab_size=10, d_model=8, n_layers=1, n_heads=2, d_ff=8, max_seq_len=8))
-        for step, tau in [(1, 0.1), (2, 0.3), (3, 0.2)]:
-            tracker.offer(step, tau, params)
-        assert tracker.record.step == 2
-        assert tracker.record.metric == 0.3
+    """_fit evaluates every ``eval_every`` steps and after the last, and returns
+    the parameters of its best evaluation, the earliest on a tie.
 
-    def test_minimize_mode(self):
-        tracker = _BestTracker(maximize=False)
-        params = init_model(EncoderConfig(vocab_size=10, d_model=8, n_layers=1, n_heads=2, d_ff=8, max_seq_len=8))
-        for step, loss in [(1, 1.0), (2, 0.5), (3, 0.8)]:
-            tracker.offer(step, loss, params)
-        assert tracker.record.step == 2
+    ``evaluate`` answers from a script; the parameters after step k are
+    those a k-step run ends with, so a shorter run names the step kept.
+    """
 
-    def test_tie_keeps_earliest(self):
-        tracker = _BestTracker(maximize=True)
-        params = init_model(EncoderConfig(vocab_size=10, d_model=8, n_layers=1, n_heads=2, d_ff=8, max_seq_len=8))
-        tracker.offer(1, 0.3, params)
-        tracker.offer(2, 0.3, params)
-        assert tracker.record.step == 1
+    @staticmethod
+    def fit(vocab, encoder_config, metrics, maximize, total_steps=None, eval_every=1):
+        data = rated_dataset(vocab, n=20)
+        packed = PackedPairs([ex.pair for ex in data], vocab, ratings=[ex.rating for ex in data])
+        config = TrainConfig(
+            total_steps=total_steps or len(metrics), eval_every=eval_every, batch_size=8,
+            learning_rate=1e-3, seed=3,
+        )
+        scripted = iter(metrics)
+        params, history = training._fit(
+            init_model(encoder_config), config, len(data), packed.batch,
+            lambda _: next(scripted), maximize,
+        )
+        assert [p.metric for p in history] == metrics
+        return params_digest(params), [p.step for p in history]
+
+    def kept(self, vocab, encoder_config, metrics, maximize):
+        return self.fit(vocab, encoder_config, metrics, maximize)[0]
+
+    def test_argmax_rule_keeps_earliest_best(self, vocab, encoder_config):
+        kept = self.kept(vocab, encoder_config, [0.1, 0.3, 0.2], maximize=True)
+        assert kept == self.kept(vocab, encoder_config, [0.1, 0.3], maximize=True)
+        assert kept != self.kept(vocab, encoder_config, [0.1, 0.2, 0.3], maximize=True)
+
+    def test_minimize_mode(self, vocab, encoder_config):
+        kept = self.kept(vocab, encoder_config, [1.0, 0.5, 0.8], maximize=False)
+        assert kept == self.kept(vocab, encoder_config, [1.0, 0.5], maximize=False)
+        assert kept != self.kept(vocab, encoder_config, [1.0, 0.8, 0.5], maximize=False)
+
+    def test_tie_keeps_earliest(self, vocab, encoder_config):
+        kept = self.kept(vocab, encoder_config, [0.3, 0.3], maximize=True)
+        assert kept == self.kept(vocab, encoder_config, [0.3], maximize=True)
+        assert kept != self.kept(vocab, encoder_config, [0.2, 0.3], maximize=True)
+
+    def test_last_step_is_evaluated_when_eval_every_does_not_divide(self, vocab, encoder_config):
+        _, steps = self.fit(vocab, encoder_config, [0.1, 0.2, 0.3], True, total_steps=10, eval_every=4)
+        assert steps == [4, 8, 10]
 
 
 class TestSetTaskWeights:

@@ -14,7 +14,7 @@ import numpy as np
 
 from pairscore.encoder import build_batch, forward, gradients, pretrain_loss
 from pairscore.text import SentencePair
-from pairscore.training import EvalPoint, _BestTracker, _EpochSampler, _eval_steps, validation_kendall
+from pairscore.training import EvalPoint, _EpochSampler, _eval_steps, validation_kendall
 
 
 def _adam_step(params, grads, m, v, t, cfg):
@@ -27,7 +27,7 @@ def _adam_step(params, grads, m, v, t, cfg):
         params.tensors[name] -= cfg.learning_rate * (m[name] / c1) / (np.sqrt(v[name] / c2) + cfg.adam_eps)
 
 
-def _fit(params, config, n, batch_at, loss_spec, evaluate, maximize):
+def _fit(params, config, n, batch_at, evaluate, maximize):
     working = params.copy()
     history = []
     if config.total_steps == 0:
@@ -37,17 +37,18 @@ def _fit(params, config, n, batch_at, loss_spec, evaluate, maximize):
     sampler = _EpochSampler(n, config.batch_size, config.seed)
     dropout_rng = np.random.default_rng((config.seed, 1))
     eval_at = set(_eval_steps(config.total_steps, config.eval_every))
-    tracker = _BestTracker(maximize)
+    evaluated = []  # (metric, params) at each evaluation
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, config.total_steps + 1):
             batch = batch_at(sampler.next_indices())
-            _, grads = gradients(working, batch, loss_spec, train=True, rng=dropout_rng)
+            _, grads = gradients(working, batch, train=True, rng=dropout_rng)
             _adam_step(working, grads, m, v, step, config)
             if step in eval_at:
                 metric = evaluate(working)
                 history.append(EvalPoint(step, metric))
-                tracker.offer(step, metric, working)
-    return tracker.record.params, history
+                evaluated.append((metric, working.copy()))
+    # max and min return the first of equal metrics: a tie keeps the earliest.
+    return (max if maximize else min)(evaluated, key=lambda e: e[0])[1], history
 
 
 def _batch(pairs, vocab, idx, ratings=None, targets=None):
@@ -75,7 +76,7 @@ def reference_pretrain(params, dataset, config, vocab):
 
     return _fit(
         params, config, len(dataset), lambda idx: _batch(pairs, vocab, idx, targets=targets),
-        tasks, full_loss, maximize=False,
+        full_loss, maximize=False,
     )
 
 
@@ -84,5 +85,5 @@ def reference_finetune(params, train_set, validation_set, config, vocab):
     ratings = [ex.rating for ex in train_set]
     return _fit(
         params, config, len(train_set), lambda idx: _batch(pairs, vocab, idx, ratings=ratings),
-        "supervised", lambda working: validation_kendall(working, validation_set, vocab), maximize=True,
+        lambda working: validation_kendall(working, validation_set, vocab), maximize=True,
     )
