@@ -55,9 +55,11 @@ from .text import (
     read_lines,
     read_rating_records,
     read_text,
+    record_pairs,
     split_no_leak,
     split_tokens,
     tokenize,
+    unk_summary,
     write_rating_records,
 )
 from .training import (
@@ -406,6 +408,7 @@ def cmd_finetune(args, config) -> int:
     _save_stage(args, chash, "finetune", params, vocab, train_config.total_steps, history)
     best = max((h.metric for h in history), default=float("nan"))
     print(f"config-hash: {chash}")
+    print(unk_summary((ex.pair for ex in examples), vocab))
     print(
         f"fine-tuned {train_config.total_steps} steps on {len(train)} examples; "
         f"best validation kendall {best:.4f} -> {args.out}"
@@ -417,7 +420,8 @@ def cmd_predict(args, config) -> int:
     chash = config_hash(config)
     params, vocab, _ = _load_params(args.checkpoint)
     records, _ = read_rating_records(args.input, _ratings_format(args.input), require_rating=False)
-    scores = predict_records(params, records, vocab, config["batch_size"])
+    tokenized = record_pairs(records, vocab)
+    scores = predict_records(params, tokenized, vocab, config["batch_size"])
     rows = [(record.source_id, float(score)) for record, score in zip(records, scores)]
 
     def write(p: Path):
@@ -426,6 +430,7 @@ def cmd_predict(args, config) -> int:
 
     _atomic_write(Path(args.out), write)
     print(f"config-hash: {chash}")
+    print(unk_summary((pair for pairs in tokenized for pair in pairs), vocab))
     print(f"predicted {len(rows)} records -> {args.out}")
     return 0
 
@@ -510,6 +515,7 @@ def cmd_ablate(args, config) -> int:
     )
     _atomic_write(Path(args.out), lambda p: ablation_to_csv(rows, p))
     print(f"config-hash: {chash}")
+    print(unk_summary((ex.pair for ex in examples), vocab))
     for row in rows:
         if row.error:
             print(f"  {row.name}: ERROR {row.error}")

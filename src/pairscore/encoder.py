@@ -41,7 +41,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import DataError, NumericError
 from .signals import REGRESSION, TaskSpec, default_task_specs
@@ -258,7 +257,14 @@ def _layer_norm_backward(dout, g, cache, real):
 
 
 def _gelu(x, real):
-    """GELU of the real rows of ``x``, and those rows with their CDF for the backward pass."""
+    """GELU of the real rows of ``x``, and those rows with their CDF for the backward pass.
+
+    scipy is imported here, not with the module, so that commands which never
+    run the encoder do not pay for ``scipy.special``, the slowest import of the
+    package (``math.erf`` would round differently).
+    """
+    from scipy.special import erf
+
     rows = _take_rows(x, real)
     cdf = 0.5 * (1.0 + erf(rows / math.sqrt(2.0)))
     return _put_rows(rows * cdf, real, x.shape), (rows, cdf)

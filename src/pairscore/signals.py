@@ -460,7 +460,8 @@ def read_signals(
 ) -> tuple[list[tuple[SyntheticExample, SignalVector]], NormalizationStats, dict]:
     """The pairs, normalization stats and header of a signals file.
 
-    A header without stats raises DataError naming the file.
+    A header without stats, or a file without records, raises DataError
+    naming the file.
     """
     def parse(obj: dict) -> tuple[SyntheticExample, SignalVector]:
         return example_from_record(obj, vocab), SignalVector(obj["signals"])
@@ -470,4 +471,6 @@ def read_signals(
         stats = NormalizationStats.from_json_dict(header["normalization"])
     except (KeyError, TypeError, ValueError):
         raise DataError(f"{path}: header lacks normalization stats; run compute-signals") from None
+    if not pairs:
+        raise DataError(f"no signal records in {path}")
     return pairs, stats, header

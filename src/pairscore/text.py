@@ -255,6 +255,36 @@ class IngestResult:
     examples: list[RatedExample]
 
 
+def record_pairs(records: Sequence[RatingRecord], vocab: Vocabulary) -> list[list[SentencePair]]:
+    """Each record's (reference, candidate) pairs, one per reference.
+
+    Each distinct string is tokenized once.
+    """
+    tokens: dict[str, TokenSeq] = {}
+
+    def tokenized(s: str) -> TokenSeq:
+        if s not in tokens:
+            tokens[s] = tokenize(s, vocab)
+        return tokens[s]
+
+    out = []
+    for record in records:
+        candidate = tokenized(record.candidate)
+        out.append([SentencePair(tokenized(ref), candidate) for ref in record.references])
+    return out
+
+
+def unk_summary(pairs: Iterable[SentencePair], vocab: Vocabulary) -> str:
+    """One line saying how many tokens of ``pairs`` read as [unk] under ``vocab``."""
+    unk_id, unk, total = vocab.unk_id, 0, 0
+    for pair in pairs:
+        for seq in (pair.reference, pair.candidate):
+            unk += seq.ids.count(unk_id)
+            total += len(seq)
+    share = 100.0 * unk / total if total else 0.0
+    return f"{UNK}: {unk} of {total} rating tokens ({share:.1f}%)"
+
+
 def _tsv_record(line: str, require_rating: bool, header: dict) -> RatingRecord | None:
     if line.startswith("#"):
         if "raw-scores" in line:
@@ -345,16 +375,11 @@ def ingest_ratings(path: str | Path, fmt: str, vocab: Vocabulary) -> IngestResul
         if std == 0.0:
             raise DataError("raw-scores file has constant ratings; cannot standardize")
         ratings = list((arr - arr.mean()) / std)
-    examples = []
-    for record, rating in zip(records, ratings):
-        for ref in record.references:
-            examples.append(
-                RatedExample(
-                    pair=SentencePair(tokenize(ref, vocab), tokenize(record.candidate, vocab)),
-                    rating=float(rating),
-                    source_id=record.source_id,
-                )
-            )
+    examples = [
+        RatedExample(pair=pair, rating=float(rating), source_id=record.source_id)
+        for record, rating, pairs in zip(records, ratings, record_pairs(records, vocab))
+        for pair in pairs
+    ]
     return IngestResult(examples=examples)
 
 

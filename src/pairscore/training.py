@@ -38,7 +38,7 @@ from .errors import DataError, NumericError, TrainingDiverged
 from .signals import WEIGHT_GROUPS, TaskSpec, SignalVector, default_task_specs
 from .stats import kendall_pairwise
 from .synth import SyntheticExample
-from .text import RatedExample, RatingRecord, SentencePair, TokenSeq, Vocabulary, tokenize
+from .text import RatedExample, SentencePair, Vocabulary
 
 
 @dataclass(frozen=True)
@@ -255,31 +255,24 @@ def predict_ratings(
 
 
 def predict_records(
-    params: ModelParams, records: Sequence[RatingRecord], vocab: Vocabulary, batch_size: int
+    params: ModelParams, records: Sequence[Sequence[SentencePair]], vocab: Vocabulary, batch_size: int
 ) -> np.ndarray:
-    """Each record's score: the max predicted rating over its references.
+    """Each record's score: the max predicted rating over its (reference, candidate) pairs.
 
-    Bit-identical to ``predict_ratings`` on one record's references at a
+    ``records`` holds each record's pairs, as ``text.record_pairs`` makes
+    them.  Bit-identical to ``predict_ratings`` on one record's pairs at a
     time, then ``max``.  The encoder gives a row the same bits in any batch
     of the same width, but padding it to a wider batch changes them, and so
     does the number of rows in the rating head's product.  So records of
     equal width (the longest packed pair of the record, the width it pads to
     alone) share batches of whole records, at most ``batch_size`` rows, and
     the head runs on each record's rows alone.  A record too large for one
-    batch is scored alone by ``predict_ratings``.  Each distinct string is
-    tokenized once.
+    batch is scored alone by ``predict_ratings``.
     """
     if batch_size < 1:
         raise DataError("batch_size must be >= 1")
     # predict_ratings cuts more than PREDICT_CHUNK examples into chunks of their own width
     limit = min(batch_size, PREDICT_CHUNK)
-    tokens: dict[str, TokenSeq] = {}
-
-    def tokenized(s: str) -> TokenSeq:
-        if s not in tokens:
-            tokens[s] = tokenize(s, vocab)
-        return tokens[s]
-
     scores = np.empty(len(records))
 
     def run(batch: list[tuple[int, list[SentencePair]]]) -> None:
@@ -290,11 +283,10 @@ def predict_records(
             start += len(pairs)
 
     open_batches: dict[int, list[tuple[int, list[SentencePair]]]] = {}  # by width
-    for i, record in enumerate(records):
-        candidate = tokenized(record.candidate)
-        pairs = [SentencePair(tokenized(ref), candidate) for ref in record.references]
+    for i, pairs in enumerate(records):
         if len(pairs) > limit:
-            examples = [RatedExample(pair, 0.0, record.source_id) for pair in pairs]
+            # predict_ratings reads only the pairs; the rating and id are placeholders
+            examples = [RatedExample(pair, 0.0, str(i)) for pair in pairs]
             scores[i] = predict_ratings(params, examples, vocab).max()
             continue
         batch = open_batches.setdefault(max(len(pack_pair(p, vocab)[0]) for p in pairs), [])

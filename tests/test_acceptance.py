@@ -46,6 +46,7 @@ from pairscore.text import (
     SentencePair,
     TokenSeq,
     Vocabulary,
+    record_pairs,
     split_no_leak,
     tokenize,
 )
@@ -331,7 +332,8 @@ def test_c9_multireference_invariant():
         cand_words = sentences[int(rng.integers(0, len(sentences)))].split()
         keep = int(rng.integers(1, len(cand_words) + 1))
         records.append(RatingRecord(f"s{i}", refs, " ".join(cand_words[:keep]), None))
-    scores = predict_records(params, records, vocab, batch_size=32)  # one call, batches shared
+    # one call, batches shared
+    scores = predict_records(params, record_pairs(records, vocab), vocab, batch_size=32)
     for record, best in zip(records, scores):
         candidate = tokenize(record.candidate, vocab)
         per_ref = predict_ratings(params, [

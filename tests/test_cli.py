@@ -10,7 +10,7 @@ from pairscore.demo import demo_sentences, load_demo_ratings_path
 from pairscore.encoder import EncoderConfig, init_model, load_checkpoint, save_checkpoint
 from pairscore.errors import UsageError
 from pairscore.signals import TASK_NAMES
-from pairscore.text import RatingRecord, read_rating_records
+from pairscore.text import RatingRecord, Vocabulary, read_rating_records, split_tokens
 from pairscore.training import params_digest
 
 from predict_oracle import reference_predict_records
@@ -815,6 +815,63 @@ class TestTextInputs:
         assert not (tmp_path / "out").exists() and not (tmp_path / "other").exists()
 
 
+def _malformed_input_case(name, chain, tmp_path):
+    """(argv, exit code, text the message names) of one case; the command would write ``out``."""
+    bad, out, other = tmp_path / "bad", tmp_path / "out", tmp_path / "other"
+    pairs_header, signals_header = (
+        chain[artifact].read_text(encoding="utf-8").splitlines()[0] + "\n"
+        for artifact in ("pairs.jsonl", "signals.jsonl")
+    )
+    gen_pairs = ["gen-pairs", chain["corpus.txt"], out, "--vocab-out", other]
+    cases = {
+        "gen-pairs-empty-corpus": ("", ["gen-pairs", bad, out, "--vocab-out", other], 3, str(bad)),
+        "gen-pairs-blank-corpus": ("\n  \n\n", ["gen-pairs", bad, out, "--vocab-out", other], 3, str(bad)),
+        "compute-signals-empty-pairs": (
+            "", ["compute-signals", bad, chain["vocab.json"], out], 3, str(bad)),
+        "compute-signals-header-only-pairs": (
+            pairs_header, ["compute-signals", bad, chain["vocab.json"], out], 3, str(bad)),
+        "compute-signals-empty-vocab": (
+            "", ["compute-signals", chain["pairs.jsonl"], bad, out], 3, str(bad)),
+        "compute-signals-list-vocab": (
+            "[1, 2]", ["compute-signals", chain["pairs.jsonl"], bad, out], 3, str(bad)),
+        "pretrain-pairs-as-signals": (
+            None, ["pretrain", chain["pairs.jsonl"], chain["vocab.json"], out], 3,
+            f"{chain['pairs.jsonl']}:1:"),
+        "pretrain-header-only-signals": (
+            signals_header, ["pretrain", bad, chain["vocab.json"], out], 3,
+            f"data error: no signal records in {bad}\n"),
+        "ablate-header-only-signals": (
+            signals_header, ["ablate", bad, chain["vocab.json"], load_demo_ratings_path(), out], 3,
+            f"data error: no signal records in {bad}\n"),
+        "config-missing": (None, ["--config", bad, *gen_pairs], 2, str(bad)),
+        "config-bad-value": ("seed = abc\n", ["--config", bad, *gen_pairs], 2, "'abc'"),
+    }
+    content, argv, code, named = cases[name]
+    if content is not None:
+        bad.write_text(content, encoding="utf-8")
+    return argv, code, named
+
+
+class TestMalformedInputs:
+    """Empty, header-only and wrong-schema inputs exit 2 or 3 with one line, writing nothing."""
+
+    @pytest.mark.parametrize("name", [
+        "gen-pairs-empty-corpus", "gen-pairs-blank-corpus", "compute-signals-empty-pairs",
+        "compute-signals-header-only-pairs", "compute-signals-empty-vocab",
+        "compute-signals-list-vocab", "pretrain-pairs-as-signals", "pretrain-header-only-signals",
+        "ablate-header-only-signals", "config-missing", "config-bad-value",
+    ])
+    def test_one_line_and_no_output(self, chain, tmp_path, capsys, name):
+        argv, code, named = _malformed_input_case(name, chain, tmp_path)
+        capsys.readouterr()
+        rc = run_cli(*FAST_SETTINGS, *argv)
+        err = capsys.readouterr().err
+        assert rc == code
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+        assert named in err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "other").exists()
+
+
 GOOD_RECORD = {"source_id": "s0", "references": ["the cat sat"], "candidate": "the cat", "rating": 1.0}
 BAD_RECORDS = {
     "non-object": [1, 2],
@@ -1028,3 +1085,36 @@ class TestAblate:
         assert [row[:2] for row in rows[1:]] == [[name, mode] for name in TASK_NAMES]
         assert all(row[5] == "" and np.isfinite(float(row[3])) for row in rows[1:])
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+class TestUnkSummary:
+    """finetune, predict and ablate say how many rating tokens the vocabulary misses."""
+
+    @pytest.fixture(scope="class")
+    def setup(self, chain, tmp_path_factory):
+        """An untrained checkpoint of the 10-sentence vocabulary, and 40 demo ratings."""
+        work = tmp_path_factory.mktemp("unk")
+        ckpt, ratings = work / "m.ckpt", work / "ratings.tsv"
+        assert run_cli(*FAST_SETTINGS, "--set", "max_seq_len=64", "--set", "pretrain_steps=0",
+                       "pretrain", chain["signals.jsonl"], chain["vocab.json"], ckpt) == 0
+        lines = load_demo_ratings_path().read_text(encoding="utf-8").splitlines()[:40]
+        ratings.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        vocab = Vocabulary.load(chain["vocab.json"])
+        tokens = [t for line in lines for text in line.split("\t")[1:3] for t in split_tokens(text)]
+        unk = sum(t not in vocab for t in tokens)
+        assert 0 < unk < len(tokens)
+        expected = f"[unk]: {unk} of {len(tokens)} rating tokens ({100 * unk / len(tokens):.1f}%)"
+        return ckpt, ratings, expected
+
+    @pytest.mark.parametrize("command", ["finetune", "predict", "ablate"])
+    def test_one_summary_line(self, chain, setup, tmp_path, capsys, command):
+        ckpt, ratings, expected = setup
+        out = tmp_path / "out"
+        if command == "ablate":
+            argv = [command, chain["signals.jsonl"], chain["vocab.json"], ratings, out]
+        else:
+            argv = [command, ckpt, ratings, out]
+        capsys.readouterr()
+        assert run_cli(*FAST_SETTINGS, "--set", "max_seq_len=64", *argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("[unk]")] == [expected]

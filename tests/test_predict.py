@@ -5,13 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from pairscore import training
+from pairscore import text
 from pairscore.demo import demo_sentences
 from pairscore.encoder import EncoderConfig, init_model
 from pairscore.errors import DataError
 from pairscore.experiments import build_drift_dataset
 from pairscore.synth import StubBacktranslator
-from pairscore.text import RatingRecord, Vocabulary, read_rating_records, split_tokens
+from pairscore.text import RatingRecord, Vocabulary, read_rating_records, record_pairs, split_tokens
 from pairscore.training import predict_records
 
 from predict_oracle import reference_predict_records
@@ -50,7 +50,7 @@ def random_records(vocab, n, seed, max_refs=4):
 
 
 def assert_exact(params, records, vocab, batch_size):
-    got = [float(s) for s in predict_records(params, records, vocab, batch_size)]
+    got = [float(s) for s in predict_records(params, record_pairs(records, vocab), vocab, batch_size)]
     assert got == reference_predict_records(params, records, vocab)
 
 
@@ -124,12 +124,12 @@ def test_heldout_file_like_the_score_workload(params, vocab, tmp_path, batch_siz
     assert_exact(params, records, vocab, batch_size)
 
 
-def test_each_distinct_string_tokenized_once(params, vocab, monkeypatch):
+def test_each_distinct_string_tokenized_once(vocab, monkeypatch):
     calls = []
-    tokenize = training.tokenize
-    monkeypatch.setattr(training, "tokenize", lambda s, v: calls.append(s) or tokenize(s, v))
+    tokenize = text.tokenize
+    monkeypatch.setattr(text, "tokenize", lambda s, v: calls.append(s) or tokenize(s, v))
     records = [RatingRecord(f"s{i}", ("a b", "c d", "a b"), f"e f {i}", None) for i in range(5)]
-    predict_records(params, records, vocab, 32)
+    record_pairs(records, vocab)
     assert sorted(calls) == sorted({"a b", "c d"} | {f"e f {i}" for i in range(5)})
 
 
@@ -139,4 +139,4 @@ def test_empty_input(params, vocab):
 
 def test_batch_size_must_be_positive(params, vocab):
     with pytest.raises(DataError, match="batch_size"):
-        predict_records(params, [RatingRecord("s", ("a",), "b", None)], vocab, 0)
+        predict_records(params, record_pairs([RatingRecord("s", ("a",), "b", None)], vocab), vocab, 0)
