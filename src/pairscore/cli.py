@@ -170,7 +170,10 @@ def load_config(path: str | None, overrides: Sequence[str]) -> dict:
             key = key.strip()
             if key not in DEFAULTS:
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            config[key] = _coerce(key, raw.strip())
+            try:
+                config[key] = _coerce(key, raw.strip())
+            except UsageError as exc:
+                raise UsageError(f"{path}:{lineno}: {exc}") from None
     for item in overrides:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")

@@ -708,10 +708,11 @@ def save_checkpoint(params: ModelParams, path: str | Path, meta: Mapping | None 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
     """Read a checkpoint; a damaged or inconsistent file raises DataError naming it."""
     data = Path(path).read_bytes()
+    if not data:
+        raise DataError(f"checkpoint {path}: the file is empty")
     magic = data[: len(CHECKPOINT_MAGIC)]
     if magic != CHECKPOINT_MAGIC:
-        found = f"{path}: unrecognized magic {magic!r}"
-        raise DataError(f"expected artifact schema 'checkpoint/1', found {found!r}")
+        raise DataError(f"checkpoint {path}: not a pairscore checkpoint (it starts {magic!r})")
     start = len(CHECKPOINT_MAGIC) + 4
     if len(data) < start:
         raise DataError(f"checkpoint {path}: truncated header")

@@ -14,6 +14,7 @@ and finetune() never sees signal vectors.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
@@ -152,6 +153,33 @@ def _eval_steps(total_steps: int, eval_every: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+# glibc's mallopt options (malloc.h); M_MMAP_THRESHOLD's 64-bit ceiling is 32 MiB.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20
+_heap_kept = False
+
+
+def _keep_freed_heap() -> None:
+    """Keep memory that training frees in the heap, for the rest of the process.
+
+    A training step frees numpy temporaries of up to a few MiB.  By default
+    glibc maps large blocks on their own and trims the heap top, so each
+    step hands pages back to the kernel and faults them in again (about
+    900 a step at the drift study's shapes).  Pinning the mmap threshold at
+    its ceiling and the trim threshold at twice that (glibc's own ratio)
+    keeps them in the heap for reuse.  It is process-wide, set once, and
+    does nothing where glibc's ``mallopt`` is missing or refuses a value.
+    """
+    global _heap_kept
+    if _heap_kept:
+        return
+    _heap_kept = True
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None and mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):
+        mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+
+
 def _fit(
     params: ModelParams,
     config: TrainConfig,
@@ -181,6 +209,7 @@ def _fit(
     dropout_rng = np.random.default_rng((config.seed, 1))
     eval_at = set(_eval_steps(config.total_steps, config.eval_every))
     best: tuple[float, ModelParams] | None = None
+    _keep_freed_heap()
     # Overflow is caught by the encoder's finiteness checks, not by warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, config.total_steps + 1):

@@ -678,7 +678,7 @@ def _poison_w2(tensors):
 
 
 class TestMalformedCheckpoints:
-    """A damaged checkpoint makes predict exit 3 with one line naming it."""
+    """A damaged or empty checkpoint makes predict and finetune exit 3 with one line naming it."""
 
     @pytest.fixture
     def setup(self, tmp_path):
@@ -728,6 +728,19 @@ class TestMalformedCheckpoints:
         assert rc == 3
         assert len(err.splitlines()) == 1, err
         assert str(ckpt) in err and words in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "finetune"])
+    def test_empty_checkpoint(self, setup, tmp_path, capsys, command):
+        _, _, ratings = setup
+        ckpt = tmp_path / "empty.ckpt"
+        ckpt.write_bytes(b"")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = run_cli(command, ckpt, ratings, out)
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == f"data error: checkpoint {ckpt}: the file is empty\n"
         assert not out.exists()
 
 
@@ -844,7 +857,8 @@ def _malformed_input_case(name, chain, tmp_path):
             signals_header, ["ablate", bad, chain["vocab.json"], load_demo_ratings_path(), out], 3,
             f"data error: no signal records in {bad}\n"),
         "config-missing": (None, ["--config", bad, *gen_pairs], 2, str(bad)),
-        "config-bad-value": ("seed = abc\n", ["--config", bad, *gen_pairs], 2, "'abc'"),
+        "config-bad-value": ("seed = abc\n", ["--config", bad, *gen_pairs], 2,
+                             f"{bad}:1: config key 'seed': expected an integer, got 'abc'"),
     }
     content, argv, code, named = cases[name]
     if content is not None:

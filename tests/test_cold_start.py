@@ -1,7 +1,8 @@
-"""scipy loads only when the encoder runs.
+"""scipy loads, and the allocator changes, only when the encoder runs.
 
 Each case runs a fresh interpreter and reports which ``scipy*`` modules are
-in ``sys.modules``; no timing is involved.
+in ``sys.modules``, or whether training has set the allocator; no timing is
+involved.
 """
 
 import json
@@ -36,12 +37,10 @@ def test_import_loads_no_scipy(tmp_path):
     assert got == []
 
 
-def test_commands_without_the_encoder_load_no_scipy(tmp_path):
-    (tmp_path / "corpus.txt").write_text("\n".join(demo_sentences(8, seed=3)) + "\n", encoding="utf-8")
-    rows = [f"s{i}\tthe cat sat\tthe cat sat here\t{float(5 * i)}" for i in range(20)]
-    (tmp_path / "ratings.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    (tmp_path / "preds.tsv").write_text("".join(f"s{i}\t{0.5 * i}\n" for i in range(20)), encoding="utf-8")
-    script = """
+NO_ENCODER = ("gen-pairs", "compute-signals", "evaluate", "skew-split")
+
+# Runs the commands that never run the encoder; ``report()`` is taken after each.
+RUN_NO_ENCODER = """
 from pairscore.cli import main
 runs = {}
 for name, argv in [
@@ -51,11 +50,34 @@ for name, argv in [
     ("evaluate", ["--set", "eval_grouping=all", "evaluate", "preds.tsv", "ratings.tsv", "report.json"]),
     ("skew-split", ["skew-split", "ratings.tsv", "train.tsv", "test.tsv"]),
 ]:
-    runs[name] = [main(argv), scipy_modules()]
+    runs[name] = [main(argv), report()]
 print(json.dumps(runs))
 """
+
+
+def write_command_inputs(tmp_path: Path) -> None:
+    (tmp_path / "corpus.txt").write_text("\n".join(demo_sentences(8, seed=3)) + "\n", encoding="utf-8")
+    rows = [f"s{i}\tthe cat sat\tthe cat sat here\t{float(5 * i)}" for i in range(20)]
+    (tmp_path / "ratings.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    (tmp_path / "preds.tsv").write_text("".join(f"s{i}\t{0.5 * i}\n" for i in range(20)), encoding="utf-8")
+
+
+def test_commands_without_the_encoder_load_no_scipy(tmp_path):
+    write_command_inputs(tmp_path)
+    got = fresh("report = scipy_modules\n" + RUN_NO_ENCODER, tmp_path)
+    assert got == {name: [0, []] for name in NO_ENCODER}
+
+
+def test_only_training_sets_the_allocator(tmp_path):
+    write_command_inputs(tmp_path)
+    script = """
+import pairscore, pairscore.training
+at_import = pairscore.training._heap_kept
+def report():
+    return [at_import, pairscore.training._heap_kept]
+""" + RUN_NO_ENCODER
     got = fresh(script, tmp_path)
-    assert got == {name: [0, []] for name in ("gen-pairs", "compute-signals", "evaluate", "skew-split")}
+    assert got == {name: [0, [False, False]] for name in NO_ENCODER}
 
 
 def test_first_forward_pass_loads_scipy(tmp_path):

@@ -424,7 +424,7 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
-        with pytest.raises(Exception):
+        with pytest.raises(DataError):
             load_checkpoint(path)
 
     def test_config_validation(self):
