@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import math
 import os
@@ -26,25 +27,21 @@ from .errors import DataError, NumericError, PairscoreError, ScorerProtocolError
 from .experiments import Split, ablation_to_csv, run_ablation
 from .metrics import BLEU_SMOOTHING, EmbeddingTable
 from .signals import (
-    BaselineEntailment,
     ExternalEntailment,
     ExternalLikelihoodScorer,
     SignalProviders,
-    UnigramScorer,
-    apply_normalization,
-    compute_signals_corpus,
-    fit_normalization,
+    generate_pairs,
+    label_pairs,
+    offline_providers,
     read_signals,
     write_signals,
 )
 from .stats import SkewConfig, darr, save_report, skew_split
 from .synth import (
-    BigramLM,
     ExternalRoundTripTranslator,
     GenerationConfig,
     LineClient,
     StubBacktranslator,
-    generate_corpus,
     read_synthetic,
     write_synthetic,
 )
@@ -58,7 +55,6 @@ from .text import (
     record_pairs,
     split_no_leak,
     split_tokens,
-    tokenize,
     unk_summary,
     write_rating_records,
 )
@@ -210,17 +206,26 @@ def config_hash(config: Mapping[str, object]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path: Path, writer: Callable[[Path], None]) -> None:
-    """Write via a temp file + rename so failures leave no partial artifact."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    os.close(fd)
-    tmp = Path(tmp_name)
+def _atomic_write(outputs: Mapping[str, Callable[[Path], None]]) -> None:
+    """Write each output via a temp file + rename; a failure leaves none of them."""
+    written: list[Path] = []
     try:
-        writer(tmp)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+        for name, writer in outputs.items():
+            path = Path(name)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+            os.close(fd)
+            tmp = Path(tmp_name)
+            try:
+                writer(tmp)
+                os.replace(tmp, path)
+            finally:
+                tmp.unlink(missing_ok=True)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _ratings_format(path: str) -> str:
@@ -245,22 +250,16 @@ def _child(children: contextlib.ExitStack, command: str) -> LineClient:
     return client
 
 
-def _providers(config: Mapping, segments, children: contextlib.ExitStack) -> SignalProviders:
+def _providers(config: Mapping, examples, children: contextlib.ExitStack) -> SignalProviders:
+    """The offline providers, with each one that the config names swapped in."""
+    providers = offline_providers(examples, config["embedding_dim"])
     if config["embedding_file"]:
-        embeddings = EmbeddingTable.from_file(config["embedding_file"])
-    else:
-        embeddings = EmbeddingTable.hashed(
-            (tok for seg in segments for tok in seg.tokens), dim=config["embedding_dim"]
-        )
+        providers.embeddings = EmbeddingTable.from_file(config["embedding_file"])
     if config["scorer_command"]:
-        likelihood = ExternalLikelihoodScorer(_child(children, config["scorer_command"]))
-    else:
-        likelihood = UnigramScorer.train(segments)
+        providers.likelihood = ExternalLikelihoodScorer(_child(children, config["scorer_command"]))
     if config["entailment_command"]:
-        entailment = ExternalEntailment(_child(children, config["entailment_command"]))
-    else:
-        entailment = BaselineEntailment()
-    return SignalProviders(embeddings=embeddings, likelihood=likelihood, entailment=entailment)
+        providers.entailment = ExternalEntailment(_child(children, config["entailment_command"]))
+    return providers
 
 
 def _train_config(config: Mapping, stage: str) -> TrainConfig:
@@ -298,12 +297,11 @@ def _encoder_config(config: Mapping, vocab: Vocabulary) -> EncoderConfig:
 def _save_stage(args, chash: str, stage: str, params, vocab: Vocabulary, steps: int, history) -> None:
     """Write a training stage's checkpoint and, with --manifest, its one-stage manifest."""
     meta = {"config_hash": chash, "vocab": list(vocab.tokens), "stage": stage}
-    _atomic_write(Path(args.out), lambda p: save_checkpoint(params, p, meta=meta))
+    outputs = {args.out: lambda p: save_checkpoint(params, p, meta=meta)}
     if args.manifest:
         entry = manifest_entry(stage, steps, history, params, args.out)
-        _atomic_write(
-            Path(args.manifest), lambda p: save_manifest([entry], p, meta={"config_hash": chash})
-        )
+        outputs[args.manifest] = lambda p: save_manifest([entry], p, meta={"config_hash": chash})
+    _atomic_write(outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -319,27 +317,19 @@ def cmd_gen_pairs(args, config) -> int:
         min_count=config["vocab_min_count"],
         size_cap=config["vocab_size_cap"],
     )
-    segments = [tokenize(s, vocab) for s in corpus]
-    segments = [s for s in segments if len(s) > 0]
-    lm = BigramLM.train(
-        segments, vocab, add_k=config["lm_add_k"], interpolation=config["lm_interpolation"]
-    )
-    gen_config = GenerationConfig(
-        n_scatter=config["n_scatter"],
-        n_contiguous=config["n_contiguous"],
-        n_backtranslation=config["n_backtranslation"],
-        word_drop_rate=config["word_drop_rate"],
-        beam_width=config["beam_width"],
-    )
+    gen_config = GenerationConfig(**{f.name: config[f.name] for f in dataclasses.fields(GenerationConfig)})
     with contextlib.ExitStack() as children:
         if config["translator_command"]:
             translator = ExternalRoundTripTranslator(_child(children, config["translator_command"]))
         else:
             translator = StubBacktranslator()
-        examples = generate_corpus(segments, gen_config, lm, translator, vocab, seed=config["seed"])
+        examples = generate_pairs(corpus, vocab, gen_config, translator, config["seed"],
+                                  add_k=config["lm_add_k"], interpolation=config["lm_interpolation"])
     meta = {"config_hash": chash, "tokenizer": TOKENIZER_VERSION, "translator": translator.label}
-    _atomic_write(Path(args.out), lambda p: write_synthetic(examples, p, meta=meta))
-    _atomic_write(Path(args.vocab_out), lambda p: vocab.save(p))
+    _atomic_write({
+        args.out: lambda p: write_synthetic(examples, p, meta=meta),
+        args.vocab_out: vocab.save,
+    })
     counts: dict[str, int] = {}
     for ex in examples:
         key = ex.origin.kind if ex.origin.parent is None else f"{ex.origin.kind}({ex.origin.parent})"
@@ -359,12 +349,7 @@ def cmd_compute_signals(args, config) -> int:
     if not examples:
         raise DataError(f"no synthetic examples in {args.pairs}")
     with contextlib.ExitStack() as children:
-        providers = _providers(config, [ex.z for ex in examples], children)
-        pairs, failed = compute_signals_corpus(examples, providers)
-    if not pairs:
-        raise DataError("signal computation failed for every example")
-    stats = fit_normalization([vec for _, vec in pairs])
-    normalized = [(ex, apply_normalization(vec, stats)) for ex, vec in pairs]
+        normalized, stats, failed = label_pairs(examples, _providers(config, examples, children))
     meta = {
         "config_hash": chash,
         "tokenizer": TOKENIZER_VERSION,
@@ -372,7 +357,7 @@ def cmd_compute_signals(args, config) -> int:
         "skipped": len(failed),
         "source_pairs": header.get("config_hash"),
     }
-    _atomic_write(Path(args.out), lambda p: write_signals(normalized, p, stats, meta=meta))
+    _atomic_write({args.out: lambda p: write_signals(normalized, p, stats, meta=meta)})
     print(f"config-hash: {chash}")
     print(f"wrote {len(normalized)} signal vectors to {args.out} (skipped {len(failed)})")
     return 0
@@ -431,7 +416,7 @@ def cmd_predict(args, config) -> int:
         lines = [f"{source_id}\t{repr(score)}" for source_id, score in rows]
         p.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
-    _atomic_write(Path(args.out), write)
+    _atomic_write({args.out: write})
     print(f"config-hash: {chash}")
     print(unk_summary((pair for pairs in tokenized for pair in pairs), vocab))
     print(f"predicted {len(rows)} records -> {args.out}")
@@ -475,7 +460,7 @@ def cmd_evaluate(args, config) -> int:
         )
     report = darr(human, metric, groups, threshold=config["darr_threshold"])
     meta = {"config_hash": chash, "n_records": len(records)}
-    _atomic_write(Path(args.out), lambda p: save_report(report, p, meta=meta))
+    _atomic_write({args.out: lambda p: save_report(report, p, meta=meta)})
     print(f"config-hash: {chash}")
     print(report.to_text_table())
     return 0
@@ -493,8 +478,10 @@ def cmd_skew_split(args, config) -> int:
         disjoint=config["skew_disjoint"],
     )
     train, test = skew_split(records, skew)
-    _atomic_write(Path(args.train_out), lambda p: write_rating_records(train, raw_scores, p, fmt))
-    _atomic_write(Path(args.test_out), lambda p: write_rating_records(test, raw_scores, p, fmt))
+    _atomic_write({
+        args.train_out: lambda p: write_rating_records(train, raw_scores, p, fmt),
+        args.test_out: lambda p: write_rating_records(test, raw_scores, p, fmt),
+    })
     print(f"config-hash: {chash}")
     print(
         f"skew split alpha=({skew.alpha_train}, {skew.alpha_test}): "
@@ -516,7 +503,7 @@ def cmd_ablate(args, config) -> int:
         _train_config(config, "pretrain"),
         Split(train, validation, test, _train_config(config, "finetune")), args.mode,
     )
-    _atomic_write(Path(args.out), lambda p: ablation_to_csv(rows, p))
+    _atomic_write({args.out: lambda p: ablation_to_csv(rows, p)})
     print(f"config-hash: {chash}")
     print(unk_summary((ex.pair for ex in examples), vocab))
     for row in rows:

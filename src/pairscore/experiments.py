@@ -19,27 +19,11 @@ import numpy as np
 
 from .encoder import EncoderConfig, ModelParams, init_model
 from .errors import DataError
-from .metrics import EmbeddingTable
-from .signals import (
-    BaselineEntailment,
-    SignalProviders,
-    SignalVector,
-    TaskSpec,
-    UnigramScorer,
-    apply_normalization,
-    compute_signals_corpus,
-    fit_normalization,
-)
+from .signals import SignalVector, TaskSpec, generate_pairs, label_pairs, offline_providers
 # kendall_pairwise is not called here: bench/workloads.py wraps experiments.kendall_pairwise
 # to see every drift tau.
 from .stats import SkewConfig, kendall_pairwise, skew_split
-from .synth import (
-    BigramLM,
-    GenerationConfig,
-    StubBacktranslator,
-    SyntheticExample,
-    generate_corpus,
-)
+from .synth import BigramLM, GenerationConfig, StubBacktranslator, SyntheticExample
 from .text import (
     RatedExample,
     SentencePair,
@@ -251,20 +235,9 @@ def build_offline_pretraining_data(
     gen_config: GenerationConfig,
     seed: int,
 ) -> list[tuple[SyntheticExample, SignalVector]]:
-    """Synthetic corpus + normalized signals using only the built-in providers."""
-    token_lists = [tokenize(s, vocab) for s in segments]
-    token_lists = [t for t in token_lists if len(t) > 0]
-    lm = BigramLM.train(token_lists, vocab)
-    translator = StubBacktranslator()
-    examples = generate_corpus(token_lists, gen_config, lm, translator, vocab, seed)
-    providers = SignalProviders(
-        embeddings=EmbeddingTable.hashed((tok for seq in token_lists for tok in seq.tokens)),
-        likelihood=UnigramScorer.train(token_lists),
-        entailment=BaselineEntailment(),
-    )
-    pairs, _ = compute_signals_corpus(examples, providers)
-    stats = fit_normalization([vec for _, vec in pairs])
-    return [(ex, apply_normalization(vec, stats)) for ex, vec in pairs]
+    """Synthetic corpus + normalized signals from the stub translator and the offline providers."""
+    examples = generate_pairs(segments, vocab, gen_config, StubBacktranslator(), seed)
+    return label_pairs(examples, offline_providers(examples))[0]
 
 
 @dataclass

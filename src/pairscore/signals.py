@@ -24,14 +24,17 @@ from .errors import DataError, NumericError, PairscoreError, ScorerProtocolError
 from .metrics import EmbeddingTable, rouge_n, sentence_bleu, soft_overlap
 from .synth import (
     BACKTRANSLATION,
+    BigramLM,
+    GenerationConfig,
     LineClient,
     SyntheticExample,
     example_from_record,
     example_record,
+    generate_corpus,
     read_records,
     write_records,
 )
-from .text import TokenSeq, Vocabulary
+from .text import TokenSeq, Vocabulary, tokenize
 
 SIGNAL_LAYOUT_VERSION = 1
 
@@ -362,23 +365,6 @@ def compute_signals(example: SyntheticExample, providers: SignalProviders) -> Si
     return SignalVector(values)
 
 
-def compute_signals_corpus(
-    examples: Sequence[SyntheticExample], providers: SignalProviders
-) -> tuple[list[tuple[SyntheticExample, SignalVector]], list[str]]:
-    """Compute signals for many examples, preserving input order.
-
-    Per-example SignalErrors (e.g. an empty candidate after a full word drop)
-    are collected and returned beside the computed pairs, not raised.
-    """
-    out, failures = [], []
-    for ex in examples:
-        try:
-            out.append((ex, compute_signals(ex, providers)))
-        except SignalError as exc:
-            failures.append(str(exc))
-    return out, failures
-
-
 # ---------------------------------------------------------------------------
 # Label normalization over a corpus of signal vectors.
 # ---------------------------------------------------------------------------
@@ -474,3 +460,55 @@ def read_signals(
     if not pairs:
         raise DataError(f"no signal records in {path}")
     return pairs, stats, header
+
+
+# ---------------------------------------------------------------------------
+# The one pre-training data recipe of the CLI, the studies and the demos:
+# perturb, label, standardize.
+# ---------------------------------------------------------------------------
+
+
+def generate_pairs(
+    texts: Sequence[str], vocab: Vocabulary, config: GenerationConfig, translator, seed: int, **lm_options
+) -> list[SyntheticExample]:
+    """Tokenize ``texts``, drop empty segments, train the bigram LM on the rest and perturb them.
+
+    ``lm_options`` (``add_k``, ``interpolation``) go to ``BigramLM.train``.
+    """
+    segments = [seq for seq in (tokenize(t, vocab) for t in texts) if len(seq) > 0]
+    lm = BigramLM.train(segments, vocab, **lm_options)
+    return generate_corpus(segments, config, lm, translator, vocab, seed)
+
+
+def offline_providers(examples: Sequence[SyntheticExample], dim: int = 32) -> SignalProviders:
+    """The built-in providers, fitted on the examples' distinct source segments.
+
+    Hashed embeddings cover the source tokens, and the unigram scorer counts
+    each distinct source segment once, however many pairs were made from it.
+    """
+    sources = list(dict.fromkeys(ex.z for ex in examples))
+    return SignalProviders(
+        embeddings=EmbeddingTable.hashed((tok for z in sources for tok in z.tokens), dim=dim),
+        likelihood=UnigramScorer.train(sources),
+        entailment=BaselineEntailment(),
+    )
+
+
+def label_pairs(
+    examples: Sequence[SyntheticExample], providers: SignalProviders
+) -> tuple[list[tuple[SyntheticExample, SignalVector]], NormalizationStats, list[str]]:
+    """Signals for each example, standardized over the corpus: (pairs, stats, failures).
+
+    Pairs keep input order.  A pair whose signals fail (say, an empty
+    candidate) goes to ``failures``; a corpus where every pair fails raises.
+    """
+    raw, failures = [], []
+    for ex in examples:
+        try:
+            raw.append((ex, compute_signals(ex, providers)))
+        except SignalError as exc:
+            failures.append(str(exc))
+    if not raw:
+        raise DataError("signal computation failed for every example")
+    stats = fit_normalization([vec for _, vec in raw])
+    return [(ex, apply_normalization(vec, stats)) for ex, vec in raw], stats, failures

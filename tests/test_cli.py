@@ -9,7 +9,9 @@ from pairscore.cli import DEFAULTS, config_hash, load_config, main, render_confi
 from pairscore.demo import demo_sentences, load_demo_ratings_path
 from pairscore.encoder import EncoderConfig, init_model, load_checkpoint, save_checkpoint
 from pairscore.errors import UsageError
-from pairscore.signals import TASK_NAMES
+from pairscore.experiments import build_offline_pretraining_data
+from pairscore.signals import TASK_NAMES, read_signals
+from pairscore.synth import GenerationConfig
 from pairscore.text import RatingRecord, Vocabulary, read_rating_records, split_tokens
 from pairscore.training import params_digest
 
@@ -396,6 +398,27 @@ class TestDeterminism:
             assert rc == 0
             outs.append((pairs.read_bytes(), vocab.read_bytes()))
         assert outs[0] == outs[1]
+
+
+class TestOneRecipe:
+    """The CLI stages and the studies build pre-training data one way."""
+
+    def test_cli_signals_equal_the_library_records(self, tmp_path, capsys):
+        corpus = [s for s in demo_sentences(150, seed=31) if len(s.split()) <= 10][:60]
+        corpus_file = tmp_path / "corpus.txt"
+        corpus_file.write_text("\n".join(corpus) + "\n", encoding="utf-8")
+        pairs, vocab_file, signals = (tmp_path / n for n in ("pairs.jsonl", "vocab.json", "signals.jsonl"))
+        settings = ["--set", "vocab_min_count=1", "--set", "seed=6"]
+        assert run_cli(*settings, "gen-pairs", corpus_file, pairs, "--vocab-out", vocab_file) == 0
+        assert run_cli(*settings, "compute-signals", pairs, vocab_file, signals) == 0
+
+        vocab = Vocabulary.build([split_tokens(s) for s in corpus], min_count=1)
+        assert Vocabulary.load(vocab_file).tokens == vocab.tokens
+        library = build_offline_pretraining_data(corpus, vocab, GenerationConfig(), seed=6)
+        written, _, _ = read_signals(signals, vocab)
+        assert len(written) == len(library)
+        differ = sum(a != b for a, b in zip(written, library))
+        assert differ == 0, f"{differ} of {len(library)} records differ"
 
 
 class TestProviderWiring:
@@ -856,6 +879,8 @@ def _malformed_input_case(name, chain, tmp_path):
         "ablate-header-only-signals": (
             signals_header, ["ablate", bad, chain["vocab.json"], load_demo_ratings_path(), out], 3,
             f"data error: no signal records in {bad}\n"),
+        "gen-pairs-vocab-out-directory": (
+            None, ["gen-pairs", chain["corpus.txt"], out, "--vocab-out", tmp_path], 3, str(tmp_path)),
         "config-missing": (None, ["--config", bad, *gen_pairs], 2, str(bad)),
         "config-bad-value": ("seed = abc\n", ["--config", bad, *gen_pairs], 2,
                              f"{bad}:1: config key 'seed': expected an integer, got 'abc'"),
@@ -870,7 +895,8 @@ class TestMalformedInputs:
     """Empty, header-only and wrong-schema inputs exit 2 or 3 with one line, writing nothing."""
 
     @pytest.mark.parametrize("name", [
-        "gen-pairs-empty-corpus", "gen-pairs-blank-corpus", "compute-signals-empty-pairs",
+        "gen-pairs-empty-corpus", "gen-pairs-blank-corpus", "gen-pairs-vocab-out-directory",
+        "compute-signals-empty-pairs",
         "compute-signals-header-only-pairs", "compute-signals-empty-vocab",
         "compute-signals-list-vocab", "pretrain-pairs-as-signals", "pretrain-header-only-signals",
         "ablate-header-only-signals", "config-missing", "config-bad-value",

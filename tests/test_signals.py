@@ -21,10 +21,11 @@ from pairscore.signals import (
     apply_normalization,
     backtrans_likelihood,
     compute_signals,
-    compute_signals_corpus,
     default_task_specs,
     entailment_probs,
     fit_normalization,
+    label_pairs,
+    offline_providers,
     read_signals,
     regression_dim_labels,
     request_reals,
@@ -205,9 +206,37 @@ class TestComputeSignals:
         good1 = example(vocab, "the cat sat", "the dog sat")
         bad = example(vocab, "the cat sat", "", Origin(WORD_DROP, MASK_SCATTER))
         good2 = example(vocab, "the dog ran", "the dog ran fast")
-        pairs, failures = compute_signals_corpus([good1, bad, good2], providers)
+        pairs, stats, failures = label_pairs([good1, bad, good2], providers)
         assert [p[0] for p in pairs] == [good1, good2]
         assert len(failures) == 1
+        raw = [compute_signals(ex, providers) for ex in (good1, good2)]
+        assert [vec for _, vec in pairs] == [apply_normalization(v, stats) for v in raw]
+
+    def test_corpus_where_every_example_fails(self, vocab, providers):
+        bad = example(vocab, "the cat sat", "", Origin(WORD_DROP, MASK_SCATTER))
+        with pytest.raises(DataError, match="failed for every example"):
+            label_pairs([bad, bad], providers)
+
+
+class TestOfflineProviders:
+    def test_scorer_counts_each_distinct_source_once(self, vocab):
+        a = example(vocab, "the cat sat on the mat", "the cat sat")
+        b = example(vocab, "the dog ran", "the dog")
+        once = offline_providers([a, b]).likelihood
+        repeated = offline_providers([a, a, a, b, b]).likelihood
+        want = UnigramScorer.train([a.z, b.z])
+        for token in ("the", "cat", "dog", "rug"):
+            for direction in ("en-fr", "en-de"):
+                p = want.token_log_prob(token, direction)
+                assert once.token_log_prob(token, direction) == p
+                assert repeated.token_log_prob(token, direction) == p
+
+    def test_embeddings_cover_the_source_tokens(self, vocab):
+        ex = example(vocab, "the cat sat", "the dog sat")
+        expected = EmbeddingTable.hashed(["the", "cat", "sat"], dim=8)
+        table = offline_providers([ex, ex], dim=8).embeddings
+        for token in ("the", "cat", "sat"):
+            np.testing.assert_array_equal(table.vector(token), expected.vector(token))
 
 
 class TestSignalVectorValidation:
