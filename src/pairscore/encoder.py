@@ -29,6 +29,14 @@ only pick the sign of a zero result).  A zero's sign never reaches Adam's
 output either: the first moment starts at +0, and b1*m + (1-b1)*(-0) is +0
 when m is.  The matmuls keep their full padded shapes, because BLAS picks
 its kernel, and with it the rounding, by the matrix sizes.
+
+GELU is the exact erf form, with ``scipy.special.erf``'s bits but without
+scipy: scipy's erf is Cephes' ``erf``/``erfc``, and ``_erf`` repeats their
+arithmetic in Cephes' order of operations.  Their one libm call,
+``exp(-x*x)``, goes through ``np.exp`` of a complex array, because numpy's
+float64 ``exp`` has SIMD kernels that differ from libm's ``exp`` in the last
+bit, while libm's ``cexp`` returns ``exp(re) * 1.0`` for a zero imaginary
+part.  ``math.erf`` would round differently again, and would loop in Python.
 """
 
 from __future__ import annotations
@@ -256,17 +264,62 @@ def _layer_norm_backward(dout, g, cache, real):
     return _put_rows(dx, real, dout.shape), dg, db
 
 
+# Cephes' erf (T/U, |x| <= 1) and erfc (P/Q, 1 < |x| < 8) coefficients, highest
+# power first; U and Q have a leading 1 that Cephes' p1evl leaves implicit.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+
+
+def _horner(ans, x, coefs):
+    """Cephes' Horner loop: ``ans = ans * x + c`` for each of ``coefs``, in place on ``ans``."""
+    for c in coefs:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _erf(x):
+    """``scipy.special.erf(x)`` bit for bit (see the module docstring).
+
+    On c = x clipped to [-8, 8]: c*T(c*c)/U(c*c) for every element, then,
+    where |c| > 1, 1 - exp(-c*c)*P(|c|)/Q(|c|) with the sign of c.  At |c| = 8
+    that is exactly 1.0, because erfc(8) < 2**-54, as Cephes' erf is beyond 8
+    and at infinity.  Each step is sign-symmetric, so -0.0 stays -0.0, and NaN
+    passes through.  The |c| > 1 elements are gathered by index: a
+    boolean-mask gather is slower.
+    """
+    c = np.clip(x, -8.0, 8.0)
+    z = c * c
+    y = _horner(z * _ERF_T[0] + _ERF_T[1], z, _ERF_T[2:])
+    y *= c
+    y /= _horner(z + _ERF_U[0], z, _ERF_U[1:])
+    tail = np.flatnonzero(z > 1.0)
+    ct = c.take(tail)
+    at = np.abs(ct)
+    erfc = _horner(at * _ERFC_P[0] + _ERFC_P[1], at, _ERFC_P[2:])
+    erfc *= np.exp(-(at * at) + 0j).real
+    erfc /= _horner(at + _ERFC_Q[0], at, _ERFC_Q[1:])
+    y.put(tail, np.copysign(1.0 - erfc, ct))
+    return y
+
+
 def _gelu(x, real):
     """GELU of the real rows of ``x``, and those rows with their CDF for the backward pass.
 
-    scipy is imported here, not with the module, so that commands which never
-    run the encoder do not pay for ``scipy.special``, the slowest import of the
-    package (``math.erf`` would round differently).
+    ``_erf`` has ``scipy.special.erf``'s bits without importing scipy: Cephes'
+    order of operations, and libm's ``exp`` through ``cexp`` (see the module
+    docstring for why not ``np.exp`` or ``math.erf``).
     """
-    from scipy.special import erf
-
     rows = _take_rows(x, real)
-    cdf = 0.5 * (1.0 + erf(rows / math.sqrt(2.0)))
+    cdf = 0.5 * (1.0 + _erf(rows / math.sqrt(2.0)))
     return _put_rows(rows * cdf, real, x.shape), (rows, cdf)
 
 

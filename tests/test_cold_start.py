@@ -1,8 +1,9 @@
-"""scipy loads, and the allocator changes, only when the encoder runs.
+"""No command loads scipy, and only the commands that train change the allocator.
 
 Each case runs a fresh interpreter and reports which ``scipy*`` modules are
 in ``sys.modules``, or whether training has set the allocator; no timing is
-involved.
+involved.  The full chain runs with every ``scipy`` import refused, so a
+command that needs scipy fails.
 """
 
 import json
@@ -56,8 +57,9 @@ print(json.dumps(runs))
 
 
 def write_command_inputs(tmp_path: Path) -> None:
-    (tmp_path / "corpus.txt").write_text("\n".join(demo_sentences(8, seed=3)) + "\n", encoding="utf-8")
-    rows = [f"s{i}\tthe cat sat\tthe cat sat here\t{float(5 * i)}" for i in range(20)]
+    sentences = demo_sentences(8, seed=3)
+    (tmp_path / "corpus.txt").write_text("\n".join(sentences) + "\n", encoding="utf-8")
+    rows = [f"s{i}\t{sentences[i % 8]}\t{sentences[(i * 3 + 1) % 8]}\t{float(5 * i)}" for i in range(20)]
     (tmp_path / "ratings.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     (tmp_path / "preds.tsv").write_text("".join(f"s{i}\t{0.5 * i}\n" for i in range(20)), encoding="utf-8")
 
@@ -80,14 +82,44 @@ def report():
     assert got == {name: [0, [False, False]] for name in NO_ENCODER}
 
 
-def test_first_forward_pass_loads_scipy(tmp_path):
-    script = """
-from pairscore.encoder import EncoderConfig, build_batch, forward, init_model
-from pairscore.text import SentencePair, Vocabulary, tokenize
-vocab = Vocabulary.build([["the", "cat", "sat"]], min_count=1)
-params = init_model(EncoderConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2, d_ff=16))
-before = scipy_modules()
-forward(params, build_batch([SentencePair(tokenize("the cat", vocab), tokenize("cat sat", vocab))], vocab))
-print(json.dumps([before, "scipy.special" in sys.modules]))
+# An import hook first in ``sys.meta_path`` that fails every ``scipy`` import.
+REFUSE_SCIPY = """
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"import of {name} refused")
+        return None
+sys.meta_path.insert(0, RefuseScipy())
+report = scipy_modules
 """
-    assert fresh(script, tmp_path) == [[], True]
+
+# Every command at tiny settings, the six stages in pipeline order first, with
+# ``report()`` taken after each.
+ALL_COMMANDS = ("gen-pairs", "compute-signals", "pretrain", "finetune", "predict", "evaluate",
+                "ablate", "skew-split")
+RUN_ALL = """
+from pairscore.cli import main
+tiny = []
+for setting in ["vocab_min_count=1", "d_model=8", "n_layers=1", "n_heads=2", "d_ff=16", "max_seq_len=40",
+                "batch_size=4", "pretrain_steps=4", "finetune_steps=4", "eval_every=2", "eval_grouping=all"]:
+    tiny += ["--set", setting]
+runs = {}
+for name, argv in [
+    ("gen-pairs", ["gen-pairs", "corpus.txt", "pairs.jsonl", "--vocab-out", "vocab.json"]),
+    ("compute-signals", ["compute-signals", "pairs.jsonl", "vocab.json", "signals.jsonl"]),
+    ("pretrain", ["pretrain", "signals.jsonl", "vocab.json", "pre.ckpt"]),
+    ("finetune", ["finetune", "pre.ckpt", "ratings.tsv", "ft.ckpt"]),
+    ("predict", ["predict", "ft.ckpt", "ratings.tsv", "preds.tsv"]),
+    ("evaluate", ["evaluate", "preds.tsv", "ratings.tsv", "report.json"]),
+    ("ablate", ["ablate", "signals.jsonl", "vocab.json", "ratings.tsv", "ablate.csv"]),
+    ("skew-split", ["skew-split", "ratings.tsv", "train.tsv", "test.tsv"]),
+]:
+    runs[name] = [main(tiny + argv), report()]
+print(json.dumps(runs))
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    write_command_inputs(tmp_path)
+    got = fresh(REFUSE_SCIPY + RUN_ALL, tmp_path)
+    assert got == {name: [0, []] for name in ALL_COMMANDS}

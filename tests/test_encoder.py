@@ -8,6 +8,8 @@ from pairscore.encoder import (
     Batch,
     EncoderConfig,
     ModelParams,
+    _erf,
+    _gelu,
     build_batch,
     forward,
     gradients,
@@ -178,6 +180,54 @@ class TestForward:
         assert not np.allclose(plain.ratings, trained.ratings)
         again = forward(params, batch, train=True, rng=np.random.default_rng(0))
         np.testing.assert_array_equal(trained.ratings, again.ratings)
+
+
+def assert_same_bits(got, want):
+    """Equal value and sign bit everywhere, and NaN exactly where ``want`` is NaN."""
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    differ = got[~nan].view(np.int64) != want[~nan].view(np.int64)
+    assert not differ.any(), f"{differ.sum()} of {differ.size} differ"
+
+
+class TestErf:
+    """``_erf`` against ``scipy.special.erf``, which it replaces; scipy is only the oracle."""
+
+    @pytest.mark.parametrize("scale", [0.05, 0.1, 0.3, 0.7, 1.5, 3.0, 8.0, 40.0])
+    def test_normal_draws(self, scale):
+        special = pytest.importorskip("scipy.special")
+        x = np.random.default_rng(int(scale * 100)).normal(scale=scale, size=(1250, 1000))
+        assert_same_bits(_erf(x), special.erf(x))
+
+    def test_empty(self):
+        assert _erf(np.zeros((0, 64))).shape == (0, 64)
+
+    def test_edges(self):
+        special = pytest.importorskip("scipy.special")
+        points = [0.0, 1.0, 8.0]
+        near = [np.nextafter(p, d) for p in points for d in (-np.inf, np.inf)]
+        big = [26.6, 27.0, 5e-324, 1e300, np.inf]
+        x = np.array(points + near + big)
+        x = np.concatenate([x, -x, [np.nan]])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = _erf(x)
+        assert_same_bits(got, special.erf(x))
+
+    def test_gelu_equals_the_scipy_form(self):
+        special = pytest.importorskip("scipy.special")
+
+        def scipy_gelu(x):
+            rows = x.reshape(-1, x.shape[-1])
+            cdf = 0.5 * (1.0 + special.erf(rows / math.sqrt(2.0)))
+            return (rows * cdf).reshape(x.shape), (rows, cdf)
+
+        x = np.random.default_rng(9).normal(scale=2.0, size=(4, 16, 64))
+        out, (rows, cdf) = _gelu(x, None)
+        want_out, (want_rows, want_cdf) = scipy_gelu(x)
+        assert_same_bits(out, want_out)
+        assert_same_bits(rows, want_rows)
+        assert_same_bits(cdf, want_cdf)
 
 
 class TestLosses:
