@@ -30,6 +30,25 @@ output either: the first moment starts at +0, and b1*m + (1-b1)*(-0) is +0
 when m is.  The matmuls keep their full padded shapes, because BLAS picks
 its kernel, and with it the rounding, by the matrix sizes.
 
+Memory.  ``forward(..., want_cache=True)`` returns, per layer, what the
+backward pass reads: the layer's input ``x_in``, the heads' ``q4``/``k4``/
+``v4``, the attention weights ``attn`` (and ``attn_used``, the same array
+unless dropout applies), the context rows ``ctx``, ``x1``, the feed-forward
+activation ``ffn_act``, GELU's rows and CDF, and both layer norms' caches;
+without it no layer's arrays outlive that layer.  Each sub-block (attention,
+feed-forward, and in backward the heads' part of attention) is a function
+of its own, so its temporaries die when it returns.  The softmax runs in the
+buffer that received the scores, and its gradient in the buffer of the
+weights' gradient.  ``gradients`` pops each layer's cache when the backward
+pass reaches it and hands each entry to its last reader: ``ffn_act`` to
+``w2``'s, the GELU cache to ``_gelu_backward``, ``x1`` to ``w1``'s, ``ctx``
+to ``wo``'s, ``attn`` to the softmax gradient, ``q4``/``k4``/``v4`` to the
+heads' gradients and ``x_in`` to the input projections'.  None of this can
+change a bit: an elementwise operation gives the same IEEE result in place
+as into a new array, ``a * b == b * a`` (the softmax gradient is
+``(dattn - sum) * attn``), and every sum adds the same terms in the same
+order (the residual is ``(pad(dsum + dx_q) + dx_k) + dx_v`` as before).
+
 GELU is the exact erf form, with ``scipy.special.erf``'s bits but without
 scipy: scipy's erf is Cephes' ``erf``/``erfc``, and ``_erf`` repeats their
 arithmetic in Cephes' order of operations.  Their one libm call,
@@ -242,11 +261,16 @@ def _put_rows(rows, real, shape):
 
 
 def _layer_norm(x, g, b, real):
-    """Layer norm of the real rows of ``x``; the cache holds those rows only."""
+    """Layer norm of the real rows of ``x``; the cache holds those rows only.
+
+    A mean is ``sum / n``, which is what ``ndarray.mean`` computes, without
+    its Python wrapper.
+    """
     rows = _take_rows(x, real)
-    mu = rows.mean(axis=-1, keepdims=True)
+    n = rows.shape[-1]
+    mu = rows.sum(axis=-1, keepdims=True) / n
     xc = rows - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     return _put_rows(g * xhat + b, real, x.shape), (xhat, inv)
@@ -258,8 +282,9 @@ def _layer_norm_backward(dout, g, cache, real):
     dg = (drows * xhat).sum(axis=0)
     db = drows.sum(axis=0)
     dxhat = drows * g
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    n = dxhat.shape[-1]
+    m1 = dxhat.sum(axis=-1, keepdims=True) / n
+    m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
     dx = inv * (dxhat - m1 - xhat * m2)
     return _put_rows(dx, real, dout.shape), dg, db
 
@@ -367,26 +392,34 @@ def _softmax_last(x):
 
 
 def _attention_softmax(scores, key_mask, queries):
-    """Softmax over keys of the real query rows of ``scores`` (B, h, rows, T); other rows hold 0.
+    """Softmax over keys of the real query rows of ``scores`` (B, h, rows, T), in its buffer.
 
+    Returns ``scores`` holding the weights, 0 on the other rows.
     ``queries`` holds the (batch, row) indices of the real query rows, None
     when all are real.  Masked keys carry a -1e30 bias, and the 0/1
     ``key_mask`` (B, 1, 1, T; None when no key is padding) makes their
     weight exactly 0.
     """
     if queries is not None:
-        rows, key_mask = scores[queries[0], :, queries[1]], key_mask[queries[0], 0]
+        e, key_mask = scores[queries[0], :, queries[1]], key_mask[queries[0], 0]
     else:
-        rows = scores
-    e = np.exp(rows - rows.max(axis=-1, keepdims=True))
+        e = scores
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
     if key_mask is not None:
         e *= key_mask
     e /= e.sum(axis=-1, keepdims=True)
-    if queries is None:
-        return e
-    out = np.zeros_like(scores)
-    out[queries[0], :, queries[1]] = e
-    return out
+    if queries is not None:
+        scores.fill(0.0)
+        scores[queries[0], :, queries[1]] = e
+    return scores
+
+
+def _attention_softmax_backward(dattn, attn):
+    """The gradient of the softmax's input, ``attn * (dattn - sum(dattn * attn))``, in ``dattn``'s buffer."""
+    dattn -= (dattn * attn).sum(axis=-1, keepdims=True)
+    dattn *= attn
+    return dattn
 
 
 def _dropout_mask(rng, shape, rate):
@@ -420,6 +453,42 @@ def _check_finite(x, where):
         raise NumericError(f"non-finite values in {where}")
 
 
+def _self_attention(t, l, x, rows, n_heads, key_bias, key_mask, queries, dropout, keep):
+    """Layer ``l``'s attention over ``x`` (B, T, d) for its first ``rows`` query rows, plus the residual.
+
+    ``keep`` (None when no cache is wanted) receives what the backward pass
+    reads; every other array dies when this returns.
+    """
+    p = f"layer{l}."
+    b, width, d = x.shape
+    dh = d // n_heads
+    x_rows = x[:, :rows]
+    q4 = _linear(x_rows, t[p + "wq"], t[p + "bq"]).reshape(b, rows, n_heads, dh).transpose(0, 2, 1, 3)
+    k4 = _linear(x, t[p + "wk"], t[p + "bk"]).reshape(b, width, n_heads, dh).transpose(0, 2, 1, 3)
+    v4 = _linear(x, t[p + "wv"], t[p + "bv"]).reshape(b, width, n_heads, dh).transpose(0, 2, 1, 3)
+    scores = q4 @ k4.swapaxes(-1, -2)
+    scores *= 1.0 / math.sqrt(dh)
+    if key_bias is not None:
+        scores += key_bias
+    attn = _attention_softmax(scores, key_mask, queries)
+    attn_used = dropout(f"attn{l}", attn)
+    ctx = (attn_used @ v4).transpose(0, 2, 1, 3).reshape(b, rows, d)
+    attn_out = dropout(f"attn_out{l}", _linear(ctx, t[p + "wo"], t[p + "bo"]))
+    if keep is not None:
+        keep.update(x_in=x, q4=q4, k4=k4, v4=v4, attn=attn, attn_used=attn_used, ctx=ctx)
+    return x_rows + attn_out
+
+
+def _feed_forward(t, l, x1, real, dropout, keep):
+    """Layer ``l``'s feed-forward over ``x1`` (B, rows, d), plus the residual; ``keep`` as above."""
+    p = f"layer{l}."
+    ffn_act, gelu_cache = _gelu(_linear(x1, t[p + "w1"], t[p + "b1"]), real)
+    ffn_out = dropout(f"ffn_out{l}", _linear(ffn_act, t[p + "w2"], t[p + "b2"]))
+    if keep is not None:
+        keep.update(x1=x1, ffn_act=ffn_act, gelu=gelu_cache)
+    return x1 + ffn_out
+
+
 def forward(
     params: ModelParams,
     batch: Batch,
@@ -427,7 +496,11 @@ def forward(
     rng: np.random.Generator | None = None,
     want_cache: bool = False,
 ) -> ForwardResult:
-    """Run the encoder and all heads.  Raises on sequences exceeding max_seq_len."""
+    """Run the encoder and all heads.  Raises on sequences exceeding max_seq_len.
+
+    With ``want_cache`` the result carries what ``gradients`` reads (see the
+    module docstring); without it no layer's arrays outlive that layer.
+    """
     cfg = params.config
     t = params.tensors
     b, width = batch.ids.shape
@@ -442,11 +515,13 @@ def forward(
         raise DataError("training-mode dropout requires an rng")
     cache: dict = {"layers": [], "dropout": {}}
 
-    def dropout(name, x, full_shape):
-        # The mask is drawn at its full-width shape and cut to x's, so the
-        # rng stream does not depend on how many rows a block computes.
+    def dropout(name, x):
+        # The mask is drawn at its full-width shape (the rows axis, second to
+        # last, at `width`) and cut to x's, so the rng stream does not depend
+        # on how many rows a block computes.
         if not use_dropout:
             return x
+        full_shape = x.shape[:-2] + (width, x.shape[-1])
         m = _dropout_mask(rng, full_shape, cfg.dropout)[tuple(slice(n) for n in x.shape)]
         cache["dropout"][name] = m
         return x * m
@@ -454,14 +529,11 @@ def forward(
     x = t["tok_emb"][batch.ids] + t["pos_emb"][:width][None, :, :] + t["seg_emb"][batch.segments]
     real = _real_rows(batch.mask)
     x, emb_ln_cache = _layer_norm(x, t["emb_ln_g"], t["emb_ln_b"], real)
-    x = dropout("emb", x, x.shape)
+    x = dropout("emb", x)
     cache["emb_ln"] = emb_ln_cache
     cache["real"] = real
     _check_finite(x, "embedding block")
 
-    h = cfg.n_heads
-    dh = cfg.d_model // h
-    scale = 1.0 / math.sqrt(dh)
     if real is None:  # no padding, so no key to mask
         key_bias = key_mask = None
     else:
@@ -475,46 +547,25 @@ def forward(
         rows = min(_LAST_BLOCK_ROWS, width) if l == cfg.n_layers - 1 else width
         lreal = real if rows == width else _real_rows(batch.mask[:, :rows])
         queries = None if lreal is None else np.divmod(lreal, rows)
-        lc: dict = {"x_in": x, "real": lreal}
-        x_rows = x[:, :rows]
-        q = _linear(x_rows, t[p + "wq"], t[p + "bq"])
-        k = _linear(x, t[p + "wk"], t[p + "bk"])
-        v = _linear(x, t[p + "wv"], t[p + "bv"])
-        q4 = q.reshape(b, rows, h, dh).transpose(0, 2, 1, 3)
-        k4 = k.reshape(b, width, h, dh).transpose(0, 2, 1, 3)
-        v4 = v.reshape(b, width, h, dh).transpose(0, 2, 1, 3)
-        scores = q4 @ k4.swapaxes(-1, -2) * scale
-        if key_bias is not None:
-            scores += key_bias
-        attn = _attention_softmax(scores, key_mask, queries)
-        attn_used = dropout(f"attn{l}", attn, (b, h, width, width))
-        ctx4 = attn_used @ v4
-        ctx = ctx4.transpose(0, 2, 1, 3).reshape(b, rows, cfg.d_model)
-        attn_out = _linear(ctx, t[p + "wo"], t[p + "bo"])
-        attn_out = dropout(f"attn_out{l}", attn_out, (b, width, cfg.d_model))
-        x1, ln1_cache = _layer_norm(x_rows + attn_out, t[p + "attn_ln_g"], t[p + "attn_ln_b"], lreal)
-        _check_finite(x1, f"layer {l} attention output")
-
-        ffn_pre = _linear(x1, t[p + "w1"], t[p + "b1"])
-        ffn_act, gelu_cache = _gelu(ffn_pre, lreal)
-        ffn_out = _linear(ffn_act, t[p + "w2"], t[p + "b2"])
-        ffn_out = dropout(f"ffn_out{l}", ffn_out, (b, width, cfg.d_model))
-        x2, ln2_cache = _layer_norm(x1 + ffn_out, t[p + "ffn_ln_g"], t[p + "ffn_ln_b"], lreal)
-        _check_finite(x2, f"layer {l} feed-forward output")
-
-        lc.update(
-            q4=q4, k4=k4, v4=v4, attn=attn, attn_used=attn_used, ctx=ctx, ln1=ln1_cache,
-            x1=x1, ffn_act=ffn_act, gelu=gelu_cache, ln2=ln2_cache,
+        keep = {"real": lreal} if want_cache else None
+        x1, ln1_cache = _layer_norm(
+            _self_attention(t, l, x, rows, cfg.n_heads, key_bias, key_mask, queries, dropout, keep),
+            t[p + "attn_ln_g"], t[p + "attn_ln_b"], lreal,
         )
-        cache["layers"].append(lc)
-        x = x2
+        _check_finite(x1, f"layer {l} attention output")
+        x, ln2_cache = _layer_norm(
+            _feed_forward(t, l, x1, lreal, dropout, keep), t[p + "ffn_ln_g"], t[p + "ffn_ln_b"], lreal
+        )
+        _check_finite(x, f"layer {l} feed-forward output")
+        if keep is not None:
+            keep.update(ln1=ln1_cache, ln2=ln2_cache)
+            cache["layers"].append(keep)
 
     cls = x[:, 0, :]
     task_outputs = {
         task.name: cls @ t[f"head.{task.name}.w"] + t[f"head.{task.name}.b"]
         for task in params.tasks
     }
-    cache["cls"] = cls
     return ForwardResult(
         cls=cls,
         task_outputs=task_outputs,
@@ -635,82 +686,99 @@ def gradients(
 
 
 def _backward_trunk(params, batch, cache, dcls, grads):
-    cfg = params.config
+    """Gradients of the blocks and embeddings; pops each layer's cache as it goes."""
     t = params.tensors
-    b, width = batch.ids.shape
-    h = cfg.n_heads
-    dh = cfg.d_model // h
-    scale = 1.0 / math.sqrt(dh)
+    width = batch.ids.shape[1]
     drop = cache["dropout"]
+    layers = cache["layers"]
 
     # The last block's output rows; only [cls] carries a gradient.
-    dx = np.zeros_like(cache["layers"][-1]["x1"])
+    dx = np.zeros_like(layers[-1]["x1"])
     dx[:, 0, :] = dcls
-
-    for l in reversed(range(cfg.n_layers)):
-        p = f"layer{l}."
-        lc = cache["layers"][l]
-        rows = dx.shape[1]
-
-        # ffn layer norm
-        dsum, grads[p + "ffn_ln_g"], grads[p + "ffn_ln_b"] = _layer_norm_backward(
-            dx, t[p + "ffn_ln_g"], lc["ln2"], lc["real"]
-        )
-        dffn_out = dsum
-        if f"ffn_out{l}" in drop:
-            dffn_out = dffn_out * drop[f"ffn_out{l}"]
-        dffn_act, grads[p + "w2"], grads[p + "b2"] = _linear_backward(
-            dffn_out, lc["ffn_act"], t[p + "w2"], width
-        )
-        dffn_pre = _gelu_backward(dffn_act, lc["gelu"], lc["real"])
-        dx1_ffn, grads[p + "w1"], grads[p + "b1"] = _linear_backward(
-            dffn_pre, lc["x1"], t[p + "w1"], width
-        )
-        dx1 = dsum + dx1_ffn
-
-        # attention layer norm
-        dsum, grads[p + "attn_ln_g"], grads[p + "attn_ln_b"] = _layer_norm_backward(
-            dx1, t[p + "attn_ln_g"], lc["ln1"], lc["real"]
-        )
-        dattn_out = dsum
-        if f"attn_out{l}" in drop:
-            dattn_out = dattn_out * drop[f"attn_out{l}"]
-        dctx, grads[p + "wo"], grads[p + "bo"] = _linear_backward(
-            dattn_out, lc["ctx"], t[p + "wo"], width
-        )
-
-        dctx4 = dctx.reshape(b, rows, h, dh).transpose(0, 2, 1, 3)
-        attn_used = lc["attn_used"]
-        dattn_used = dctx4 @ lc["v4"].swapaxes(-1, -2)
-        dv4 = attn_used.swapaxes(-1, -2) @ dctx4
-        if f"attn{l}" in drop:
-            dattn = dattn_used * drop[f"attn{l}"]
-        else:
-            dattn = dattn_used
-        attn = lc["attn"]
-        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dq4 = dscores @ lc["k4"] * scale
-        dk4 = dscores.swapaxes(-1, -2) @ lc["q4"] * scale
-
-        dq = dq4.transpose(0, 2, 1, 3).reshape(b, rows, cfg.d_model)
-        dk = dk4.transpose(0, 2, 1, 3).reshape(b, width, cfg.d_model)
-        dv = dv4.transpose(0, 2, 1, 3).reshape(b, width, cfg.d_model)
-        x_in = lc["x_in"]
-        dx_q, grads[p + "wq"], grads[p + "bq"] = _linear_backward(dq, x_in, t[p + "wq"], width)
-        dx_k, grads[p + "wk"], grads[p + "bk"] = _linear_backward(dk, x_in, t[p + "wk"], width)
-        dx_v, grads[p + "wv"], grads[p + "bv"] = _linear_backward(dv, x_in, t[p + "wv"], width)
-
-        dx = _pad_rows(dsum + dx_q, width) + dx_k + dx_v
+    for l in reversed(range(len(layers))):
+        lc = layers.pop()
+        dx = _feed_forward_backward(dx, t, l, lc, drop, width, grads)
+        dx = _self_attention_backward(dx, t, l, lc, drop, params.config.n_heads, width, grads)
 
     if "emb" in drop:
-        dx = dx * drop["emb"]
+        dx *= drop["emb"]
     dx, grads["emb_ln_g"], grads["emb_ln_b"] = _layer_norm_backward(
         dx, t["emb_ln_g"], cache["emb_ln"], cache["real"]
     )
-    grads["tok_emb"] = _scatter_rows(batch.ids, dx, cfg.vocab_size)
+    grads["tok_emb"] = _scatter_rows(batch.ids, dx, params.config.vocab_size)
     grads["pos_emb"] = np.zeros_like(t["pos_emb"])
     grads["pos_emb"][:width] = dx.sum(axis=0)
     grads["seg_emb"] = _scatter_rows(batch.segments, dx, 2)
+
+
+def _feed_forward_backward(dout, t, l, lc, drop, width, grads):
+    """Layer ``l``'s feed-forward layer norm and sub-block; returns the gradient of its input ``x1``.
+
+    Each cached array is popped from ``lc`` by its last reader.
+    """
+    p = f"layer{l}."
+    real = lc["real"]
+    dx1, grads[p + "ffn_ln_g"], grads[p + "ffn_ln_b"] = _layer_norm_backward(
+        dout, t[p + "ffn_ln_g"], lc.pop("ln2"), real
+    )
+    dffn_out = dx1 * drop[f"ffn_out{l}"] if f"ffn_out{l}" in drop else dx1
+    dffn_act, grads[p + "w2"], grads[p + "b2"] = _linear_backward(
+        dffn_out, lc.pop("ffn_act"), t[p + "w2"], width
+    )
+    dffn_pre = _gelu_backward(dffn_act, lc.pop("gelu"), real)
+    dx1_ffn, grads[p + "w1"], grads[p + "b1"] = _linear_backward(
+        dffn_pre, lc.pop("x1"), t[p + "w1"], width
+    )
+    dx1 += dx1_ffn
+    return dx1
+
+
+def _self_attention_backward(dout, t, l, lc, drop, n_heads, width, grads):
+    """Layer ``l``'s attention layer norm and sub-block; returns the gradient of its input ``x_in``.
+
+    Each cached array is popped from ``lc`` by its last reader.
+    """
+    p = f"layer{l}."
+    dsum, grads[p + "attn_ln_g"], grads[p + "attn_ln_b"] = _layer_norm_backward(
+        dout, t[p + "attn_ln_g"], lc.pop("ln1"), lc["real"]
+    )
+    dattn_out = dsum * drop[f"attn_out{l}"] if f"attn_out{l}" in drop else dsum
+    dctx, grads[p + "wo"], grads[p + "bo"] = _linear_backward(
+        dattn_out, lc.pop("ctx"), t[p + "wo"], width
+    )
+    dq, dk, dv = _heads_backward(dctx, lc, drop.get(f"attn{l}"), n_heads)
+    x_in = lc.pop("x_in")
+    dx_q, grads[p + "wq"], grads[p + "bq"] = _linear_backward(dq, x_in, t[p + "wq"], width)
+    dsum += dx_q
+    dx = _pad_rows(dsum, width)
+    dx_k, grads[p + "wk"], grads[p + "bk"] = _linear_backward(dk, x_in, t[p + "wk"], width)
+    dx += dx_k
+    dx_v, grads[p + "wv"], grads[p + "bv"] = _linear_backward(dv, x_in, t[p + "wv"], width)
+    dx += dx_v
+    return dx
+
+
+def _heads_backward(dctx, lc, drop_mask, n_heads):
+    """Gradients of q, k and v (B, rows or T, d) from that of the context rows ``dctx`` (B, rows, d).
+
+    Pops q4, k4, v4, attn and attn_used from ``lc``; every (B, h, rows, T)
+    array dies when this returns.  ``drop_mask`` is the attention dropout
+    mask, None without dropout.
+    """
+    b, rows, d = dctx.shape
+    dh = d // n_heads
+    scale = 1.0 / math.sqrt(dh)
+    dctx4 = dctx.reshape(b, rows, n_heads, dh).transpose(0, 2, 1, 3)
+    dattn = dctx4 @ lc.pop("v4").swapaxes(-1, -2)
+    dv4 = lc.pop("attn_used").swapaxes(-1, -2) @ dctx4
+    if drop_mask is not None:
+        dattn *= drop_mask
+    dscores = _attention_softmax_backward(dattn, lc.pop("attn"))
+    dq4 = dscores @ lc.pop("k4")
+    dq4 *= scale
+    dk4 = dscores.swapaxes(-1, -2) @ lc.pop("q4")
+    dk4 *= scale
+    return tuple(g.transpose(0, 2, 1, 3).reshape(b, -1, d) for g in (dq4, dk4, dv4))
 
 
 def _scatter_rows(ids, rows, n):

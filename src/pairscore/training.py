@@ -161,15 +161,17 @@ _heap_kept = False
 
 
 def _keep_freed_heap() -> None:
-    """Keep memory that training frees in the heap, for the rest of the process.
+    """Keep memory that the encoder frees in the heap, for the rest of the process.
 
-    A training step frees numpy temporaries of up to a few MiB.  By default
-    glibc maps large blocks on their own and trims the heap top, so each
-    step hands pages back to the kernel and faults them in again (about
-    900 a step at the drift study's shapes).  Pinning the mmap threshold at
-    its ceiling and the trim threshold at twice that (glibc's own ratio)
-    keeps them in the heap for reuse.  It is process-wide, set once, and
-    does nothing where glibc's ``mallopt`` is missing or refuses a value.
+    A training step or a prediction batch frees numpy temporaries of up to
+    a few MiB.  By default glibc maps large blocks on their own and trims
+    the heap top, so each step or batch hands pages back to the kernel and
+    faults them in again (about 900 a step at the drift study's shapes).
+    Pinning the mmap threshold at its ceiling and the trim threshold at
+    twice that (glibc's own ratio) keeps them in the heap for reuse.
+    Training (``_fit``) and ``predict_records`` set it; it is process-wide,
+    set once, and does nothing where glibc's ``mallopt`` is missing or
+    refuses a value.
     """
     global _heap_kept
     if _heap_kept:
@@ -300,6 +302,7 @@ def predict_records(
     """
     if batch_size < 1:
         raise DataError("batch_size must be >= 1")
+    _keep_freed_heap()
     # predict_ratings cuts more than PREDICT_CHUNK examples into chunks of their own width
     limit = min(batch_size, PREDICT_CHUNK)
     scores = np.empty(len(records))

@@ -1,7 +1,7 @@
-"""No command loads scipy, and only the commands that train change the allocator.
+"""No command loads scipy, and only the commands that run the encoder change the allocator.
 
 Each case runs a fresh interpreter and reports which ``scipy*`` modules are
-in ``sys.modules``, or whether training has set the allocator; no timing is
+in ``sys.modules``, or whether the allocator has been set; no timing is
 involved.  The full chain runs with every ``scipy`` import refused, so a
 command that needs scipy fails.
 """
@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pairscore
 from pairscore.demo import demo_sentences
+from pairscore.encoder import EncoderConfig, init_model, save_checkpoint
+from pairscore.text import Vocabulary
 
 SRC = Path(pairscore.__file__).resolve().parents[1]
 
@@ -70,16 +72,26 @@ def test_commands_without_the_encoder_load_no_scipy(tmp_path):
     assert got == {name: [0, []] for name in NO_ENCODER}
 
 
-def test_only_training_sets_the_allocator(tmp_path):
+# Then ``predict`` on an untrained checkpoint, so that no training sets the allocator first.
+RUN_PREDICT = """
+runs["predict"] = [main(["predict", "model.ckpt", "ratings.tsv", "model_preds.tsv"]), report()]
+print(json.dumps(runs))
+"""
+
+
+def test_only_the_encoder_commands_set_the_allocator(tmp_path):
     write_command_inputs(tmp_path)
+    vocab = Vocabulary.build((s.split() for s in demo_sentences(8, seed=3)), min_count=1)
+    params = init_model(EncoderConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2, d_ff=16))
+    save_checkpoint(params, tmp_path / "model.ckpt", {"vocab": list(vocab.tokens)})
     script = """
 import pairscore, pairscore.training
 at_import = pairscore.training._heap_kept
 def report():
     return [at_import, pairscore.training._heap_kept]
-""" + RUN_NO_ENCODER
+""" + RUN_NO_ENCODER + RUN_PREDICT
     got = fresh(script, tmp_path)
-    assert got == {name: [0, [False, False]] for name in NO_ENCODER}
+    assert got == {**{name: [0, [False, False]] for name in NO_ENCODER}, "predict": [0, [False, True]]}
 
 
 # An import hook first in ``sys.meta_path`` that fails every ``scipy`` import.
