@@ -31,23 +31,40 @@ when m is.  The matmuls keep their full padded shapes, because BLAS picks
 its kernel, and with it the rounding, by the matrix sizes.
 
 Memory.  ``forward(..., want_cache=True)`` returns, per layer, what the
-backward pass reads: the layer's input ``x_in``, the heads' ``q4``/``k4``/
-``v4``, the attention weights ``attn`` (and ``attn_used``, the same array
-unless dropout applies), the context rows ``ctx``, ``x1``, the feed-forward
-activation ``ffn_act``, GELU's rows and CDF, and both layer norms' caches;
-without it no layer's arrays outlive that layer.  Each sub-block (attention,
-feed-forward, and in backward the heads' part of attention) is a function
-of its own, so its temporaries die when it returns.  The softmax runs in the
-buffer that received the scores, and its gradient in the buffer of the
-weights' gradient.  ``gradients`` pops each layer's cache when the backward
-pass reaches it and hands each entry to its last reader: ``ffn_act`` to
-``w2``'s, the GELU cache to ``_gelu_backward``, ``x1`` to ``w1``'s, ``ctx``
-to ``wo``'s, ``attn`` to the softmax gradient, ``q4``/``k4``/``v4`` to the
-heads' gradients and ``x_in`` to the input projections'.  None of this can
-change a bit: an elementwise operation gives the same IEEE result in place
-as into a new array, ``a * b == b * a`` (the softmax gradient is
-``(dattn - sum) * attn``), and every sum adds the same terms in the same
-order (the residual is ``(pad(dsum + dx_q) + dx_k) + dx_v`` as before).
+backward pass reads and cannot rebuild from the rest: the heads' ``q4``/
+``k4``/``v4``, the attention weights, the context rows ``ctx``, GELU's rows
+and CDF, both layer norms' caches, and the dropout masks; without it no
+layer's arrays outlive that layer.  Attention runs in blocks of examples,
+as many as fit one (examples, h, rows, T) float64 array into
+``_ATTENTION_BLOCK_BYTES`` (512 KiB, and at least one example): scores,
+softmax and context in forward, and the weights' gradient, the softmax
+gradient and ``dq``/``dk``/``dv`` in backward, so no (B, h, rows, T)
+temporary outlives its block.  The cache keeps each block's weights, of a
+batch with padding only its real query rows, which backward scatters back
+into zeros per block.  The attention dropout mask is drawn once at full
+shape, in the same rng order as every other mask, cut per block, and
+cached; backward rebuilds the weights forward used, ``attn * mask``, per
+block.  Three activations are not cached but rebuilt, just before their
+one reader, with the forward's own expression: a layer's input from the
+layer norm below it (times the ``emb`` dropout mask for layer 0), ``x1``
+from ``ln1``, and the feed-forward activation from GELU's cache.  Each
+sub-block (attention, feed-forward, and in backward the heads' part of
+attention) is a function of its own, so its temporaries die when it
+returns; the softmax runs in the buffer that received the scores, and its
+gradient in the buffer of the weights' gradient; ``gradients`` pops each
+layer's cache when the backward pass reaches it, and each entry dies after
+its last reader.  None of this can change a bit.  Every (b, h) product of
+attention is a matrix product of its own, whatever block it falls in, and
+every softmax row and its gradient is reduced alone over its keys, so
+blocking changes no product's shape and no sum's order; a product written
+into a slice of a preallocated array (``out=``) is the same product.  The
+scattered weights equal what forward computed, whose padding rows were
+exactly 0.  A rebuilt array is the same expression on the same operands.
+An elementwise operation gives the same IEEE result in place as into a new
+array, ``a * b == b * a`` (the softmax gradient is ``(dattn - sum) *
+attn``), and every sum adds the same terms in the same order (the residual
+is ``(pad(dsum + dx_q) + dx_k) + dx_v`` as before).  The tests hold all of
+it to the full-width oracle with ``==``, at small blocks too.
 
 GELU is the exact erf form, with ``scipy.special.erf``'s bits but without
 scipy: scipy's erf is Cephes' ``erf``/``erfc``, and ``_erf`` repeats their
@@ -77,6 +94,9 @@ LN_EPS = 1e-12
 _MASK_BIAS = 1e30
 # Rows the last block computes: [cls] and position 1 (see the module docstring).
 _LAST_BLOCK_ROWS = 2
+# Bytes of one block's (examples, heads, rows, keys) attention array; attention
+# runs on as many examples at a time as fit (see the module docstring).
+_ATTENTION_BLOCK_BYTES = 1 << 19
 
 CHECKPOINT_MAGIC = b"PSCKPT1\n"
 
@@ -272,8 +292,13 @@ def _layer_norm(x, g, b, real):
     xc = rows - mu
     var = (xc * xc).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return _put_rows(g * xhat + b, real, x.shape), (xhat, inv)
+    cache = (xc * inv, inv)
+    return _layer_norm_output(g, b, cache, real, x.shape), cache
+
+
+def _layer_norm_output(g, b, cache, real, shape):
+    """The layer norm's output of ``shape`` from its cache: ``g * xhat + b`` on the real rows, 0 elsewhere."""
+    return _put_rows(g * cache[0] + b, real, shape)
 
 
 def _layer_norm_backward(dout, g, cache, real):
@@ -344,8 +369,14 @@ def _gelu(x, real):
     docstring for why not ``np.exp`` or ``math.erf``).
     """
     rows = _take_rows(x, real)
-    cdf = 0.5 * (1.0 + _erf(rows / math.sqrt(2.0)))
-    return _put_rows(rows * cdf, real, x.shape), (rows, cdf)
+    cache = (rows, 0.5 * (1.0 + _erf(rows / math.sqrt(2.0))))
+    return _gelu_output(cache, real, x.shape), cache
+
+
+def _gelu_output(cache, real, shape):
+    """GELU's output of ``shape`` from its cache: ``rows * cdf`` on the real rows, 0 elsewhere."""
+    rows, cdf = cache
+    return _put_rows(rows * cdf, real, shape)
 
 
 def _gelu_backward(dout, cache, real):
@@ -377,7 +408,9 @@ def _linear_backward(dout, x, w, width):
     """
     rows = dout.shape[1]
     dout = _pad_rows(dout, width)
-    dx = (dout @ w.T)[:, :rows]
+    dx = dout @ w.T
+    if rows < width:  # a copy, so the full-width product dies here
+        dx = dx[:, :rows].copy()
     dout_flat = dout.reshape(-1, dout.shape[-1])
     x_flat = _pad_rows(x, width).reshape(-1, x.shape[-1])
     dw = x_flat.T @ dout_flat
@@ -426,6 +459,11 @@ def _dropout_mask(rng, shape, rate):
     return (rng.random(shape) >= rate).astype(np.float64) / (1.0 - rate)
 
 
+def _dropped(x, mask, blk=slice(None)):
+    """``x * mask[blk]``, or ``x`` itself when ``mask`` is None (no dropout)."""
+    return x if mask is None else x * mask[blk]
+
+
 # ---------------------------------------------------------------------------
 # Forward pass.
 # ---------------------------------------------------------------------------
@@ -453,39 +491,78 @@ def _check_finite(x, where):
         raise NumericError(f"non-finite values in {where}")
 
 
-def _self_attention(t, l, x, rows, n_heads, key_bias, key_mask, queries, dropout, keep):
+def _split_heads(x, n_heads):
+    """``x`` (B, rows, d) as a (B, h, rows, d/h) view."""
+    b, rows, d = x.shape
+    return x.reshape(b, rows, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+
+def _attention_blocks(b, n_heads, rows, width):
+    """Slices of the B examples, each as many as fit one (n, h, rows, T) float64 array
+    into ``_ATTENTION_BLOCK_BYTES``, and at least one."""
+    n = max(1, _ATTENTION_BLOCK_BYTES // (8 * n_heads * rows * width))
+    return [slice(s, min(s + n, b)) for s in range(0, b, n)]
+
+
+def _block_queries(real, blk, rows):
+    """The (example, row) indices within block ``blk`` of its real query rows, None when all are real.
+
+    ``real`` holds the flat indices of the real rows of (B, rows), None when
+    all are real.
+    """
+    if real is None:
+        return None
+    lo, hi = np.searchsorted(real, (blk.start * rows, blk.stop * rows))
+    return np.divmod(real[lo:hi] - blk.start * rows, rows)
+
+
+def _self_attention(t, l, x, rows, n_heads, key_bias, key_mask, real, dropout_mask, keep):
     """Layer ``l``'s attention over ``x`` (B, T, d) for its first ``rows`` query rows, plus the residual.
 
-    ``keep`` (None when no cache is wanted) receives what the backward pass
-    reads; every other array dies when this returns.
+    Scores, softmax and context run per block of examples
+    (``_attention_blocks``); ``real`` is as in ``_block_queries``.  ``keep``
+    (None when no cache is wanted) receives what the backward pass reads,
+    with the attention weights as one array per block: the block's
+    (n, h, rows, T) weights, or only its real query rows, (n_real, h, T),
+    when the batch has padding.  Every other array dies with its block or
+    when this returns.
     """
     p = f"layer{l}."
     b, width, d = x.shape
-    dh = d // n_heads
     x_rows = x[:, :rows]
-    q4 = _linear(x_rows, t[p + "wq"], t[p + "bq"]).reshape(b, rows, n_heads, dh).transpose(0, 2, 1, 3)
-    k4 = _linear(x, t[p + "wk"], t[p + "bk"]).reshape(b, width, n_heads, dh).transpose(0, 2, 1, 3)
-    v4 = _linear(x, t[p + "wv"], t[p + "bv"]).reshape(b, width, n_heads, dh).transpose(0, 2, 1, 3)
-    scores = q4 @ k4.swapaxes(-1, -2)
-    scores *= 1.0 / math.sqrt(dh)
-    if key_bias is not None:
-        scores += key_bias
-    attn = _attention_softmax(scores, key_mask, queries)
-    attn_used = dropout(f"attn{l}", attn)
-    ctx = (attn_used @ v4).transpose(0, 2, 1, 3).reshape(b, rows, d)
-    attn_out = dropout(f"attn_out{l}", _linear(ctx, t[p + "wo"], t[p + "bo"]))
+    q4 = _split_heads(_linear(x_rows, t[p + "wq"], t[p + "bq"]), n_heads)
+    k4 = _split_heads(_linear(x, t[p + "wk"], t[p + "bk"]), n_heads)
+    v4 = _split_heads(_linear(x, t[p + "wv"], t[p + "bv"]), n_heads)
+    mask = dropout_mask(f"attn{l}", (b, n_heads, rows, width))
+    attn = None if keep is None else []
+    ctx = np.empty((b, rows, d))
+    ctx4 = _split_heads(ctx, n_heads)
+    scale = 1.0 / math.sqrt(d // n_heads)
+    for blk in _attention_blocks(b, n_heads, rows, width):
+        queries = _block_queries(real, blk, rows)
+        scores = q4[blk] @ k4[blk].swapaxes(-1, -2)
+        scores *= scale
+        if key_bias is not None:
+            scores += key_bias[blk]
+        weights = _attention_softmax(scores, None if key_mask is None else key_mask[blk], queries)
+        if attn is not None:
+            attn.append(weights if queries is None else weights[queries[0], :, queries[1]])
+        np.matmul(_dropped(weights, mask, blk), v4[blk], out=ctx4[blk])
+    attn_out = _linear(ctx, t[p + "wo"], t[p + "bo"])
+    attn_out = _dropped(attn_out, dropout_mask(f"attn_out{l}", attn_out.shape))
     if keep is not None:
-        keep.update(x_in=x, q4=q4, k4=k4, v4=v4, attn=attn, attn_used=attn_used, ctx=ctx)
+        keep.update(q4=q4, k4=k4, v4=v4, attn=attn, ctx=ctx)
     return x_rows + attn_out
 
 
-def _feed_forward(t, l, x1, real, dropout, keep):
+def _feed_forward(t, l, x1, real, dropout_mask, keep):
     """Layer ``l``'s feed-forward over ``x1`` (B, rows, d), plus the residual; ``keep`` as above."""
     p = f"layer{l}."
     ffn_act, gelu_cache = _gelu(_linear(x1, t[p + "w1"], t[p + "b1"]), real)
-    ffn_out = dropout(f"ffn_out{l}", _linear(ffn_act, t[p + "w2"], t[p + "b2"]))
+    ffn_out = _linear(ffn_act, t[p + "w2"], t[p + "b2"])
+    ffn_out = _dropped(ffn_out, dropout_mask(f"ffn_out{l}", ffn_out.shape))
     if keep is not None:
-        keep.update(x1=x1, ffn_act=ffn_act, gelu=gelu_cache)
+        keep.update(gelu=gelu_cache)
     return x1 + ffn_out
 
 
@@ -515,21 +592,22 @@ def forward(
         raise DataError("training-mode dropout requires an rng")
     cache: dict = {"layers": [], "dropout": {}}
 
-    def dropout(name, x):
+    def dropout_mask(name, shape):
         # The mask is drawn at its full-width shape (the rows axis, second to
-        # last, at `width`) and cut to x's, so the rng stream does not depend
-        # on how many rows a block computes.
+        # last, at `width`) and its first rows copied, so the rng stream does
+        # not depend on how many rows a block computes.  None without dropout.
         if not use_dropout:
-            return x
-        full_shape = x.shape[:-2] + (width, x.shape[-1])
-        m = _dropout_mask(rng, full_shape, cfg.dropout)[tuple(slice(n) for n in x.shape)]
+            return None
+        m = _dropout_mask(rng, shape[:-2] + (width, shape[-1]), cfg.dropout)
+        if shape[-2] < width:
+            m = m[..., : shape[-2], :].copy()
         cache["dropout"][name] = m
-        return x * m
+        return m
 
     x = t["tok_emb"][batch.ids] + t["pos_emb"][:width][None, :, :] + t["seg_emb"][batch.segments]
     real = _real_rows(batch.mask)
     x, emb_ln_cache = _layer_norm(x, t["emb_ln_g"], t["emb_ln_b"], real)
-    x = dropout("emb", x)
+    x = _dropped(x, dropout_mask("emb", x.shape))
     cache["emb_ln"] = emb_ln_cache
     cache["real"] = real
     _check_finite(x, "embedding block")
@@ -546,15 +624,14 @@ def forward(
         # queries and everything after them run on `rows` rows only.
         rows = min(_LAST_BLOCK_ROWS, width) if l == cfg.n_layers - 1 else width
         lreal = real if rows == width else _real_rows(batch.mask[:, :rows])
-        queries = None if lreal is None else np.divmod(lreal, rows)
         keep = {"real": lreal} if want_cache else None
         x1, ln1_cache = _layer_norm(
-            _self_attention(t, l, x, rows, cfg.n_heads, key_bias, key_mask, queries, dropout, keep),
+            _self_attention(t, l, x, rows, cfg.n_heads, key_bias, key_mask, lreal, dropout_mask, keep),
             t[p + "attn_ln_g"], t[p + "attn_ln_b"], lreal,
         )
         _check_finite(x1, f"layer {l} attention output")
         x, ln2_cache = _layer_norm(
-            _feed_forward(t, l, x1, lreal, dropout, keep), t[p + "ffn_ln_g"], t[p + "ffn_ln_b"], lreal
+            _feed_forward(t, l, x1, lreal, dropout_mask, keep), t[p + "ffn_ln_g"], t[p + "ffn_ln_b"], lreal
         )
         _check_finite(x, f"layer {l} feed-forward output")
         if keep is not None:
@@ -688,17 +765,26 @@ def gradients(
 def _backward_trunk(params, batch, cache, dcls, grads):
     """Gradients of the blocks and embeddings; pops each layer's cache as it goes."""
     t = params.tensors
-    width = batch.ids.shape[1]
+    b, width = batch.ids.shape
     drop = cache["dropout"]
     layers = cache["layers"]
 
+    def layer_input(l):
+        """Layer ``l``'s input, rebuilt with the forward's expression from the layer norm below it."""
+        shape = (b, width, dcls.shape[1])
+        if l == 0:
+            x = _layer_norm_output(t["emb_ln_g"], t["emb_ln_b"], cache["emb_ln"], cache["real"], shape)
+            return _dropped(x, drop.get("emb"))
+        below, p = layers[l - 1], f"layer{l - 1}."
+        return _layer_norm_output(t[p + "ffn_ln_g"], t[p + "ffn_ln_b"], below["ln2"], below["real"], shape)
+
     # The last block's output rows; only [cls] carries a gradient.
-    dx = np.zeros_like(layers[-1]["x1"])
+    dx = np.zeros((b, min(_LAST_BLOCK_ROWS, width), dcls.shape[1]))
     dx[:, 0, :] = dcls
     for l in reversed(range(len(layers))):
         lc = layers.pop()
         dx = _feed_forward_backward(dx, t, l, lc, drop, width, grads)
-        dx = _self_attention_backward(dx, t, l, lc, drop, params.config.n_heads, width, grads)
+        dx = _self_attention_backward(dx, t, l, lc, drop, params.config.n_heads, width, grads, layer_input)
 
     if "emb" in drop:
         dx *= drop["emb"]
@@ -714,40 +800,42 @@ def _backward_trunk(params, batch, cache, dcls, grads):
 def _feed_forward_backward(dout, t, l, lc, drop, width, grads):
     """Layer ``l``'s feed-forward layer norm and sub-block; returns the gradient of its input ``x1``.
 
-    Each cached array is popped from ``lc`` by its last reader.
+    The activation and ``x1`` are rebuilt from the GELU and ``ln1`` caches
+    just before their one reader; the GELU and ``ln2`` caches are popped.
     """
     p = f"layer{l}."
     real = lc["real"]
     dx1, grads[p + "ffn_ln_g"], grads[p + "ffn_ln_b"] = _layer_norm_backward(
         dout, t[p + "ffn_ln_g"], lc.pop("ln2"), real
     )
-    dffn_out = dx1 * drop[f"ffn_out{l}"] if f"ffn_out{l}" in drop else dx1
-    dffn_act, grads[p + "w2"], grads[p + "b2"] = _linear_backward(
-        dffn_out, lc.pop("ffn_act"), t[p + "w2"], width
-    )
+    dffn_out = _dropped(dx1, drop.get(f"ffn_out{l}"))
+    ffn_act = _gelu_output(lc["gelu"], real, dout.shape[:-1] + (t[p + "w2"].shape[0],))
+    dffn_act, grads[p + "w2"], grads[p + "b2"] = _linear_backward(dffn_out, ffn_act, t[p + "w2"], width)
+    del ffn_act
     dffn_pre = _gelu_backward(dffn_act, lc.pop("gelu"), real)
-    dx1_ffn, grads[p + "w1"], grads[p + "b1"] = _linear_backward(
-        dffn_pre, lc.pop("x1"), t[p + "w1"], width
-    )
+    del dffn_act
+    x1 = _layer_norm_output(t[p + "attn_ln_g"], t[p + "attn_ln_b"], lc["ln1"], real, dout.shape)
+    dx1_ffn, grads[p + "w1"], grads[p + "b1"] = _linear_backward(dffn_pre, x1, t[p + "w1"], width)
     dx1 += dx1_ffn
     return dx1
 
 
-def _self_attention_backward(dout, t, l, lc, drop, n_heads, width, grads):
-    """Layer ``l``'s attention layer norm and sub-block; returns the gradient of its input ``x_in``.
+def _self_attention_backward(dout, t, l, lc, drop, n_heads, width, grads, layer_input):
+    """Layer ``l``'s attention layer norm and sub-block; returns the gradient of its input.
 
-    Each cached array is popped from ``lc`` by its last reader.
+    Each cached array is popped from ``lc`` by its last reader; the input
+    is rebuilt by ``layer_input(l)`` after the heads' gradients.
     """
     p = f"layer{l}."
     dsum, grads[p + "attn_ln_g"], grads[p + "attn_ln_b"] = _layer_norm_backward(
         dout, t[p + "attn_ln_g"], lc.pop("ln1"), lc["real"]
     )
-    dattn_out = dsum * drop[f"attn_out{l}"] if f"attn_out{l}" in drop else dsum
+    dattn_out = _dropped(dsum, drop.get(f"attn_out{l}"))
     dctx, grads[p + "wo"], grads[p + "bo"] = _linear_backward(
         dattn_out, lc.pop("ctx"), t[p + "wo"], width
     )
     dq, dk, dv = _heads_backward(dctx, lc, drop.get(f"attn{l}"), n_heads)
-    x_in = lc.pop("x_in")
+    x_in = layer_input(l)
     dx_q, grads[p + "wq"], grads[p + "bq"] = _linear_backward(dq, x_in, t[p + "wq"], width)
     dsum += dx_q
     dx = _pad_rows(dsum, width)
@@ -761,24 +849,44 @@ def _self_attention_backward(dout, t, l, lc, drop, n_heads, width, grads):
 def _heads_backward(dctx, lc, drop_mask, n_heads):
     """Gradients of q, k and v (B, rows or T, d) from that of the context rows ``dctx`` (B, rows, d).
 
-    Pops q4, k4, v4, attn and attn_used from ``lc``; every (B, h, rows, T)
-    array dies when this returns.  ``drop_mask`` is the attention dropout
-    mask, None without dropout.
+    Pops ``q4``, ``k4``, ``v4`` and the attention weights from ``lc``;
+    ``drop_mask`` is the cached attention dropout mask, None without dropout.
+    It runs in the forward pass's blocks of examples (``_attention_blocks``:
+    as many as fit one (examples, h, rows, T) array into
+    ``_ATTENTION_BLOCK_BYTES``).  Per block it takes the block's cached
+    weights (of a batch with padding, its real query rows, scattered back
+    into zeros), rebuilds the weights forward used, ``attn * drop_mask``,
+    and computes the weights' gradient, the softmax gradient and the block's
+    rows of ``dq``, ``dk`` and ``dv``, those three into arrays allocated
+    once.  No bit changes: each (b, h) product and each softmax row is
+    computed alone in any block, the scattered weights are the ones forward
+    computed (0 on padding rows), and ``attn * drop_mask`` is forward's own
+    expression.
     """
     b, rows, d = dctx.shape
-    dh = d // n_heads
-    scale = 1.0 / math.sqrt(dh)
-    dctx4 = dctx.reshape(b, rows, n_heads, dh).transpose(0, 2, 1, 3)
-    dattn = dctx4 @ lc.pop("v4").swapaxes(-1, -2)
-    dv4 = lc.pop("attn_used").swapaxes(-1, -2) @ dctx4
-    if drop_mask is not None:
-        dattn *= drop_mask
-    dscores = _attention_softmax_backward(dattn, lc.pop("attn"))
-    dq4 = dscores @ lc.pop("k4")
-    dq4 *= scale
-    dk4 = dscores.swapaxes(-1, -2) @ lc.pop("q4")
-    dk4 *= scale
-    return tuple(g.transpose(0, 2, 1, 3).reshape(b, -1, d) for g in (dq4, dk4, dv4))
+    q4, k4, v4, attn = (lc.pop(name) for name in ("q4", "k4", "v4", "attn"))
+    width = k4.shape[2]
+    scale = 1.0 / math.sqrt(d // n_heads)
+    dctx4 = _split_heads(dctx, n_heads)
+    dq, dk, dv = np.empty((b, rows, d)), np.empty((b, width, d)), np.empty((b, width, d))
+    dq4, dk4, dv4 = (_split_heads(g, n_heads) for g in (dq, dk, dv))
+    for blk in _attention_blocks(b, n_heads, rows, width):
+        weights = attn.pop(0)
+        queries = _block_queries(lc["real"], blk, rows)
+        if queries is not None:  # only the real query rows were cached
+            full = np.zeros((blk.stop - blk.start, n_heads, rows, width))
+            full[queries[0], :, queries[1]] = weights
+            weights = full
+        dattn = dctx4[blk] @ v4[blk].swapaxes(-1, -2)
+        np.matmul(_dropped(weights, drop_mask, blk).swapaxes(-1, -2), dctx4[blk], out=dv4[blk])
+        if drop_mask is not None:
+            dattn *= drop_mask[blk]
+        dscores = _attention_softmax_backward(dattn, weights)
+        np.matmul(dscores, k4[blk], out=dq4[blk])
+        dq4[blk] *= scale
+        np.matmul(dscores.swapaxes(-1, -2), q4[blk], out=dk4[blk])
+        dk4[blk] *= scale
+    return dq, dk, dv
 
 
 def _scatter_rows(ids, rows, n):

@@ -9,6 +9,7 @@ from pairscore.encoder import (
     Batch,
     EncoderConfig,
     ModelParams,
+    _attention_blocks,
     _attention_softmax,
     _attention_softmax_backward,
     _erf,
@@ -27,6 +28,7 @@ from pairscore.encoder import (
 from pairscore.errors import DataError, NumericError
 from pairscore.signals import TaskSpec
 from pairscore.text import SentencePair, Vocabulary, tokenize
+from pairscore.training import PREDICT_CHUNK
 
 CORPUS = [
     "the cat sat on the mat".split(),
@@ -57,6 +59,23 @@ def small_config(vocab):
 
 def make_pairs(vocab, texts):
     return [SentencePair(tokenize(r, vocab), tokenize(c, vocab)) for r, c in texts]
+
+
+def cached_attention(lc):
+    """A layer's cached attention weights as one (B, h, rows, T) array, 0 on padding query rows.
+
+    The cache holds them per block of examples, and only the real query rows
+    when the batch has padding, one (h, T) slab per row in (example, row) order.
+    """
+    held = np.concatenate(lc["attn"])
+    if lc["real"] is None:
+        return held
+    b, h, rows, _ = lc["q4"].shape
+    assert held.shape[0] == len(lc["real"])
+    out = np.zeros((b, h, rows, held.shape[-1]))
+    examples, positions = np.divmod(lc["real"], rows)
+    out[examples, :, positions] = held
+    return out
 
 
 def signal_targets_for(tasks, batch_size, seed=0):
@@ -127,11 +146,12 @@ class TestForward:
         result = forward(params, batch, want_cache=True)
         for lc in result.cache["layers"]:
             # (B, h, rows) sums of the query rows the block computes
-            sums = lc["attn"].sum(axis=-1)
+            attn = cached_attention(lc)
+            sums = attn.sum(axis=-1)
             real = batch.mask[:, None, : sums.shape[-1]] > 0.0
             np.testing.assert_allclose(sums[np.broadcast_to(real, sums.shape)], 1.0, atol=1e-6)
-            # padding query rows are never computed and hold exactly 0
-            assert not lc["attn"][np.broadcast_to(~real, sums.shape)].any()
+            # padding query rows are neither computed nor cached, so they read as exactly 0
+            assert not attn[np.broadcast_to(~real, sums.shape)].any()
 
     def test_padded_keys_get_zero_attention(self, vocab, small_config):
         params = init_model(small_config)
@@ -139,7 +159,7 @@ class TestForward:
         batch = build_batch(pairs, vocab)
         result = forward(params, batch, want_cache=True)
         pad_cols = batch.mask[1] == 0.0
-        attn = result.cache["layers"][0]["attn"][1]
+        attn = cached_attention(result.cache["layers"][0])[1]
         assert attn[:, :, pad_cols].max() == 0.0
 
     def test_layer_norm_pre_affine_stats(self, vocab, small_config):
@@ -433,26 +453,62 @@ class TestPaddedBatches:
         params = init_model(config)
         rng = np.random.default_rng(n_layers)
         # Widths below and above the sizes where BLAS switches kernels.
-        for lengths in ([3, 3], [12, 5, 9], [34, *rng.integers(3, 34, 31)], [61, 20, 7, 40]):
-            rated, signals = self.random_batches(rng, lengths, config.vocab_size, params.tasks)
-            fwd = forward(params, rated)
-            cls, task_outputs, ratings, _ = reference_forward(params, rated)
-            np.testing.assert_array_equal(fwd.cls, cls)
-            np.testing.assert_array_equal(fwd.ratings, ratings)
-            for name, out in task_outputs.items():
-                np.testing.assert_array_equal(fwd.task_outputs[name], out)
-            for batch, spec in ((rated, "supervised"), (signals, params.tasks)):
-                train = dropout > 0.0
-                loss, grads = gradients(
-                    params, batch, train=train, rng=np.random.default_rng(7) if train else None
-                )
-                want_loss, want = reference_gradients(
-                    params, batch, spec, rng=np.random.default_rng(7) if train else None
-                )
-                assert loss == want_loss
-                assert set(grads) == set(want)
-                for name in want:
-                    np.testing.assert_array_equal(grads[name], want[name], err_msg=name)
+        batches = [[3, 3], [12, 5, 9], [34, *rng.integers(3, 34, 31)], [61, 20, 7, 40]]
+        # Attention runs in blocks of `block` examples at width 40: batches of
+        # 1, block - 1, block, block + 1 and 2 * block + 3 examples, the last
+        # with a first block that has no padding.
+        width = 40
+        block = _attention_blocks(1000, config.n_heads, width, width)[0].stop
+        short = np.random.default_rng(100 + n_layers)
+        for n in (1, block - 1, block, block + 1):
+            batches.append([width, *short.integers(3, width, n - 1)])
+        batches.append([width] * block + [*short.integers(3, width, block + 3)])
+        for lengths in batches:
+            self.assert_equal_to_oracle(params, rng, lengths, dropout)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("budget", [1, 8 * 4 * 2 * 40 * 3])
+    def test_small_blocks_equal_the_oracle(self, monkeypatch, budget, dropout):
+        """Blocks far smaller than the real budget's, in every layer.
+
+        A 1-byte budget makes every block one example; the other fits three
+        examples of the last layer's (h, 2, 40) weights and one example of
+        the other layers'.  Every tensor is perturbed, so that no two layer
+        norms share their parameters.
+        """
+        monkeypatch.setattr("pairscore.encoder._ATTENTION_BLOCK_BYTES", budget)
+        config = EncoderConfig(
+            vocab_size=60, d_model=32, n_layers=2, n_heads=4, d_ff=64, max_seq_len=64,
+            dropout=dropout, init_seed=5,
+        )
+        params = init_model(config)
+        rng = np.random.default_rng(5)
+        for arr in params.tensors.values():
+            arr += rng.normal(0.0, 0.05, arr.shape)
+        for lengths in ([9], [12, 5, 9], [20, 20, 20], [40, 40, *rng.integers(3, 40, 5)]):
+            self.assert_equal_to_oracle(params, rng, lengths, dropout)
+
+    def assert_equal_to_oracle(self, params, rng, lengths, dropout):
+        """Forward outputs, losses and gradients on a random batch of ``lengths`` equal the oracle's, with ``==``."""
+        rated, signals = self.random_batches(rng, lengths, params.config.vocab_size, params.tasks)
+        fwd = forward(params, rated)
+        cls, task_outputs, ratings, _ = reference_forward(params, rated)
+        np.testing.assert_array_equal(fwd.cls, cls)
+        np.testing.assert_array_equal(fwd.ratings, ratings)
+        for name, out in task_outputs.items():
+            np.testing.assert_array_equal(fwd.task_outputs[name], out)
+        for batch, spec in ((rated, "supervised"), (signals, params.tasks)):
+            train = dropout > 0.0
+            loss, grads = gradients(
+                params, batch, train=train, rng=np.random.default_rng(7) if train else None
+            )
+            want_loss, want = reference_gradients(
+                params, batch, spec, rng=np.random.default_rng(7) if train else None
+            )
+            assert loss == want_loss
+            assert set(grads) == set(want)
+            for name in want:
+                np.testing.assert_array_equal(grads[name], want[name], err_msg=name)
 
 
 def softmax_expression(scores, key_mask, queries):
@@ -515,12 +571,16 @@ class TestInPlaceAttention:
 
 
 class TestMemory:
-    """Traced peak of one step and one inference pass at the pipeline benchmark's model size.
+    """Traced peak of one step and of inference passes at the pipeline benchmark's model size.
 
-    On this batch (numpy 2.4) the step peaked at 29.8 MB and inference at
+    On these batches (numpy 2.4) the step peaked at 29.8 MB and inference at
     18.0 MB when every layer kept its cache and attention copied its
-    (B, h, T, T) arrays; in place, with each array freed by its last
-    reader, they peak at 15.0 and 8.9 MB.  The bounds sit between the two.
+    (B, h, T, T) arrays, and at 15.0 and 8.9 MB once attention ran in place
+    and each array was freed by its last reader; 64 examples, the largest
+    batch ``predict`` and validation run, then peaked at 17.5 MB.  With
+    attention in blocks of examples, only the real query rows' weights
+    cached and the rebuildable activations rebuilt in backward, they peak
+    at 10.4, 6.2 and 12.1 MB.  The bounds sit between the last two sets.
     """
 
     @staticmethod
@@ -542,8 +602,13 @@ class TestMemory:
         lengths = [60, *rng.integers(8, 60, 31)]
         rated, _ = TestPaddedBatches.random_batches(rng, lengths, config.vocab_size, params.tasks)
         assert rated.ids.shape == (32, 60) and rated.mask.sum() < rated.mask.size
-        assert self.traced_peak(lambda: gradients(params, rated)) <= 18.0
-        assert self.traced_peak(lambda: forward(params, rated)) <= 11.0
+        wide, _ = TestPaddedBatches.random_batches(
+            rng, [60, *rng.integers(8, 60, 63)], config.vocab_size, params.tasks
+        )
+        assert wide.ids.shape == (PREDICT_CHUNK, 60) and wide.mask.sum() < wide.mask.size
+        assert self.traced_peak(lambda: gradients(params, rated)) <= 12.5
+        assert self.traced_peak(lambda: forward(params, rated)) <= 7.5
+        assert self.traced_peak(lambda: forward(params, wide)) <= 14.5
 
 
 class TestCheckpoint:
