@@ -83,17 +83,13 @@ DEFAULTS: dict[str, object] = {
     "n_heads": 4,
     "d_ff": 256,
     "max_seq_len": 128,
-    "dropout": 0.0,
     # synthetic generation
     "n_scatter": 2,
     "n_contiguous": 1,
     "n_backtranslation": 1,
     "word_drop_rate": 0.3,
     "beam_width": 8,
-    "lm_add_k": 0.1,
-    "lm_interpolation": 0.7,
     # signal providers
-    "embedding_dim": 32,
     "embedding_file": "",
     "scorer_command": "",
     "entailment_command": "",
@@ -109,9 +105,6 @@ DEFAULTS: dict[str, object] = {
     "eval_every": 50,
     "pretrain_learning_rate": 1e-5,
     "finetune_learning_rate": 1e-5,
-    "adam_beta1": 0.9,
-    "adam_beta2": 0.999,
-    "adam_eps": 1e-8,
     "holdout_fraction": 0.1,
     # evaluation
     "darr_threshold": 25.0,
@@ -135,14 +128,20 @@ def _coerce(key: str, raw: str):
         raise UsageError(f"config key {key!r}: expected a boolean, got {raw!r}")
     if isinstance(default, int):
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError as exc:
             raise UsageError(f"config key {key!r}: expected an integer, got {raw!r}") from exc
+        if key == "seed" and value < 0:  # numpy's generators take no negative seed
+            raise UsageError(f"config key {key!r}: expected a non-negative integer, got {raw!r}")
+        return value
     if isinstance(default, float):
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise UsageError(f"config key {key!r}: expected a number, got {raw!r}") from exc
+        if not math.isfinite(value):
+            raise UsageError(f"config key {key!r}: expected a finite number, got {raw!r}")
+        return value
     # One pair of surrounding quotes, as render_config writes them; inner quotes stay.
     text = raw.strip()
     return text[1:-1] if len(text) >= 2 and text[0] == text[-1] == '"' else text
@@ -252,7 +251,7 @@ def _child(children: contextlib.ExitStack, command: str) -> LineClient:
 
 def _providers(config: Mapping, examples, children: contextlib.ExitStack) -> SignalProviders:
     """The offline providers, with each one that the config names swapped in."""
-    providers = offline_providers(examples, config["embedding_dim"])
+    providers = offline_providers(examples)
     if config["embedding_file"]:
         providers.embeddings = EmbeddingTable.from_file(config["embedding_file"])
     if config["scorer_command"]:
@@ -270,9 +269,6 @@ def _train_config(config: Mapping, stage: str) -> TrainConfig:
         eval_every=min(config["eval_every"], steps) if steps else 1,
         batch_size=config["batch_size"],
         learning_rate=lr,
-        beta1=config["adam_beta1"],
-        beta2=config["adam_beta2"],
-        adam_eps=config["adam_eps"],
         seed=config["seed"],
     )
 
@@ -289,7 +285,6 @@ def _encoder_config(config: Mapping, vocab: Vocabulary) -> EncoderConfig:
         n_heads=config["n_heads"],
         d_ff=config["d_ff"],
         max_seq_len=config["max_seq_len"],
-        dropout=config["dropout"],
         init_seed=config["seed"],
     )
 
@@ -323,8 +318,7 @@ def cmd_gen_pairs(args, config) -> int:
             translator = ExternalRoundTripTranslator(_child(children, config["translator_command"]))
         else:
             translator = StubBacktranslator()
-        examples = generate_pairs(corpus, vocab, gen_config, translator, config["seed"],
-                                  add_k=config["lm_add_k"], interpolation=config["lm_interpolation"])
+        examples = generate_pairs(corpus, vocab, gen_config, translator, config["seed"])
     meta = {"config_hash": chash, "tokenizer": TOKENIZER_VERSION, "translator": translator.label}
     _atomic_write({
         args.out: lambda p: write_synthetic(examples, p, meta=meta),

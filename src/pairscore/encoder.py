@@ -8,8 +8,7 @@ float64.
 
 Architecture: learned token/position/segment embeddings, post-norm residual
 blocks (multi-head self-attention, then a GELU feed-forward), padding masked
-out of attention.  Inference mode is deterministic; dropout only applies when
-an rng is supplied in training mode.
+out of attention, and no dropout.  Every pass is deterministic.
 
 Only the final [cls] vector reaches a head, so the last block computes only
 what that row needs: its keys and values cover every position, but queries,
@@ -33,38 +32,34 @@ its kernel, and with it the rounding, by the matrix sizes.
 Memory.  ``forward(..., want_cache=True)`` returns, per layer, what the
 backward pass reads and cannot rebuild from the rest: the heads' ``q4``/
 ``k4``/``v4``, the attention weights, the context rows ``ctx``, GELU's rows
-and CDF, both layer norms' caches, and the dropout masks; without it no
-layer's arrays outlive that layer.  Attention runs in blocks of examples,
-as many as fit one (examples, h, rows, T) float64 array into
-``_ATTENTION_BLOCK_BYTES`` (512 KiB, and at least one example): scores,
-softmax and context in forward, and the weights' gradient, the softmax
-gradient and ``dq``/``dk``/``dv`` in backward, so no (B, h, rows, T)
-temporary outlives its block.  The cache keeps each block's weights, of a
-batch with padding only its real query rows, which backward scatters back
-into zeros per block.  The attention dropout mask is drawn once at full
-shape, in the same rng order as every other mask, cut per block, and
-cached; backward rebuilds the weights forward used, ``attn * mask``, per
-block.  Three activations are not cached but rebuilt, just before their
-one reader, with the forward's own expression: a layer's input from the
-layer norm below it (times the ``emb`` dropout mask for layer 0), ``x1``
-from ``ln1``, and the feed-forward activation from GELU's cache.  Each
-sub-block (attention, feed-forward, and in backward the heads' part of
-attention) is a function of its own, so its temporaries die when it
-returns; the softmax runs in the buffer that received the scores, and its
-gradient in the buffer of the weights' gradient; ``gradients`` pops each
-layer's cache when the backward pass reaches it, and each entry dies after
-its last reader.  None of this can change a bit.  Every (b, h) product of
-attention is a matrix product of its own, whatever block it falls in, and
-every softmax row and its gradient is reduced alone over its keys, so
-blocking changes no product's shape and no sum's order; a product written
-into a slice of a preallocated array (``out=``) is the same product.  The
-scattered weights equal what forward computed, whose padding rows were
-exactly 0.  A rebuilt array is the same expression on the same operands.
-An elementwise operation gives the same IEEE result in place as into a new
-array, ``a * b == b * a`` (the softmax gradient is ``(dattn - sum) *
-attn``), and every sum adds the same terms in the same order (the residual
-is ``(pad(dsum + dx_q) + dx_k) + dx_v`` as before).  The tests hold all of
-it to the full-width oracle with ``==``, at small blocks too.
+and CDF, and both layer norms' caches; without it no layer's arrays outlive
+that layer.  Attention runs in blocks of examples, as many as fit one
+(examples, h, rows, T) float64 array into ``_ATTENTION_BLOCK_BYTES``
+(512 KiB, and at least one example): scores, softmax and context in
+forward, and the weights' gradient, the softmax gradient and
+``dq``/``dk``/``dv`` in backward, so no (B, h, rows, T) temporary outlives
+its block.  The cache keeps each block's weights, of a batch with padding
+only its real query rows, which backward scatters back into zeros per
+block.  Three activations are not cached but rebuilt, just before their one
+reader, with the forward's own expression: a layer's input from the layer
+norm below it, ``x1`` from ``ln1``, and the feed-forward activation from
+GELU's cache.  Each sub-block (attention, feed-forward, and in backward the
+heads' part of attention) is a function of its own, so its temporaries die
+when it returns; the softmax runs in the buffer that received the scores,
+and its gradient in the buffer of the weights' gradient; ``gradients`` pops
+each layer's cache when the backward pass reaches it, and each entry dies
+after its last reader.  None of this can change a bit.  Every (b, h)
+product of attention is a matrix product of its own, whatever block it
+falls in, and every softmax row and its gradient is reduced alone over its
+keys, so blocking changes no product's shape and no sum's order; a product
+written into a slice of a preallocated array (``out=``) is the same
+product.  The scattered weights equal what forward computed, whose padding
+rows were exactly 0.  A rebuilt array is the same expression on the same
+operands.  An elementwise operation gives the same IEEE result in place as
+into a new array, ``a * b == b * a`` (the softmax gradient is ``(dattn -
+sum) * attn``), and every sum adds the same terms in the same order (the
+residual is ``(pad(dsum + dx_q) + dx_k) + dx_v`` as before).  The tests
+hold all of it to the full-width oracle with ``==``, at small blocks too.
 
 GELU is the exact erf form, with ``scipy.special.erf``'s bits but without
 scipy: scipy's erf is Cephes' ``erf``/``erfc``, and ``_erf`` repeats their
@@ -99,6 +94,8 @@ _LAST_BLOCK_ROWS = 2
 _ATTENTION_BLOCK_BYTES = 1 << 19
 
 CHECKPOINT_MAGIC = b"PSCKPT1\n"
+# The header's version: 2 since the encoder config lost its dropout rate.
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -109,7 +106,6 @@ class EncoderConfig:
     n_heads: int = 4
     d_ff: int = 256
     max_seq_len: int = 128
-    dropout: float = 0.0
     init_seed: int = 0
 
     def __post_init__(self):
@@ -117,8 +113,6 @@ class EncoderConfig:
             raise DataError("d_model must be divisible by n_heads")
         if self.max_seq_len < 3:
             raise DataError("max_seq_len must be >= 3 ([cls] plus two separators)")
-        if not 0.0 <= self.dropout < 1.0:
-            raise DataError("dropout must lie in [0, 1)")
 
 
 @dataclass
@@ -455,15 +449,6 @@ def _attention_softmax_backward(dattn, attn):
     return dattn
 
 
-def _dropout_mask(rng, shape, rate):
-    return (rng.random(shape) >= rate).astype(np.float64) / (1.0 - rate)
-
-
-def _dropped(x, mask, blk=slice(None)):
-    """``x * mask[blk]``, or ``x`` itself when ``mask`` is None (no dropout)."""
-    return x if mask is None else x * mask[blk]
-
-
 # ---------------------------------------------------------------------------
 # Forward pass.
 # ---------------------------------------------------------------------------
@@ -516,7 +501,7 @@ def _block_queries(real, blk, rows):
     return np.divmod(real[lo:hi] - blk.start * rows, rows)
 
 
-def _self_attention(t, l, x, rows, n_heads, key_bias, key_mask, real, dropout_mask, keep):
+def _self_attention(t, l, x, rows, n_heads, key_bias, key_mask, real, keep):
     """Layer ``l``'s attention over ``x`` (B, T, d) for its first ``rows`` query rows, plus the residual.
 
     Scores, softmax and context run per block of examples
@@ -533,7 +518,6 @@ def _self_attention(t, l, x, rows, n_heads, key_bias, key_mask, real, dropout_ma
     q4 = _split_heads(_linear(x_rows, t[p + "wq"], t[p + "bq"]), n_heads)
     k4 = _split_heads(_linear(x, t[p + "wk"], t[p + "bk"]), n_heads)
     v4 = _split_heads(_linear(x, t[p + "wv"], t[p + "bv"]), n_heads)
-    mask = dropout_mask(f"attn{l}", (b, n_heads, rows, width))
     attn = None if keep is None else []
     ctx = np.empty((b, rows, d))
     ctx4 = _split_heads(ctx, n_heads)
@@ -547,32 +531,24 @@ def _self_attention(t, l, x, rows, n_heads, key_bias, key_mask, real, dropout_ma
         weights = _attention_softmax(scores, None if key_mask is None else key_mask[blk], queries)
         if attn is not None:
             attn.append(weights if queries is None else weights[queries[0], :, queries[1]])
-        np.matmul(_dropped(weights, mask, blk), v4[blk], out=ctx4[blk])
+        np.matmul(weights, v4[blk], out=ctx4[blk])
     attn_out = _linear(ctx, t[p + "wo"], t[p + "bo"])
-    attn_out = _dropped(attn_out, dropout_mask(f"attn_out{l}", attn_out.shape))
     if keep is not None:
         keep.update(q4=q4, k4=k4, v4=v4, attn=attn, ctx=ctx)
     return x_rows + attn_out
 
 
-def _feed_forward(t, l, x1, real, dropout_mask, keep):
+def _feed_forward(t, l, x1, real, keep):
     """Layer ``l``'s feed-forward over ``x1`` (B, rows, d), plus the residual; ``keep`` as above."""
     p = f"layer{l}."
     ffn_act, gelu_cache = _gelu(_linear(x1, t[p + "w1"], t[p + "b1"]), real)
     ffn_out = _linear(ffn_act, t[p + "w2"], t[p + "b2"])
-    ffn_out = _dropped(ffn_out, dropout_mask(f"ffn_out{l}", ffn_out.shape))
     if keep is not None:
         keep.update(gelu=gelu_cache)
     return x1 + ffn_out
 
 
-def forward(
-    params: ModelParams,
-    batch: Batch,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-    want_cache: bool = False,
-) -> ForwardResult:
+def forward(params: ModelParams, batch: Batch, want_cache: bool = False) -> ForwardResult:
     """Run the encoder and all heads.  Raises on sequences exceeding max_seq_len.
 
     With ``want_cache`` the result carries what ``gradients`` reads (see the
@@ -587,27 +563,11 @@ def forward(
         )
     if int(batch.ids.max()) >= cfg.vocab_size:
         raise DataError("token id out of range for this model's vocabulary")
-    use_dropout = train and cfg.dropout > 0.0
-    if use_dropout and rng is None:
-        raise DataError("training-mode dropout requires an rng")
-    cache: dict = {"layers": [], "dropout": {}}
-
-    def dropout_mask(name, shape):
-        # The mask is drawn at its full-width shape (the rows axis, second to
-        # last, at `width`) and its first rows copied, so the rng stream does
-        # not depend on how many rows a block computes.  None without dropout.
-        if not use_dropout:
-            return None
-        m = _dropout_mask(rng, shape[:-2] + (width, shape[-1]), cfg.dropout)
-        if shape[-2] < width:
-            m = m[..., : shape[-2], :].copy()
-        cache["dropout"][name] = m
-        return m
+    cache: dict = {"layers": []}
 
     x = t["tok_emb"][batch.ids] + t["pos_emb"][:width][None, :, :] + t["seg_emb"][batch.segments]
     real = _real_rows(batch.mask)
     x, emb_ln_cache = _layer_norm(x, t["emb_ln_g"], t["emb_ln_b"], real)
-    x = _dropped(x, dropout_mask("emb", x.shape))
     cache["emb_ln"] = emb_ln_cache
     cache["real"] = real
     _check_finite(x, "embedding block")
@@ -626,12 +586,12 @@ def forward(
         lreal = real if rows == width else _real_rows(batch.mask[:, :rows])
         keep = {"real": lreal} if want_cache else None
         x1, ln1_cache = _layer_norm(
-            _self_attention(t, l, x, rows, cfg.n_heads, key_bias, key_mask, lreal, dropout_mask, keep),
+            _self_attention(t, l, x, rows, cfg.n_heads, key_bias, key_mask, lreal, keep),
             t[p + "attn_ln_g"], t[p + "attn_ln_b"], lreal,
         )
         _check_finite(x1, f"layer {l} attention output")
         x, ln2_cache = _layer_norm(
-            _feed_forward(t, l, x1, lreal, dropout_mask, keep), t[p + "ffn_ln_g"], t[p + "ffn_ln_b"], lreal
+            _feed_forward(t, l, x1, lreal, keep), t[p + "ffn_ln_g"], t[p + "ffn_ln_b"], lreal
         )
         _check_finite(x, f"layer {l} feed-forward output")
         if keep is not None:
@@ -709,12 +669,7 @@ def pretrain_loss(
 # ---------------------------------------------------------------------------
 
 
-def gradients(
-    params: ModelParams,
-    batch: Batch,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
+def gradients(params: ModelParams, batch: Batch) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and exact gradients for every tensor.
 
     The batch's labels pick the loss: mean squared error of the rating head
@@ -722,7 +677,7 @@ def gradients(
     loss on ``batch.signal_targets`` weighted by ``params.tasks``.
     """
     t = params.tensors
-    result = forward(params, batch, train=train, rng=rng, want_cache=True)
+    result = forward(params, batch, want_cache=True)
     cache = result.cache
     cls = result.cls
     b = batch.size
@@ -766,15 +721,13 @@ def _backward_trunk(params, batch, cache, dcls, grads):
     """Gradients of the blocks and embeddings; pops each layer's cache as it goes."""
     t = params.tensors
     b, width = batch.ids.shape
-    drop = cache["dropout"]
     layers = cache["layers"]
 
     def layer_input(l):
         """Layer ``l``'s input, rebuilt with the forward's expression from the layer norm below it."""
         shape = (b, width, dcls.shape[1])
         if l == 0:
-            x = _layer_norm_output(t["emb_ln_g"], t["emb_ln_b"], cache["emb_ln"], cache["real"], shape)
-            return _dropped(x, drop.get("emb"))
+            return _layer_norm_output(t["emb_ln_g"], t["emb_ln_b"], cache["emb_ln"], cache["real"], shape)
         below, p = layers[l - 1], f"layer{l - 1}."
         return _layer_norm_output(t[p + "ffn_ln_g"], t[p + "ffn_ln_b"], below["ln2"], below["real"], shape)
 
@@ -783,11 +736,9 @@ def _backward_trunk(params, batch, cache, dcls, grads):
     dx[:, 0, :] = dcls
     for l in reversed(range(len(layers))):
         lc = layers.pop()
-        dx = _feed_forward_backward(dx, t, l, lc, drop, width, grads)
-        dx = _self_attention_backward(dx, t, l, lc, drop, params.config.n_heads, width, grads, layer_input)
+        dx = _feed_forward_backward(dx, t, l, lc, width, grads)
+        dx = _self_attention_backward(dx, t, l, lc, params.config.n_heads, width, grads, layer_input)
 
-    if "emb" in drop:
-        dx *= drop["emb"]
     dx, grads["emb_ln_g"], grads["emb_ln_b"] = _layer_norm_backward(
         dx, t["emb_ln_g"], cache["emb_ln"], cache["real"]
     )
@@ -797,7 +748,7 @@ def _backward_trunk(params, batch, cache, dcls, grads):
     grads["seg_emb"] = _scatter_rows(batch.segments, dx, 2)
 
 
-def _feed_forward_backward(dout, t, l, lc, drop, width, grads):
+def _feed_forward_backward(dout, t, l, lc, width, grads):
     """Layer ``l``'s feed-forward layer norm and sub-block; returns the gradient of its input ``x1``.
 
     The activation and ``x1`` are rebuilt from the GELU and ``ln1`` caches
@@ -808,9 +759,8 @@ def _feed_forward_backward(dout, t, l, lc, drop, width, grads):
     dx1, grads[p + "ffn_ln_g"], grads[p + "ffn_ln_b"] = _layer_norm_backward(
         dout, t[p + "ffn_ln_g"], lc.pop("ln2"), real
     )
-    dffn_out = _dropped(dx1, drop.get(f"ffn_out{l}"))
     ffn_act = _gelu_output(lc["gelu"], real, dout.shape[:-1] + (t[p + "w2"].shape[0],))
-    dffn_act, grads[p + "w2"], grads[p + "b2"] = _linear_backward(dffn_out, ffn_act, t[p + "w2"], width)
+    dffn_act, grads[p + "w2"], grads[p + "b2"] = _linear_backward(dx1, ffn_act, t[p + "w2"], width)
     del ffn_act
     dffn_pre = _gelu_backward(dffn_act, lc.pop("gelu"), real)
     del dffn_act
@@ -820,7 +770,7 @@ def _feed_forward_backward(dout, t, l, lc, drop, width, grads):
     return dx1
 
 
-def _self_attention_backward(dout, t, l, lc, drop, n_heads, width, grads, layer_input):
+def _self_attention_backward(dout, t, l, lc, n_heads, width, grads, layer_input):
     """Layer ``l``'s attention layer norm and sub-block; returns the gradient of its input.
 
     Each cached array is popped from ``lc`` by its last reader; the input
@@ -830,11 +780,8 @@ def _self_attention_backward(dout, t, l, lc, drop, n_heads, width, grads, layer_
     dsum, grads[p + "attn_ln_g"], grads[p + "attn_ln_b"] = _layer_norm_backward(
         dout, t[p + "attn_ln_g"], lc.pop("ln1"), lc["real"]
     )
-    dattn_out = _dropped(dsum, drop.get(f"attn_out{l}"))
-    dctx, grads[p + "wo"], grads[p + "bo"] = _linear_backward(
-        dattn_out, lc.pop("ctx"), t[p + "wo"], width
-    )
-    dq, dk, dv = _heads_backward(dctx, lc, drop.get(f"attn{l}"), n_heads)
+    dctx, grads[p + "wo"], grads[p + "bo"] = _linear_backward(dsum, lc.pop("ctx"), t[p + "wo"], width)
+    dq, dk, dv = _heads_backward(dctx, lc, n_heads)
     x_in = layer_input(l)
     dx_q, grads[p + "wq"], grads[p + "bq"] = _linear_backward(dq, x_in, t[p + "wq"], width)
     dsum += dx_q
@@ -846,22 +793,19 @@ def _self_attention_backward(dout, t, l, lc, drop, n_heads, width, grads, layer_
     return dx
 
 
-def _heads_backward(dctx, lc, drop_mask, n_heads):
+def _heads_backward(dctx, lc, n_heads):
     """Gradients of q, k and v (B, rows or T, d) from that of the context rows ``dctx`` (B, rows, d).
 
-    Pops ``q4``, ``k4``, ``v4`` and the attention weights from ``lc``;
-    ``drop_mask`` is the cached attention dropout mask, None without dropout.
+    Pops ``q4``, ``k4``, ``v4`` and the attention weights from ``lc``.
     It runs in the forward pass's blocks of examples (``_attention_blocks``:
     as many as fit one (examples, h, rows, T) array into
     ``_ATTENTION_BLOCK_BYTES``).  Per block it takes the block's cached
     weights (of a batch with padding, its real query rows, scattered back
-    into zeros), rebuilds the weights forward used, ``attn * drop_mask``,
-    and computes the weights' gradient, the softmax gradient and the block's
-    rows of ``dq``, ``dk`` and ``dv``, those three into arrays allocated
-    once.  No bit changes: each (b, h) product and each softmax row is
-    computed alone in any block, the scattered weights are the ones forward
-    computed (0 on padding rows), and ``attn * drop_mask`` is forward's own
-    expression.
+    into zeros) and computes the weights' gradient, the softmax gradient and
+    the block's rows of ``dq``, ``dk`` and ``dv``, those three into arrays
+    allocated once.  No bit changes: each (b, h) product and each softmax
+    row is computed alone in any block, and the scattered weights are the
+    ones forward computed (0 on padding rows).
     """
     b, rows, d = dctx.shape
     q4, k4, v4, attn = (lc.pop(name) for name in ("q4", "k4", "v4", "attn"))
@@ -878,9 +822,7 @@ def _heads_backward(dctx, lc, drop_mask, n_heads):
             full[queries[0], :, queries[1]] = weights
             weights = full
         dattn = dctx4[blk] @ v4[blk].swapaxes(-1, -2)
-        np.matmul(_dropped(weights, drop_mask, blk).swapaxes(-1, -2), dctx4[blk], out=dv4[blk])
-        if drop_mask is not None:
-            dattn *= drop_mask[blk]
+        np.matmul(weights.swapaxes(-1, -2), dctx4[blk], out=dv4[blk])
         dscores = _attention_softmax_backward(dattn, weights)
         np.matmul(dscores, k4[blk], out=dq4[blk])
         dq4[blk] *= scale
@@ -917,7 +859,7 @@ def save_checkpoint(params: ModelParams, path: str | Path, meta: Mapping | None 
         offset += len(raw)
     header = {
         "format": "checkpoint",
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
         "config": asdict(params.config),
         "tasks": [
             {"name": x.name, "kind": x.kind, "dim": x.dim, "weight": x.weight} for x in params.tasks
@@ -953,9 +895,15 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
         )
     try:
         header = json.loads(data[start:payload_start].decode("utf-8"))
-        if (header["format"], header["version"]) != ("checkpoint", 1):
-            found = f"{header['format']}/{header['version']}"
-            raise DataError(f"expected artifact schema 'checkpoint/1', found {found!r}")
+        found = f"{header['format']}/{header['version']}"
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"checkpoint {path}: malformed header: {exc}") from None
+    if found != f"checkpoint/{CHECKPOINT_VERSION}":
+        raise DataError(
+            f"checkpoint {path}: expected artifact schema 'checkpoint/{CHECKPOINT_VERSION}', "
+            f"found {found!r}; train it again with this version"
+        )
+    try:
         config = EncoderConfig(**header["config"])
         tasks = tuple(TaskSpec(x["name"], x["kind"], x["dim"], x["weight"]) for x in header["tasks"])
         entries = [

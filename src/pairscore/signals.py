@@ -36,8 +36,6 @@ from .synth import (
 )
 from .text import TokenSeq, Vocabulary, tokenize
 
-SIGNAL_LAYOUT_VERSION = 1
-
 REGRESSION = "regression"
 CLASSIFICATION = "classification"
 
@@ -428,16 +426,8 @@ def write_signals(
     meta: Mapping[str, object] | None = None,
 ) -> None:
     """Write ``pairs``, whose vectors ``stats`` standardized, with ``stats`` in the header."""
-    header = {
-        "layout_version": SIGNAL_LAYOUT_VERSION,
-        "normalization": stats.to_json_dict(),
-        **(meta or {}),
-    }
-    # Each record's "normalized" key is constant; it stays so files keep their bytes.
-    records = (
-        {**example_record(ex), "normalized": True, "signals": vec.to_json_dict()}
-        for ex, vec in pairs
-    )
+    header = {"normalization": stats.to_json_dict(), **(meta or {})}
+    records = ({**example_record(ex), "signals": vec.to_json_dict()} for ex, vec in pairs)
     write_records(path, SIGNALS_FORMAT, SIGNALS_VERSION, records, header)
 
 
@@ -469,14 +459,11 @@ def read_signals(
 
 
 def generate_pairs(
-    texts: Sequence[str], vocab: Vocabulary, config: GenerationConfig, translator, seed: int, **lm_options
+    texts: Sequence[str], vocab: Vocabulary, config: GenerationConfig, translator, seed: int
 ) -> list[SyntheticExample]:
-    """Tokenize ``texts``, drop empty segments, train the bigram LM on the rest and perturb them.
-
-    ``lm_options`` (``add_k``, ``interpolation``) go to ``BigramLM.train``.
-    """
+    """Tokenize ``texts``, drop empty segments, train the bigram LM on the rest and perturb them."""
     segments = [seq for seq in (tokenize(t, vocab) for t in texts) if len(seq) > 0]
-    lm = BigramLM.train(segments, vocab, **lm_options)
+    lm = BigramLM.train(segments, vocab)
     return generate_corpus(segments, config, lm, translator, vocab, seed)
 
 

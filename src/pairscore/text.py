@@ -285,9 +285,14 @@ def unk_summary(pairs: Iterable[SentencePair], vocab: Vocabulary) -> str:
     return f"{UNK}: {unk} of {total} rating tokens ({share:.1f}%)"
 
 
+# The one TSV line that marks a ratings file's ratings as raw scores; any
+# other "#" line is a comment.
+_RAW_SCORES_LINE = "# raw-scores"
+
+
 def _tsv_record(line: str, require_rating: bool, header: dict) -> RatingRecord | None:
     if line.startswith("#"):
-        if "raw-scores" in line:
+        if line == _RAW_SCORES_LINE:
             header["raw_scores"] = True
         return None
     cols = line.split("\t")
@@ -314,7 +319,10 @@ def _tsv_record(line: str, require_rating: bool, header: dict) -> RatingRecord |
 def _jsonl_record(line: str, require_rating: bool, header: dict) -> RatingRecord | None:
     obj = json_object(line)
     if obj.get("record") == "header":
-        header["raw_scores"] = bool(obj.get("raw_scores", False))
+        raw_scores = obj.get("raw_scores", False)
+        if not isinstance(raw_scores, bool):
+            raise DataError(f"header's raw_scores must be true or false, got {raw_scores!r}")
+        header["raw_scores"] = raw_scores
         return None
     refs = obj.get("references")
     source_id = obj.get("source_id", "")
@@ -392,7 +400,7 @@ def write_rating_records(
     ratings as raw scores.
     """
     if fmt == "wmt-tsv":
-        header = "# raw-scores"
+        header = _RAW_SCORES_LINE
         lines = ["\t".join([r.source_id, *r.references, r.candidate, repr(r.rating)]) for r in records]
     elif fmt == "jsonl":
         header = json.dumps({"record": "header", "raw_scores": True}, sort_keys=True)

@@ -5,8 +5,7 @@ vectors and keeps the checkpoint with the lowest loss; fine-tuning minimizes
 mean squared error on human ratings and keeps the checkpoint with the best
 validation Kendall.  Both are one loop, ``_fit``, and deterministic given
 (data, config, seed): data order comes from seed-derived epoch
-permutations, dropout masks from a second seed-derived stream, and Adam
-runs in a fixed update order.
+permutations, and Adam runs in a fixed update order.
 
 The two stages stay apart by construction: pretrain() never sees ratings
 and finetune() never sees signal vectors.
@@ -42,15 +41,18 @@ from .synth import SyntheticExample
 from .text import RatedExample, SentencePair, Vocabulary
 
 
+# Adam's constants: the moment decay rates and the denominator's epsilon.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     total_steps: int
     eval_every: int
     batch_size: int = 32
     learning_rate: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     # Read by nothing in the package; kept so that callers passing stage= still work.
     stage: str = "pretrain"
@@ -75,7 +77,7 @@ class EvalPoint:
 
 
 class AdamOptimizer:
-    """Adam with bias correction and a fixed learning rate.
+    """Adam with bias correction, a fixed learning rate and the ``ADAM_*`` constants.
 
     It updates the tensors of the ``params`` it is made for, which it turns
     into views of one flat vector, the layout of its moments too: a step is
@@ -99,25 +101,24 @@ class AdamOptimizer:
     def step(self, params: ModelParams, grads: Mapping[str, np.ndarray]) -> None:
         if params is not self.params:
             raise ValueError("AdamOptimizer.step takes the params it was made for")
-        cfg = self.config
         self.t += 1
-        correction1 = 1.0 - cfg.beta1**self.t
-        correction2 = 1.0 - cfg.beta2**self.t
+        correction1 = 1.0 - ADAM_BETA1**self.t
+        correction2 = 1.0 - ADAM_BETA2**self.t
         g = np.concatenate([grads[name].ravel() for name in self.names])
         m, v = self.m, self.v
         # In place, each expression in the operation order of
         # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
         # p -= lr * (m/c1) / (sqrt(v/c2) + eps).
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        g2 = (1.0 - cfg.beta2) * g
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        g2 = (1.0 - ADAM_BETA2) * g
         g2 *= g
-        v *= cfg.beta2
+        v *= ADAM_BETA2
         v += g2
         denom = np.sqrt(v / correction2, out=g2)
-        denom += cfg.adam_eps
+        denom += ADAM_EPS
         step = m / correction1
-        step *= cfg.learning_rate
+        step *= self.config.learning_rate
         step /= denom
         self.flat -= step
 
@@ -206,9 +207,6 @@ def _fit(
         return working, history
     optimizer = AdamOptimizer(working, config)
     sampler = _EpochSampler(n, config.batch_size, config.seed)
-    # A stream of its own, so dropout never shifts the data order; nothing is
-    # drawn from it when the model's dropout rate is 0.
-    dropout_rng = np.random.default_rng((config.seed, 1))
     eval_at = set(_eval_steps(config.total_steps, config.eval_every))
     best: tuple[float, ModelParams] | None = None
     _keep_freed_heap()
@@ -217,7 +215,7 @@ def _fit(
         for step in range(1, config.total_steps + 1):
             try:
                 batch = batch_at(sampler.next_indices())
-                _, grads = gradients(working, batch, train=True, rng=dropout_rng)
+                _, grads = gradients(working, batch)
                 optimizer.step(working, grads)
                 if step in eval_at:
                     metric = evaluate(working)
@@ -400,10 +398,9 @@ def manifest_entry(
     params: ModelParams,
     checkpoint: str | Path,
 ) -> dict:
-    """One stage of a training manifest; ``stage`` fills both its name and its kind."""
+    """One stage of a training manifest."""
     return {
         "stage": stage,
-        "kind": stage,
         "steps": steps,
         "history": [{"step": p.step, "metric": p.metric} for p in history],
         "params_digest": params_digest(params),

@@ -59,27 +59,14 @@ def _softmax_last(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _dropout_mask(rng, shape, rate):
-    return (rng.random(shape) >= rate).astype(np.float64) / (1.0 - rate)
-
-
-def reference_forward(params, batch, rng=None):
-    """(cls, task_outputs, ratings, cache); dropout applies when rng is given."""
+def reference_forward(params, batch):
+    """(cls, task_outputs, ratings, cache)."""
     cfg, t = params.config, params.tensors
     b, width = batch.ids.shape
-    use_dropout = rng is not None and cfg.dropout > 0.0
-    drop: dict = {}
     layers = []
-
-    def dropout(name, x):
-        if not use_dropout:
-            return x
-        drop[name] = _dropout_mask(rng, x.shape, cfg.dropout)
-        return x * drop[name]
 
     x = t["tok_emb"][batch.ids] + t["pos_emb"][:width][None, :, :] + t["seg_emb"][batch.segments]
     x, emb_ln = _layer_norm(x, t["emb_ln_g"], t["emb_ln_b"])
-    x = dropout("emb", x)
     h = cfg.n_heads
     dh = cfg.d_model // h
     scale = 1.0 / math.sqrt(dh)
@@ -91,16 +78,15 @@ def reference_forward(params, batch, rng=None):
         k4 = split(x @ t[p + "wk"] + t[p + "bk"])
         v4 = split(x @ t[p + "wv"] + t[p + "bv"])
         attn = _softmax_last(q4 @ k4.swapaxes(-1, -2) * scale + key_bias)
-        attn_used = dropout(f"attn{l}", attn)
-        ctx = (attn_used @ v4).transpose(0, 2, 1, 3).reshape(b, width, cfg.d_model)
-        attn_out = dropout(f"attn_out{l}", ctx @ t[p + "wo"] + t[p + "bo"])
+        ctx = (attn @ v4).transpose(0, 2, 1, 3).reshape(b, width, cfg.d_model)
+        attn_out = ctx @ t[p + "wo"] + t[p + "bo"]
         x1, ln1 = _layer_norm(x + attn_out, t[p + "attn_ln_g"], t[p + "attn_ln_b"])
         ffn_pre = x1 @ t[p + "w1"] + t[p + "b1"]
         ffn_act = _gelu(ffn_pre)
-        ffn_out = dropout(f"ffn_out{l}", ffn_act @ t[p + "w2"] + t[p + "b2"])
+        ffn_out = ffn_act @ t[p + "w2"] + t[p + "b2"]
         x2, ln2 = _layer_norm(x1 + ffn_out, t[p + "ffn_ln_g"], t[p + "ffn_ln_b"])
         layers.append(dict(
-            x_in=x, q4=q4, k4=k4, v4=v4, attn=attn, attn_used=attn_used, ctx=ctx,
+            x_in=x, q4=q4, k4=k4, v4=v4, attn=attn, ctx=ctx,
             ln1=ln1, x1=x1, ffn_pre=ffn_pre, ffn_act=ffn_act, ln2=ln2,
         ))
         x = x2
@@ -110,14 +96,14 @@ def reference_forward(params, batch, rng=None):
         for task in params.tasks
     }
     ratings = cls @ t["rating.w"] + t["rating.b"][0]
-    cache = {"layers": layers, "dropout": drop, "emb_ln": emb_ln}
+    cache = {"layers": layers, "emb_ln": emb_ln}
     return cls, task_outputs, ratings, cache
 
 
-def reference_gradients(params, batch, loss_spec, rng=None):
+def reference_gradients(params, batch, loss_spec):
     """Loss and gradients of every tensor, as ``encoder.gradients`` defines them."""
     cfg, t = params.config, params.tensors
-    cls, task_outputs, ratings, cache = reference_forward(params, batch, rng)
+    cls, task_outputs, ratings, cache = reference_forward(params, batch)
     b, width = batch.ids.shape
     grads = {name: np.zeros_like(arr) for name, arr in t.items()}
     if isinstance(loss_spec, str):
@@ -145,7 +131,6 @@ def reference_gradients(params, batch, loss_spec, rng=None):
     h = cfg.n_heads
     dh = cfg.d_model // h
     scale = 1.0 / math.sqrt(dh)
-    drop = cache["dropout"]
     dx = np.zeros((b, width, cfg.d_model))
     dx[:, 0, :] = dcls
     for l in reversed(range(cfg.n_layers)):
@@ -154,8 +139,7 @@ def reference_gradients(params, batch, loss_spec, rng=None):
         dsum, dg, db = _layer_norm_backward(dx, t[p + "ffn_ln_g"], lc["ln2"])
         grads[p + "ffn_ln_g"] += dg
         grads[p + "ffn_ln_b"] += db
-        dffn_out = dsum * drop[f"ffn_out{l}"] if drop else dsum
-        dffn_act, dw2, db2 = _linear_backward(dffn_out, lc["ffn_act"], t[p + "w2"])
+        dffn_act, dw2, db2 = _linear_backward(dsum, lc["ffn_act"], t[p + "w2"])
         grads[p + "w2"] += dw2
         grads[p + "b2"] += db2
         dffn_pre = _gelu_backward(dffn_act, lc["ffn_pre"])
@@ -165,15 +149,13 @@ def reference_gradients(params, batch, loss_spec, rng=None):
         dsum, dg, db = _layer_norm_backward(dsum + dx1_ffn, t[p + "attn_ln_g"], lc["ln1"])
         grads[p + "attn_ln_g"] += dg
         grads[p + "attn_ln_b"] += db
-        dattn_out = dsum * drop[f"attn_out{l}"] if drop else dsum
-        dctx, dwo, dbo = _linear_backward(dattn_out, lc["ctx"], t[p + "wo"])
+        dctx, dwo, dbo = _linear_backward(dsum, lc["ctx"], t[p + "wo"])
         grads[p + "wo"] += dwo
         grads[p + "bo"] += dbo
         dctx4 = dctx.reshape(b, width, h, dh).transpose(0, 2, 1, 3)
-        dattn_used = dctx4 @ lc["v4"].swapaxes(-1, -2)
-        dv4 = lc["attn_used"].swapaxes(-1, -2) @ dctx4
-        dattn = dattn_used * drop[f"attn{l}"] if drop else dattn_used
+        dattn = dctx4 @ lc["v4"].swapaxes(-1, -2)
         attn = lc["attn"]
+        dv4 = attn.swapaxes(-1, -2) @ dctx4
         dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
         dq4 = dscores @ lc["k4"] * scale
         dk4 = dscores.swapaxes(-1, -2) @ lc["q4"] * scale
@@ -184,8 +166,6 @@ def reference_gradients(params, batch, loss_spec, rng=None):
             grads[p + "w" + name] += dw
             grads[p + "b" + name] += dbias
             dx = dx + dx_proj
-    if drop:
-        dx = dx * drop["emb"]
     dx, dg, db = _layer_norm_backward(dx, t["emb_ln_g"], cache["emb_ln"])
     grads["emb_ln_g"] += dg
     grads["emb_ln_b"] += db

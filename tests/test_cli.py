@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import json
+import struct
 import warnings
 
 import numpy as np
@@ -7,13 +9,13 @@ import pytest
 
 from pairscore.cli import DEFAULTS, config_hash, load_config, main, render_config
 from pairscore.demo import demo_sentences, load_demo_ratings_path
-from pairscore.encoder import EncoderConfig, init_model, load_checkpoint, save_checkpoint
+from pairscore.encoder import CHECKPOINT_MAGIC, EncoderConfig, init_model, load_checkpoint, save_checkpoint
 from pairscore.errors import UsageError
 from pairscore.experiments import build_offline_pretraining_data
 from pairscore.signals import TASK_NAMES, read_signals
 from pairscore.synth import GenerationConfig
 from pairscore.text import RatingRecord, Vocabulary, read_rating_records, split_tokens
-from pairscore.training import params_digest
+from pairscore.training import TrainConfig, params_digest
 
 from predict_oracle import reference_predict_records
 
@@ -116,6 +118,72 @@ class TestConfig:
         with pytest.raises(UsageError):
             load_config(None, ["skew_disjoint=maybe"])
 
+    def test_settings_are_pinned(self):
+        """Every setting, by name: adding or removing one is an edit to this list."""
+        assert sorted(DEFAULTS) == [
+            "alpha_test", "alpha_train", "batch_size", "beam_width", "d_ff", "d_model",
+            "darr_threshold", "embedding_file", "entailment_command", "eval_every", "eval_grouping",
+            "finetune_learning_rate", "finetune_steps", "gamma_likelihood", "gamma_metrics",
+            "gamma_semantic", "holdout_fraction", "max_seq_len", "n_backtranslation", "n_bins",
+            "n_contiguous", "n_heads", "n_layers", "n_scatter", "pretrain_learning_rate",
+            "pretrain_steps", "scorer_command", "seed", "skew_disjoint", "translator_command",
+            "vocab_min_count", "vocab_size_cap", "word_drop_rate",
+        ]
+        fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+                  for cls in (EncoderConfig, TrainConfig, GenerationConfig)}
+        assert fields == {
+            "EncoderConfig": ["vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_seq_len", "init_seed"],
+            "TrainConfig": ["total_steps", "eval_every", "batch_size", "learning_rate", "seed", "stage"],
+            "GenerationConfig": ["n_scatter", "n_contiguous", "n_backtranslation", "word_drop_rate", "beam_width"],
+        }
+
+    def test_dropout_is_not_a_setting(self, tmp_path, capsys):
+        out = tmp_path / "pairs.jsonl"
+        capsys.readouterr()
+        rc = run_cli("--set", "dropout=0.1", "gen-pairs", "demo", out, "--vocab-out", tmp_path / "vocab.json")
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "error: unknown config key 'dropout'\n"
+        assert not out.exists()
+
+
+FLOAT_KEYS = sorted(key for key, value in DEFAULTS.items() if isinstance(value, float))
+
+
+class TestConfigValues:
+    """A value no run can use (a non-finite number, a negative seed) exits 2 with one line, writing nothing."""
+
+    def run(self, tmp_path, capsys, route, key, value):
+        """skew-split with ``key`` set to ``value`` through ``--set`` or a ``--config`` file, writing nothing.
+
+        Returns the exit code, stderr and the prefix a ``--config`` line's error carries.
+        """
+        train, test = tmp_path / "train.tsv", tmp_path / "test.tsv"
+        if route == "set":
+            settings, prefix = ["--set", f"{key}={value}"], ""
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"# settings\nseed = 3\n{key} = {value}\n", encoding="utf-8")
+            settings, prefix = ["--config", cfg], f"{cfg}:3: "
+        capsys.readouterr()
+        rc = run_cli(*settings, "skew-split", load_demo_ratings_path(), train, test)
+        assert not train.exists() and not test.exists()
+        return rc, capsys.readouterr().err, prefix
+
+    @pytest.mark.parametrize("route", ["set", "config"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_number(self, tmp_path, capsys, key, route):
+        for value in ("nan", "inf", "-inf"):
+            rc, err, prefix = self.run(tmp_path, capsys, route, key, value)
+            assert rc == 2
+            assert err == f"error: {prefix}config key {key!r}: expected a finite number, got {value!r}\n"
+
+    @pytest.mark.parametrize("route", ["set", "config"])
+    def test_negative_seed(self, tmp_path, capsys, route):
+        rc, err, prefix = self.run(tmp_path, capsys, route, "seed", "-1")
+        assert rc == 2
+        assert err == f"error: {prefix}config key 'seed': expected a non-negative integer, got '-1'\n"
+
 
 @pytest.fixture(scope="module")
 def artifacts(workdir, corpus_file):
@@ -176,7 +244,7 @@ class TestFullChain:
         assert rc == 0
         assert artifacts["pre_ckpt"].exists()
         manifest = json.loads(artifacts["manifest"].read_text())
-        assert manifest["stages"][0]["kind"] == "pretrain"
+        assert manifest["stages"][0]["stage"] == "pretrain"
         assert len(manifest["stages"][0]["history"]) >= 1
         assert manifest_digest_matches_checkpoint(artifacts["manifest"], artifacts["pre_ckpt"])
 
@@ -188,7 +256,7 @@ class TestFullChain:
         )
         assert rc == 0
         assert artifacts["ft_ckpt"].exists()
-        assert json.loads(manifest.read_text())["stages"][0]["kind"] == "finetune"
+        assert json.loads(manifest.read_text())["stages"][0]["stage"] == "finetune"
         assert manifest_digest_matches_checkpoint(manifest, artifacts["ft_ckpt"])
 
     def test_05_predict(self, artifacts, capsys):
@@ -669,6 +737,27 @@ class TestMalformedArtifacts:
         err = self.assert_data_error(capsys, rc, bad, out, 3)
         assert "task 'bleu' has non-finite values" in err
 
+    def test_dropped_signal_fields_are_ignored(self, chain, tmp_path):
+        """A signals file that still carries the header's layout_version and each record's
+        constant "normalized" pre-trains to the same parameters."""
+        lines = chain["signals.jsonl"].read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        assert "layout_version" not in header
+        old = [json.dumps({**header, "layout_version": 1}, sort_keys=True)]
+        for line in lines[1:]:
+            record = json.loads(line)
+            assert "normalized" not in record
+            old.append(json.dumps({**record, "normalized": True}, sort_keys=True))
+        older = tmp_path / "older.jsonl"
+        older.write_text("\n".join(old) + "\n", encoding="utf-8")
+        digests = []
+        for signals in (chain["signals.jsonl"], older):
+            manifest = tmp_path / f"{signals.stem}.manifest.json"
+            assert run_cli(*FAST_SETTINGS, "--set", "pretrain_steps=10", "pretrain", signals,
+                           chain["vocab.json"], tmp_path / f"{signals.stem}.ckpt", "--manifest", manifest) == 0
+            digests.append(json.loads(manifest.read_text())["stages"][0]["params_digest"])
+        assert digests[0] == digests[1]
+
     @pytest.mark.parametrize("command", ["pretrain", "ablate"])
     def test_signals_header_without_stats(self, chain, tmp_path, capsys, command):
         lines = chain["signals.jsonl"].read_text(encoding="utf-8").splitlines()
@@ -751,6 +840,32 @@ class TestMalformedCheckpoints:
         assert rc == 3
         assert len(err.splitlines()) == 1, err
         assert str(ckpt) in err and words in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "finetune"])
+    def test_version_1_checkpoint(self, setup, tmp_path, capsys, command):
+        """A checkpoint of header version 1, whose config still held a dropout rate."""
+        params, vocab, ratings = setup
+        ckpt = tmp_path / "v1.ckpt"
+        save_checkpoint(params, ckpt, meta={"vocab": list(vocab.tokens)})
+        raw = ckpt.read_bytes()
+        start = len(CHECKPOINT_MAGIC) + 4
+        (length,) = struct.unpack_from("<I", raw, len(CHECKPOINT_MAGIC))
+        header = json.loads(raw[start : start + length])
+        assert header["version"] == 2
+        header["version"] = 1
+        header["config"]["dropout"] = 0.0
+        old = json.dumps(header, sort_keys=True).encode("utf-8")
+        ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(old)) + old + raw[start + length :])
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = run_cli(command, ckpt, ratings, out)
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == (
+            f"data error: checkpoint {ckpt}: expected artifact schema 'checkpoint/2', "
+            "found 'checkpoint/1'; train it again with this version\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["predict", "finetune"])
@@ -986,6 +1101,8 @@ MALFORMED_RATINGS = {
     "nan": ("r.tsv", RATED_LINE + "s1\tthe cat\tthe cat\tNaN\n", 2),
     "jsonl-non-object": ("r.jsonl", GOOD_JSONL + json.dumps(BAD_RECORDS["non-object"]) + "\n", 2),
     "jsonl-field-type": ("r.jsonl", GOOD_JSONL + json.dumps(BAD_RECORDS["int-candidate"]) + "\n", 2),
+    "jsonl-raw-scores-string": ("r.jsonl", json.dumps({"record": "header", "raw_scores": "false"}) + "\n"
+                                + GOOD_JSONL, 1),
     "empty": ("r.tsv", "", None),
 }
 # predict scores unrated records, so three columns are a record and an empty input is no error

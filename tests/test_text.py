@@ -11,6 +11,7 @@ from pairscore.text import (
     Vocabulary,
     ingest_ratings,
     read_lines,
+    read_rating_records,
     serialize_ratings,
     split_no_leak,
     tokenize,
@@ -123,6 +124,16 @@ class TestIngestRatings:
         ratings = np.array([ex.rating for ex in result.examples])
         assert abs(ratings.mean()) < 1e-12
         assert abs(ratings.std() - 1.0) < 1e-12
+
+    def test_only_the_exact_raw_scores_line_marks_raw(self, tmp_path, vocab):
+        path = tmp_path / "r.tsv"
+        path.write_text(
+            "# ratings are not raw-scores\n"
+            "s1\tthe cat\tthe cat\t10\n"
+            "s2\tthe dog\tthe dog\t20\n"
+        )
+        assert read_rating_records(path, "wmt-tsv")[1] is False
+        assert [ex.rating for ex in ingest_ratings(path, "wmt-tsv", vocab).examples] == [10.0, 20.0]
 
     def test_missing_file_fatal(self, tmp_path, vocab):
         with pytest.raises(DataError):

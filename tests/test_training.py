@@ -26,6 +26,9 @@ from pairscore.text import (
     tokenize,
 )
 from pairscore.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamOptimizer,
     TrainConfig,
     finetune,
@@ -36,6 +39,10 @@ from pairscore.training import (
 )
 
 from training_oracle import reference_finetune, reference_pretrain
+
+# The encoder has no dropout.  These oracle cases once ran at rates 0.0 and
+# 0.1; the one rate left keeps their ids.
+NO_DROPOUT = pytest.mark.parametrize("dropout", [0.0])
 
 SEGMENTS = demo_sentences(60, seed=11)
 SHORT_SEGMENTS = [s for s in SEGMENTS if len(s.split()) <= 12][:40]
@@ -99,11 +106,11 @@ class TestAdam:
         for t in range(1, 21):
             grads = {k: rng.normal(size=v.shape) * 10.0 ** rng.integers(-8, 2) for k, v in want.items()}
             optimizer.step(params, grads)
-            c1, c2 = 1.0 - config.beta1**t, 1.0 - config.beta2**t
+            c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
             for k, g in grads.items():
-                m[k] = config.beta1 * m[k] + (1.0 - config.beta1) * g
-                v2[k] = config.beta2 * v2[k] + (1.0 - config.beta2) * g * g
-                want[k] -= config.learning_rate * (m[k] / c1) / (np.sqrt(v2[k] / c2) + config.adam_eps)
+                m[k] = ADAM_BETA1 * m[k] + (1.0 - ADAM_BETA1) * g
+                v2[k] = ADAM_BETA2 * v2[k] + (1.0 - ADAM_BETA2) * g * g
+                want[k] -= config.learning_rate * (m[k] / c1) / (np.sqrt(v2[k] / c2) + ADAM_EPS)
         for k in want:
             np.testing.assert_array_equal(params.tensors[k], want[k], err_msg=k)
 
@@ -189,18 +196,6 @@ class TestFinetune:
             outs.append((out, [p.metric for p in history]))
         assert outs[0][1] == outs[1][1]
         assert outs[0][0].allclose(outs[1][0])
-
-    def test_dropout_masks_are_seeded(self, vocab, encoder_config):
-        train, val = split_no_leak(rated_dataset(vocab, n=60), 0.2, seed=2)
-        config = TrainConfig(total_steps=10, eval_every=5, batch_size=8, learning_rate=1e-3, seed=9)
-
-        def tuned(rate):
-            params = init_model(dataclasses.replace(encoder_config, dropout=rate))
-            return params_digest(finetune(params, train, val, config, vocab)[0])
-
-        with_dropout = tuned(0.1)
-        assert tuned(0.1) == with_dropout
-        assert tuned(0.0) != with_dropout
 
 
 class TestDivergence:
@@ -381,18 +376,18 @@ class TestTrainingOracle:
         assert got[1] == want[1]
         assert params_digest(got[0]) == params_digest(want[0])
 
-    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @NO_DROPOUT
     def test_pretrain(self, vocab, synthetic, config2, dropout):
-        params = init_model(dataclasses.replace(config2, dropout=dropout))
+        params = init_model(config2)
         config = TrainConfig(total_steps=12, eval_every=4, batch_size=8, learning_rate=2e-3, seed=3)
         got = pretrain(params, synthetic[:30], config, vocab)
         self.assert_same(got, reference_pretrain(params, synthetic[:30], config, vocab))
         assert params_digest(got[0]) != params_digest(params)
 
-    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @NO_DROPOUT
     def test_finetune(self, vocab, config2, dropout):
         train, val = split_no_leak(rated_dataset(vocab, n=60), 0.2, seed=2)
-        params = init_model(dataclasses.replace(config2, dropout=dropout))
+        params = init_model(config2)
         config = TrainConfig(total_steps=12, eval_every=4, batch_size=8, learning_rate=2e-3, seed=4)
         got = finetune(params, train, val, config, vocab)
         self.assert_same(got, reference_finetune(params, train, val, config, vocab))

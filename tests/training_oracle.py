@@ -14,17 +14,25 @@ import numpy as np
 
 from pairscore.encoder import build_batch, forward, gradients, pretrain_loss
 from pairscore.text import SentencePair
-from pairscore.training import EvalPoint, _EpochSampler, _eval_steps, validation_kendall
+from pairscore.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    EvalPoint,
+    _EpochSampler,
+    _eval_steps,
+    validation_kendall,
+)
 
 
 def _adam_step(params, grads, m, v, t, cfg):
-    c1 = 1.0 - cfg.beta1**t
-    c2 = 1.0 - cfg.beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     for name in sorted(params.tensors):
         g = grads[name]
-        m[name] = cfg.beta1 * m[name] + (1.0 - cfg.beta1) * g
-        v[name] = cfg.beta2 * v[name] + (1.0 - cfg.beta2) * g * g
-        params.tensors[name] -= cfg.learning_rate * (m[name] / c1) / (np.sqrt(v[name] / c2) + cfg.adam_eps)
+        m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
+        v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * g * g
+        params.tensors[name] -= cfg.learning_rate * (m[name] / c1) / (np.sqrt(v[name] / c2) + ADAM_EPS)
 
 
 def _fit(params, config, n, batch_at, evaluate, maximize):
@@ -35,13 +43,12 @@ def _fit(params, config, n, batch_at, evaluate, maximize):
     m = {k: np.zeros_like(x) for k, x in working.tensors.items()}
     v = {k: np.zeros_like(x) for k, x in working.tensors.items()}
     sampler = _EpochSampler(n, config.batch_size, config.seed)
-    dropout_rng = np.random.default_rng((config.seed, 1))
     eval_at = set(_eval_steps(config.total_steps, config.eval_every))
     evaluated = []  # (metric, params) at each evaluation
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, config.total_steps + 1):
             batch = batch_at(sampler.next_indices())
-            _, grads = gradients(working, batch, train=True, rng=dropout_rng)
+            _, grads = gradients(working, batch)
             _adam_step(working, grads, m, v, step, config)
             if step in eval_at:
                 metric = evaluate(working)
