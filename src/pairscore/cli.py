@@ -46,6 +46,7 @@ from .synth import (
     write_synthetic,
 )
 from .text import (
+    RESERVED_TOKENS,
     TOKENIZER_VERSION,
     Vocabulary,
     ingest_ratings,
@@ -117,6 +118,16 @@ DEFAULTS: dict[str, object] = {
 }
 
 
+# The least value of an integer key that a run can use, and how an error names it.
+_INT_FLOORS = {
+    "seed": (0, "a non-negative integer"),  # numpy's generators take no negative seed
+    "vocab_min_count": (1, "a positive integer"),
+    "vocab_size_cap": (
+        len(RESERVED_TOKENS) + 1, f"an integer above {len(RESERVED_TOKENS)} (the reserved tokens)"
+    ),
+}
+
+
 def _coerce(key: str, raw: str):
     default = DEFAULTS[key]
     if isinstance(default, bool):
@@ -131,8 +142,8 @@ def _coerce(key: str, raw: str):
             value = int(raw)
         except ValueError as exc:
             raise UsageError(f"config key {key!r}: expected an integer, got {raw!r}") from exc
-        if key == "seed" and value < 0:  # numpy's generators take no negative seed
-            raise UsageError(f"config key {key!r}: expected a non-negative integer, got {raw!r}")
+        if key in _INT_FLOORS and value < _INT_FLOORS[key][0]:
+            raise UsageError(f"config key {key!r}: expected {_INT_FLOORS[key][1]}, got {raw!r}")
         return value
     if isinstance(default, float):
         try:
@@ -312,6 +323,11 @@ def cmd_gen_pairs(args, config) -> int:
         min_count=config["vocab_min_count"],
         size_cap=config["vocab_size_cap"],
     )
+    if len(vocab) == len(RESERVED_TOKENS):
+        raise DataError(
+            f"no corpus word occurs vocab_min_count={config['vocab_min_count']} times, "
+            "so the vocabulary would hold only the reserved tokens"
+        )
     gen_config = GenerationConfig(**{f.name: config[f.name] for f in dataclasses.fields(GenerationConfig)})
     with contextlib.ExitStack() as children:
         if config["translator_command"]:

@@ -158,10 +158,23 @@ def ablation_to_csv(rows: Sequence[AblationRow], path: str | Path) -> None:
 
 
 def edit_similarity(a: Sequence[str], b: Sequence[str]) -> float:
-    """1 - levenshtein(a, b) / max(|a|, |b|) over tokens."""
+    """1 - levenshtein(a, b) / max(|a|, |b|) over tokens.
+
+    The DP runs on what lies between the common prefix and the common suffix
+    (taken from what the prefix leaves), which keeps the distance exact.
+    """
     a, b = list(a), list(b)
-    if not a and not b:
+    longest = max(len(a), len(b))
+    if not longest:
         return 1.0
+    shared = min(len(a), len(b))
+    start = 0
+    while start < shared and a[start] == b[start]:
+        start += 1
+    end = 0
+    while end < shared - start and a[-1 - end] == b[-1 - end]:
+        end += 1
+    a, b = a[start : len(a) - end], b[start : len(b) - end]
     prev = list(range(len(b) + 1))
     for i, tok_a in enumerate(a, start=1):
         cur = [i] + [0] * len(b)
@@ -169,7 +182,7 @@ def edit_similarity(a: Sequence[str], b: Sequence[str]) -> float:
             cost = 0 if tok_a == tok_b else 1
             cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
         prev = cur
-    return 1.0 - prev[-1] / max(len(a), len(b))
+    return 1.0 - prev[-1] / longest
 
 
 def _one_perturbation(seq: TokenSeq, rng, lm, translator, vocab: Vocabulary) -> TokenSeq:

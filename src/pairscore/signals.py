@@ -75,9 +75,11 @@ def default_task_specs() -> tuple[TaskSpec, ...]:
     )
 
 
-TASK_NAMES = tuple(t.name for t in default_task_specs())
-REGRESSION_TASKS = tuple(t for t in default_task_specs() if t.kind == REGRESSION)
-CLASSIFICATION_TASKS = tuple(t for t in default_task_specs() if t.kind == CLASSIFICATION)
+# Built once: SignalVector reads it for every vector.
+_TASKS = default_task_specs()
+TASK_NAMES = tuple(t.name for t in _TASKS)
+REGRESSION_TASKS = tuple(t for t in _TASKS if t.kind == REGRESSION)
+CLASSIFICATION_TASKS = tuple(t for t in _TASKS if t.kind == CLASSIFICATION)
 
 # Tasks sharing one grid-searched weight, in the conventional grouping:
 # string metrics, translation likelihoods, semantic judgments.
@@ -107,7 +109,7 @@ class SignalVector:
 
     def __init__(self, values: Mapping[str, Sequence[float]]):
         blocks: dict[str, np.ndarray] = {}
-        for task in default_task_specs():
+        for task in _TASKS:
             if task.name not in values:
                 raise DataError(f"signal vector missing task {task.name!r}")
             arr = np.asarray(values[task.name], dtype=np.float64)

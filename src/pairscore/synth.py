@@ -27,8 +27,10 @@ from .text import RESERVED_TOKENS, TokenSeq, Vocabulary, json_object, read_lines
 
 MAX_MASKS = 15
 
-# Floats (8 bytes each) that one BigramLM keeps in its cache of log-prob rows:
-# 16 MB, 2,097 rows of a 1,000-candidate model or 262 of an 8,000-candidate one.
+# 8-byte numbers that one BigramLM keeps in its cache of context rows.  Each
+# entry is a float64 log-prob row and its int64 candidate order, so it counts
+# twice the candidate count: 16 MB, 1,048 rows of a 1,000-candidate model or
+# 131 of an 8,000-candidate one.
 ROW_CACHE_FLOATS = 1 << 21
 
 MASK_SCATTER = "mask_fill_scatter"
@@ -135,7 +137,10 @@ class BigramLM:
         self._context_totals: Counter = Counter()
         self._total = 0
         self._candidates: tuple[tuple[str, int], ...] = ()
-        self._rows: OrderedDict[str | None, np.ndarray] = OrderedDict()
+        self._position: dict[str, int] = {}
+        self._ids = np.zeros(0, dtype=np.int64)
+        self._unigram_part = np.zeros(0)
+        self._rows: OrderedDict[str | None, tuple[np.ndarray, np.ndarray]] = OrderedDict()
 
     @classmethod
     def train(
@@ -160,6 +165,12 @@ class BigramLM:
             key=vocab.id,
         )
         lm._candidates = tuple((tok, vocab.id(tok)) for tok in candidates)
+        lm._position = {tok: i for i, tok in enumerate(candidates)}
+        lm._ids = np.array([tid for _, tid in lm._candidates], dtype=np.int64)
+        # (1 - lam) * p_uni for every candidate, as log_prob computes it
+        k, v = lm.add_k, lm._n_types()
+        counts = np.array([lm._unigram[tok] for tok in candidates], dtype=np.float64)
+        lm._unigram_part = (1.0 - interpolation) * ((counts + k) / (lm._total + k * v))
         return lm
 
     def candidates(self) -> tuple[tuple[str, int], ...]:
@@ -177,22 +188,38 @@ class BigramLM:
         return math.log(lam * p_bi + (1.0 - lam) * p_uni)
 
     def log_prob_row(self, prev: str | None) -> np.ndarray:
-        """``log_prob(tok, prev)`` for every candidate, in ``candidates()`` order.
+        """``log_prob(tok, prev)`` for every candidate, in ``candidates()`` order."""
+        return self.ranked_row(prev)[0]
 
-        Rows are built with ``log_prob`` itself (``math.log``, not ``np.log``,
-        whose last bits differ) and kept in an LRU cache of at most
-        ROW_CACHE_FLOATS floats; the newest row is always kept.
+    def ranked_row(self, prev: str | None) -> tuple[np.ndarray, np.ndarray]:
+        """``prev``'s log-prob row and the candidate indices in ``(-row, id, index)`` order.
+
+        The row repeats ``log_prob``'s arithmetic elementwise in numpy, in the
+        same order, and takes ``math.log`` of each element (``np.log``'s last
+        bits differ).  Both arrays are read-only and kept in an LRU cache of
+        at most ROW_CACHE_FLOATS 8-byte numbers, counting row and order; the
+        newest entry is always kept.
         """
-        row = self._rows.get(prev)
-        if row is not None:
+        entry = self._rows.get(prev)
+        if entry is not None:
             self._rows.move_to_end(prev)
-            return row
-        row = np.array([self.log_prob(tok, prev) for tok, _ in self._candidates], dtype=np.float64)
+            return entry
+        k, v = self.add_k, self._n_types()
+        counts = np.zeros(len(self._candidates))
+        for tok, n in self._bigram.get(prev, _NO_COUNTS).items():
+            i = self._position.get(tok)
+            if i is not None:
+                counts[i] = n
+        p_bi = (counts + k) / (self._context_totals[prev] + k * v)
+        mixed = self.interpolation * p_bi + self._unigram_part
+        row = np.array(list(map(math.log, mixed.tolist())), dtype=np.float64)
+        order = np.lexsort((self._ids, -row))
         row.flags.writeable = False
-        self._rows[prev] = row
-        while len(self._rows) > 1 and len(self._rows) * row.size > ROW_CACHE_FLOATS:
+        order.flags.writeable = False
+        self._rows[prev] = entry = (row, order)
+        while len(self._rows) > 1 and len(self._rows) * 2 * row.size > ROW_CACHE_FLOATS:
             self._rows.popitem(last=False)
-        return row
+        return entry
 
 
 def fill_masks(z: TokenSeq, plan: MaskPlan, lm, beam_width: int = 8) -> TokenSeq:
@@ -203,6 +230,13 @@ def fill_masks(z: TokenSeq, plan: MaskPlan, lm, beam_width: int = 8) -> TokenSeq
     then toward the earlier expansion (beam entry, then candidate), as a
     stable sort on ``(-score, fill_ids)`` would.  Output length equals input
     length and unmasked tokens are untouched.
+
+    Each step ranks only what can survive: from every beam entry, its first
+    ``beam_width`` candidates in the row's ``(-row, id, index)`` order, plus
+    any candidate past the cut whose ``score + row`` rounds to the cut's
+    total (float addition can merge neighbouring row values, and then a
+    smaller id wins).  This pool of about ``beam_width**2`` expansions is
+    sorted on the full key ``(-score, fill-id prefix, id, entry, candidate)``.
     """
     if beam_width < 1:
         raise DataError("beam_width must be >= 1")
@@ -213,30 +247,36 @@ def fill_masks(z: TokenSeq, plan: MaskPlan, lm, beam_width: int = 8) -> TokenSeq
         return z
 
     masked = set(plan.positions)
-    cand_ids = np.array([tid for _, tid in candidates], dtype=np.int64)
     # beam entry: (score, fill tokens so far, fill ids so far)
     beam: list[tuple[float, tuple[str, ...], tuple[int, ...]]] = [(0.0, (), ())]
     for pos in plan.positions:
-        rows = []
-        for score, fills, _ in beam:
+        # all prefixes have one length, so (prefix rank, id) orders fill_ids
+        prefix_rank = {ids: r for r, ids in enumerate(sorted({e[2] for e in beam}))}
+        pool = []
+        for entry, (score, fills, fill_ids) in enumerate(beam):
             if pos == 0:
                 prev = None
             elif pos - 1 in masked:
                 prev = fills[-1]
             else:
                 prev = z.tokens[pos - 1]
-            rows.append(score + lm.log_prob_row(prev))
-        scores = np.concatenate(rows)
-        # all prefixes have one length, so (prefix rank, id) orders fill_ids
-        prefix_rank = {ids: r for r, ids in enumerate(sorted({e[2] for e in beam}))}
-        ranks = np.repeat([prefix_rank[e[2]] for e in beam], len(candidates))
-        order = np.lexsort((np.tile(cand_ids, len(beam)), ranks, -scores))[:beam_width]
+            row, order = lm.ranked_row(prev)
+            top = order[:beam_width]
+            totals = (score + row[top]).tolist()
+            top = top.tolist()
+            # past the cut, a total that rounds to the cut's may still win on its id
+            cut, j = totals[-1], len(top)
+            while j < len(order) and score + row[order[j]] == cut:
+                top.append(int(order[j]))
+                totals.append(cut)
+                j += 1
+            rank = prefix_rank[fill_ids]
+            pool += [(-t, rank, candidates[c][1], entry, c) for t, c in zip(totals, top)]
+        pool.sort()
         survivors = []
-        for i in order.tolist():
-            entry, c = divmod(i, len(candidates))
+        for neg_score, _, tid, entry, c in pool[:beam_width]:
             _, fills, fill_ids = beam[entry]
-            tok, tid = candidates[c]
-            survivors.append((float(scores[i]), fills + (tok,), fill_ids + (tid,)))
+            survivors.append((-neg_score, fills + (candidates[c][0],), fill_ids + (tid,)))
         beam = survivors
 
     _, best_fills, best_ids = beam[0]

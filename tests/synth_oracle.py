@@ -2,10 +2,11 @@
 
 This is the plain formulation: every (beam entry, candidate) expansion calls
 ``lm.log_prob`` and builds its fill tuples, and the whole list is sorted on
-``(-score, fill_ids)``.  ``pairscore.synth.fill_masks`` reads cached
-log-prob rows and ranks with one ``np.lexsort``, and must agree with this
-module exactly.
-"""
+``(-score, fill_ids)``; the stable sort leaves ties to the earlier expansion.
+``pairscore.synth.fill_masks`` reads cached log-prob rows with their
+candidate order, ranks only each entry's first ``beam_width`` candidates
+plus those past the cut whose total rounds to the cut's, and must agree with
+this module exactly."""
 
 from __future__ import annotations
 

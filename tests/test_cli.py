@@ -151,7 +151,8 @@ FLOAT_KEYS = sorted(key for key, value in DEFAULTS.items() if isinstance(value, 
 
 
 class TestConfigValues:
-    """A value no run can use (a non-finite number, a negative seed) exits 2 with one line, writing nothing."""
+    """A value no run can use (a non-finite number, a negative seed, a vocabulary bound
+    that keeps no word) exits 2 with one line, writing nothing."""
 
     def run(self, tmp_path, capsys, route, key, value):
         """skew-split with ``key`` set to ``value`` through ``--set`` or a ``--config`` file, writing nothing.
@@ -183,6 +184,30 @@ class TestConfigValues:
         rc, err, prefix = self.run(tmp_path, capsys, route, "seed", "-1")
         assert rc == 2
         assert err == f"error: {prefix}config key 'seed': expected a non-negative integer, got '-1'\n"
+
+    @pytest.mark.parametrize("route", ["set", "config"])
+    @pytest.mark.parametrize("key, values, expected", [
+        ("vocab_size_cap", ("-1", "0", "5"), "an integer above 5 (the reserved tokens)"),
+        ("vocab_min_count", ("-1", "0"), "a positive integer"),
+    ])
+    def test_vocabulary_bound_that_keeps_no_word(self, tmp_path, capsys, route, key, values, expected):
+        for value in values:
+            rc, err, prefix = self.run(tmp_path, capsys, route, key, value)
+            assert rc == 2
+            assert err == f"error: {prefix}config key {key!r}: expected {expected}, got {value!r}\n"
+
+    def test_vocabulary_of_reserved_tokens_only(self, corpus_file, tmp_path, capsys):
+        pairs, vocab = tmp_path / "pairs.jsonl", tmp_path / "vocab.json"
+        capsys.readouterr()
+        rc = run_cli("--set", "vocab_min_count=100000", "gen-pairs", corpus_file, pairs, "--vocab-out", vocab)
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "data error: no corpus word occurs vocab_min_count=100000 times, "
+            "so the vocabulary would hold only the reserved tokens\n"
+        )
+        assert not pairs.exists() and not vocab.exists()
+        assert run_cli("--set", "vocab_size_cap=6", "gen-pairs", corpus_file, pairs, "--vocab-out", vocab) == 0
+        assert len(Vocabulary.load(vocab)) == 6
 
 
 @pytest.fixture(scope="module")

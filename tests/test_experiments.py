@@ -20,6 +20,8 @@ from pairscore.synth import GenerationConfig
 from pairscore.text import Vocabulary, split_no_leak
 from pairscore.training import TrainConfig, finetune, pretrain, validation_kendall
 
+from edit_oracle import reference_edit_similarity
+
 SEGMENTS = [s for s in demo_sentences(120, seed=23) if len(s.split()) <= 10][:50]
 
 
@@ -76,6 +78,41 @@ class TestEditSimilarity:
             a = [pool[i] for i in rng.integers(0, 4, size=rng.integers(0, 7))]
             b = [pool[i] for i in rng.integers(0, 4, size=rng.integers(1, 7))]
             assert edit_similarity(a, b) == pytest.approx(edit_similarity(b, a))
+
+    @pytest.mark.parametrize("a, b", [
+        ([], []),
+        ([], ["a"]),
+        (["a", "b"], []),
+        (["a", "b", "c"], ["a", "b", "c"]),
+        (["a", "a"], ["a", "a", "a"]),
+        (["a", "a", "a"], ["a", "a"]),
+        (["a", "b", "a"], ["a", "b", "b", "a"]),
+        (["x", "a", "y"], ["x", "y"]),
+        (["a", "b"], ["b", "a"]),
+    ])
+    def test_edge_cases_equal_the_full_table(self, a, b):
+        # a prefix and a suffix that would overlap must not both be stripped
+        assert edit_similarity(a, b) == reference_edit_similarity(a, b)
+
+    def test_random_lists_equal_the_full_table(self):
+        rng = np.random.default_rng(4)
+        for _ in range(2000):
+            pool = ["u", "v", "w", "x", "y"][: int(rng.integers(1, 6))]
+            a = [pool[i] for i in rng.integers(0, len(pool), size=rng.integers(0, 12))]
+            b = list(a)
+            for _ in range(int(rng.integers(0, 4))):  # a few edits keep prefixes and suffixes shared
+                at = int(rng.integers(0, len(b) + 1))
+                edit = rng.integers(0, 3)
+                if edit == 0:
+                    b.insert(at, pool[int(rng.integers(0, len(pool)))])
+                elif at < len(b):
+                    if edit == 1:
+                        del b[at]
+                    else:
+                        b[at] = pool[int(rng.integers(0, len(pool)))]
+            if rng.random() < 0.2:
+                b = [pool[i] for i in rng.integers(0, len(pool), size=rng.integers(0, 12))]
+            assert edit_similarity(a, b) == reference_edit_similarity(a, b), (a, b)
 
 
 class TestDriftDataset:

@@ -63,6 +63,16 @@ def seq(text, vocab):
     return tokenize(text, vocab)
 
 
+def small_random_corpus(seed):
+    """4-11 types in a few short segments: log-probs that tie or differ in the last bit."""
+    rng = np.random.default_rng(seed)
+    n_types = int(rng.integers(4, 12))
+    return [
+        [f"t{j}" for j in rng.integers(0, n_types, size=int(rng.integers(3, 9)))]
+        for _ in range(int(rng.integers(2, 8)))
+    ]
+
+
 class TestPlanMasks:
     def test_scatter_respects_length_bound(self, vocab):
         z = seq("the cat sat", vocab)
@@ -119,6 +129,27 @@ class TestBigramLM:
             assert row.tolist() == [lm.log_prob(tok, prev) for tok, _ in lm.candidates()]
             assert lm.log_prob_row(prev) is row
             assert not row.flags.writeable
+
+    def test_rows_are_log_prob_on_small_random_corpora(self):
+        # numpy's log differs from math.log in the last bit for a few of these
+        for corpus_seed in range(300):
+            corpus = small_random_corpus(corpus_seed)
+            vocab = Vocabulary.build(corpus, min_count=1)
+            for lm in (BigramLM.train(corpus, vocab), unigram_lm(corpus, vocab)):
+                for prev in [None, "zzz"] + [tok for tok, _ in lm.candidates()]:
+                    assert lm.log_prob_row(prev).tolist() == [
+                        lm.log_prob(tok, prev) for tok, _ in lm.candidates()]
+
+    @pytest.mark.parametrize("known", [CORPUS, []], ids=["own-ids", "all-unk"])
+    def test_ranked_row_orders_by_score_then_id_then_index(self, known):
+        lm = BigramLM.train(CORPUS, Vocabulary.build(known, min_count=1))
+        ids = [tid for _, tid in lm.candidates()]
+        for prev in (None, "the", "cat", "zzz"):
+            row, order = lm.ranked_row(prev)
+            assert row is lm.log_prob_row(prev)
+            assert order.tolist() == sorted(range(len(ids)), key=lambda i: (-row[i], ids[i], i))
+            assert not order.flags.writeable
+            assert lm.ranked_row(prev)[1] is order
 
 
 class TestFillMasks:
@@ -183,8 +214,58 @@ def demo_segments():
     return vocab, [seq(s, vocab) for s in sentences]
 
 
+class TableLM:
+    """A language model given as a table, ``prev -> row`` in candidate order.
+
+    ``ranked_row`` keeps ``BigramLM.ranked_row``'s contract: the row and its
+    candidate indices in ``(-row, id, index)`` order.
+    """
+
+    def __init__(self, candidates, rows):
+        self._candidates = tuple(candidates)
+        self._index = {tok: i for i, (tok, _) in enumerate(self._candidates)}
+        self._ids = np.array([tid for _, tid in self._candidates])
+        self._rows = {prev: np.array(row, dtype=np.float64) for prev, row in rows.items()}
+
+    def candidates(self):
+        return self._candidates
+
+    def log_prob(self, token, prev):
+        return float(self._rows[prev][self._index[token]])
+
+    def ranked_row(self, prev):
+        row = self._rows[prev]
+        return row, np.lexsort((self._ids, -row))
+
+
+def rounding_tie_lm(width):
+    """Fills of ``_ _ _`` whose best path needs a candidate that ranks past the cut.
+
+    After "p" (score -8), candidate "a" scores -1 and "b" one ulp lower, so
+    "a" ranks ``width - 1`` in p's row and "b" ranks ``width``, just past the
+    cut.  But -8 + -1 and -8 + (-1 - 2**-52) round to the same -9.0, and "b"
+    has the smaller id, so "b" takes the last beam slot.  Only "b" leads on
+    to "q"; every other path ends 50 lower.
+    """
+    names = ["p", "a", "b", "q", "h1", "h2", "h3", "x"]
+    ids = {"p": 10, "a": 21, "b": 20, "q": 30, "h1": 41, "h2": 42, "h3": 43, "x": 50}
+    candidates = [(tok, ids[tok]) for tok in sorted(names, key=ids.get)]
+
+    def row(values, rest):
+        return [values.get(tok, rest) for tok, _ in candidates]
+
+    above = {f"h{i}": -0.5 - 0.1 * i for i in range(1, width)}
+    rows = {
+        None: row({"p": -8.0}, -30.0),
+        "p": row({**above, "a": -1.0, "b": -1.0 - 2.0**-52}, -40.0),
+        "b": row({"q": -1e-4}, -50.0),
+    }
+    rows.update({tok: row({}, -50.0) for tok in names if tok not in rows})
+    return TableLM(candidates, rows)
+
+
 class TestFillMasksOracle:
-    """The cached-row lexsort fill equals the expand-and-sort oracle exactly."""
+    """The pooled fill equals the expand-and-sort oracle exactly."""
 
     @staticmethod
     def assert_same(segments, lm, plans, widths=(1, 4, 8)):
@@ -242,12 +323,7 @@ class TestFillMasksOracle:
     def test_near_ties_of_small_random_corpora(self):
         # few types, small counts: sums of logs that tie or differ in the last bit
         for corpus_seed in range(300):
-            rng = np.random.default_rng(corpus_seed)
-            n_types = int(rng.integers(4, 12))
-            corpus = [
-                [f"t{j}" for j in rng.integers(0, n_types, size=int(rng.integers(3, 9)))]
-                for _ in range(int(rng.integers(2, 8)))
-            ]
+            corpus = small_random_corpus(corpus_seed)
             vocab = Vocabulary.build(corpus, min_count=1)
             segments = [TokenSeq.from_tokens(s, vocab) for s in corpus]
             for train in (BigramLM.train, unigram_lm):
@@ -269,13 +345,49 @@ class TestFillMasksOracle:
         plans = [(z, MaskPlan(p, "scatter")) for p in [(0,), (0, 1), (2, 3, 5)]]
         self.assert_same([z], lm, plans, widths=(len(lm.candidates()), width))
 
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_rounding_tie_just_past_the_cut(self, width):
+        lm = rounding_tie_lm(width)
+        row_p = lm._rows["p"]
+        a, b = lm._index["a"], lm._index["b"]
+        assert row_p[a] > row_p[b] and -8.0 + row_p[a] == -8.0 + row_p[b]
+        assert lm.ranked_row("p")[1].tolist().index(b) == width
+        vocab = Vocabulary.build([], min_count=1)
+        z = TokenSeq.from_tokens(["x", "x", "x"], vocab)
+        plan = MaskPlan((0, 1, 2), "contiguous")
+        assert fill_masks(z, plan, lm, width).tokens == ("p", "b", "q")
+        self.assert_same([z], lm, [(z, plan)], widths=(width,))
+
+    @pytest.mark.parametrize("train", [BigramLM.train, unigram_lm], ids=["bigram", "unigram"])
+    def test_random_plans_at_every_width(self, demo_segments, train):
+        vocab, segments = demo_segments
+        lm = train(segments, vocab)
+        plans = [(z, plan) for z, plan in self.random_plans(segments, 40, 123) if len(plan.positions) <= 4]
+        widths = (1, 2, 4, 8, len(lm.candidates()) + 1)
+        self.assert_same(segments, lm, plans[:10], widths=widths)
+
+    def test_row_cache_counts_the_order_arrays(self, demo_segments, monkeypatch):
+        assert synth.ROW_CACHE_FLOATS * 8 == 16 * 2**20
+        vocab, segments = demo_segments
+        plans = self.random_plans(segments, 10, 5)
+        n = len(BigramLM.train(segments, vocab).candidates())
+        for limit in (4 * n - 1, 4 * n, 6 * n + 5, 10 * n):
+            monkeypatch.setattr(synth, "ROW_CACHE_FLOATS", limit)
+            lm = BigramLM.train(segments, vocab)
+            for z, plan in plans:
+                fill_masks(z, plan, lm, 8)
+            entries = list(lm._rows.values())
+            assert len(entries) == limit // (2 * n)
+            assert sum(row.nbytes + order.nbytes for row, order in entries) <= 8 * limit
+
     def test_evicting_rows_leaves_fills_unchanged(self, demo_segments, monkeypatch):
         vocab, segments = demo_segments
         plans = self.random_plans(segments, 10, 5)
         full = BigramLM.train(segments, vocab)
         expected = [fill_masks(z, plan, full, 8) for z, plan in plans]
         n = len(full.candidates())
-        monkeypatch.setattr(synth, "ROW_CACHE_FLOATS", 2 * n)
+        # each cached entry is a row and its candidate order: 2n numbers
+        monkeypatch.setattr(synth, "ROW_CACHE_FLOATS", 4 * n)
         small = BigramLM.train(segments, vocab)
         assert [fill_masks(z, plan, small, 8) for z, plan in plans] == expected
         assert len(small._rows) == 2 < len(full._rows)
