@@ -121,6 +121,7 @@ DEFAULTS: dict[str, object] = {
 # The least value of an integer key that a run can use, and how an error names it.
 _INT_FLOORS = {
     "seed": (0, "a non-negative integer"),  # numpy's generators take no negative seed
+    **{key: (1, "a positive integer") for key in ("d_model", "n_layers", "n_heads", "d_ff")},
     "vocab_min_count": (1, "a positive integer"),
     "vocab_size_cap": (
         len(RESERVED_TOKENS) + 1, f"an integer above {len(RESERVED_TOKENS)} (the reserved tokens)"
@@ -419,7 +420,7 @@ def cmd_predict(args, config) -> int:
     params, vocab, _ = _load_params(args.checkpoint)
     records, _ = read_rating_records(args.input, _ratings_format(args.input), require_rating=False)
     tokenized = record_pairs(records, vocab)
-    scores = predict_records(params, tokenized, vocab, config["batch_size"])
+    scores = predict_records(params, tokenized, vocab)
     rows = [(record.source_id, float(score)) for record, score in zip(records, scores)]
 
     def write(p: Path):

@@ -76,6 +76,7 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -109,6 +110,9 @@ class EncoderConfig:
     init_seed: int = 0
 
     def __post_init__(self):
+        for name in ("d_model", "n_layers", "n_heads", "d_ff"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise DataError("d_model must be divisible by n_heads")
         if self.max_seq_len < 3:
@@ -198,10 +202,11 @@ def pack_pair(pair: SentencePair, vocab: Vocabulary) -> tuple[list[int], list[in
 
 
 class PackedPairs:
-    """Pairs packed once, padded to the longest, with their labels.
+    """Pairs packed once, padded to the longest or to ``width``, with their labels.
 
-    ``batch(idx)`` is the batch of the pairs at ``idx``: their rows, cut to
-    the longest of them, which is what packing those pairs alone gives.
+    Row i is ``pack_pair(pairs[i])`` followed by padding.  ``batch(idx)`` is
+    the batch of the pairs at ``idx``: their rows, cut to the longest of
+    them, which is what packing those pairs alone gives.
     """
 
     def __init__(
@@ -210,19 +215,27 @@ class PackedPairs:
         vocab: Vocabulary,
         ratings: Sequence[float] | None = None,
         signal_targets: Mapping[str, np.ndarray] | None = None,
+        width: int | None = None,
     ):
         if not pairs:
             raise DataError("cannot build an empty batch")
-        packed = [pack_pair(p, vocab) for p in pairs]
-        self.lengths = np.array([len(ids) for ids, _ in packed])
-        shape = (len(packed), int(self.lengths.max()))
-        self.ids = np.full(shape, vocab.pad_id, dtype=np.int64)
-        self.segments = np.zeros(shape, dtype=np.int64)
-        self.mask = np.zeros(shape, dtype=np.float64)
-        for i, (row_ids, row_segs) in enumerate(packed):
-            self.ids[i, : len(row_ids)] = row_ids
-            self.segments[i, : len(row_segs)] = row_segs
-            self.mask[i, : len(row_ids)] = 1.0
+        ref_lens = np.array([len(p.reference.ids) for p in pairs])
+        self.lengths = ref_lens + np.array([len(p.candidate.ids) for p in pairs]) + 3
+        longest = int(self.lengths.max())
+        if width is None:
+            width = longest
+        elif width < longest:
+            raise DataError(f"cannot pad pairs of length {longest} to width {width}")
+        cols = np.arange(width)
+        real = cols < self.lengths[:, None]
+        head, sep = (vocab.cls_id,), (vocab.sep_id,)
+        flat = list(chain.from_iterable(
+            part for p in pairs for part in (head, p.reference.ids, sep, p.candidate.ids, sep)
+        ))
+        self.ids = np.full(real.shape, vocab.pad_id, dtype=np.int64)
+        self.ids[real] = flat  # row-major, so row by row
+        self.segments = (real & (cols >= ref_lens[:, None] + 2)).astype(np.int64)
+        self.mask = real.astype(np.float64)
         self.ratings = None if ratings is None else np.asarray(ratings, dtype=np.float64)
         self.signal_targets = {
             k: np.asarray(v, dtype=np.float64) for k, v in (signal_targets or {}).items()
@@ -244,8 +257,11 @@ def build_batch(
     vocab: Vocabulary,
     ratings: Sequence[float] | None = None,
     signal_targets: Mapping[str, np.ndarray] | None = None,
+    width: int | None = None,
 ) -> Batch:
-    return PackedPairs(pairs, vocab, ratings, signal_targets).batch(np.arange(len(pairs)))
+    """The batch of ``pairs``, padded to the longest of them or to ``width``."""
+    packed = PackedPairs(pairs, vocab, ratings, signal_targets, width)
+    return Batch(packed.ids, packed.segments, packed.mask, packed.ratings, packed.signal_targets)
 
 
 # ---------------------------------------------------------------------------

@@ -143,12 +143,25 @@ class SignalVector:
         return np.concatenate([self._blocks[t.name] for t in REGRESSION_TASKS])
 
     def replace_regression(self, flat: np.ndarray) -> "SignalVector":
-        values = {t.name: self._blocks[t.name] for t in CLASSIFICATION_TASKS}
+        """This vector with the regression blocks cut from ``flat``.
+
+        The classification blocks were validated with this vector, so only
+        ``flat`` is checked.
+        """
+        flat = np.asarray(flat, dtype=np.float64)
+        if flat.shape != (REGRESSION_DIM,):
+            raise DataError(f"regression blocks expect {REGRESSION_DIM} values, got {flat.shape}")
+        blocks = dict(self._blocks)
         offset = 0
         for task in REGRESSION_TASKS:
-            values[task.name] = flat[offset : offset + task.dim]
+            blocks[task.name] = flat[offset : offset + task.dim]
             offset += task.dim
-        return SignalVector(values)
+        if not np.isfinite(flat).all():
+            bad = next(t for t in REGRESSION_TASKS if not np.isfinite(blocks[t.name]).all())
+            raise NumericError(f"task {bad.name!r} has non-finite values")
+        out = SignalVector.__new__(SignalVector)
+        out._blocks = blocks
+        return out
 
     def to_json_dict(self) -> dict:
         return {name: [float(x) for x in self._blocks[name]] for name in TASK_NAMES}

@@ -13,6 +13,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -190,7 +191,7 @@ class TokenSeq:
     @classmethod
     def from_tokens(cls, tokens: Sequence[str], vocab: Vocabulary) -> "TokenSeq":
         toks = tuple(tokens)
-        return cls(toks, tuple(vocab.id(t) for t in toks))
+        return cls(toks, tuple(map(vocab._index.get, toks, repeat(vocab.unk_id))))
 
     def detokenize(self) -> str:
         return " ".join(self.tokens)

@@ -30,7 +30,6 @@ from .encoder import (
     build_batch,
     forward,
     gradients,
-    pack_pair,
     pretrain_loss,
     rating_head,
 )
@@ -266,9 +265,10 @@ def pretrain(
     return _fit(params, config, len(dataset), packed.batch, full_loss, maximize=False)
 
 
-# Examples per forward call of predict_ratings, and so the most rows a batch
-# of predict_records may hold.
+# Examples per forward call of predict_ratings.
 PREDICT_CHUNK = 64
+# Padded slots (rows x width) per forward call of predict_records.
+PREDICT_SLOTS = 1024
 
 
 def predict_ratings(
@@ -284,48 +284,51 @@ def predict_ratings(
 
 
 def predict_records(
-    params: ModelParams, records: Sequence[Sequence[SentencePair]], vocab: Vocabulary, batch_size: int
+    params: ModelParams, records: Sequence[Sequence[SentencePair]], vocab: Vocabulary
 ) -> np.ndarray:
     """Each record's score: the max predicted rating over its (reference, candidate) pairs.
 
     ``records`` holds each record's pairs, as ``text.record_pairs`` makes
     them.  Bit-identical to ``predict_ratings`` on one record's pairs at a
     time, then ``max``.  The encoder gives a row the same bits in any batch
-    of the same width, but padding it to a wider batch changes them, and so
-    does the number of rows in the rating head's product.  So records of
-    equal width (the longest packed pair of the record, the width it pads to
-    alone) share batches of whole records, at most ``batch_size`` rows, and
-    the head runs on each record's rows alone.  A record too large for one
-    batch is scored alone by ``predict_ratings``.
+    padded to the same width, but a wider or narrower batch changes them,
+    and so does the number of rows in the rating head's product.  So records
+    are grouped by width W (the longest packed pair of the record, the width
+    it pads to alone); each distinct pair of a width is encoded once, in
+    batches of at most ``PREDICT_SLOTS // W`` rows, every one padded to W
+    even when its own pairs are shorter; and the head runs on each record's
+    rows alone, in reference order.  A record's rows may come from two
+    batches, which keeps their bits, since both are padded to W.  A record of
+    more than ``PREDICT_CHUNK`` pairs is scored alone by ``predict_ratings``,
+    which pads each of its chunks to that chunk's own width.
     """
-    if batch_size < 1:
-        raise DataError("batch_size must be >= 1")
     _keep_freed_heap()
-    # predict_ratings cuts more than PREDICT_CHUNK examples into chunks of their own width
-    limit = min(batch_size, PREDICT_CHUNK)
     scores = np.empty(len(records))
-
-    def run(batch: list[tuple[int, list[SentencePair]]]) -> None:
-        cls = forward(params, build_batch([pair for _, pairs in batch for pair in pairs], vocab)).cls
-        start = 0
-        for i, pairs in batch:
-            scores[i] = rating_head(params, cls[start : start + len(pairs)]).max()
-            start += len(pairs)
-
-    open_batches: dict[int, list[tuple[int, list[SentencePair]]]] = {}  # by width
+    by_width: dict[int, list[int]] = {}
     for i, pairs in enumerate(records):
-        if len(pairs) > limit:
+        if len(pairs) > PREDICT_CHUNK:
             # predict_ratings reads only the pairs; the rating and id are placeholders
             examples = [RatedExample(pair, 0.0, str(i)) for pair in pairs]
             scores[i] = predict_ratings(params, examples, vocab).max()
             continue
-        batch = open_batches.setdefault(max(len(pack_pair(p, vocab)[0]) for p in pairs), [])
-        if sum(len(p) for _, p in batch) + len(pairs) > limit:
-            run(batch)
-            batch.clear()
-        batch.append((i, pairs))
-    for batch in open_batches.values():
-        run(batch)
+        width = 3 + max(len(p.reference.ids) + len(p.candidate.ids) for p in pairs)
+        by_width.setdefault(width, []).append(i)
+
+    for width, members in by_width.items():
+        distinct: dict[tuple, SentencePair] = {}  # (reference ids, candidate ids) -> pair
+        for i in members:
+            for pair in records[i]:
+                distinct.setdefault((pair.reference.ids, pair.candidate.ids), pair)
+        row_of = {key: row for row, key in enumerate(distinct)}
+        pairs = list(distinct.values())
+        step = max(1, PREDICT_SLOTS // width)
+        cls = np.concatenate([
+            forward(params, build_batch(pairs[start : start + step], vocab, width=width)).cls
+            for start in range(0, len(pairs), step)
+        ])
+        for i in members:
+            rows = [row_of[pair.reference.ids, pair.candidate.ids] for pair in records[i]]
+            scores[i] = rating_head(params, cls[rows]).max()
     return scores
 
 

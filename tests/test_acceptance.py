@@ -333,7 +333,7 @@ def test_c9_multireference_invariant():
         keep = int(rng.integers(1, len(cand_words) + 1))
         records.append(RatingRecord(f"s{i}", refs, " ".join(cand_words[:keep]), None))
     # one call, batches shared
-    scores = predict_records(params, record_pairs(records, vocab), vocab, batch_size=32)
+    scores = predict_records(params, record_pairs(records, vocab), vocab)
     for record, best in zip(records, scores):
         candidate = tokenize(record.candidate, vocab)
         per_ref = predict_ratings(params, [

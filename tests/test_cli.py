@@ -1051,6 +1051,17 @@ class TestMalformedInputs:
         assert named in err
         assert not (tmp_path / "out").exists() and not (tmp_path / "other").exists()
 
+    @pytest.mark.parametrize("key", ["d_model", "n_layers", "n_heads", "d_ff"])
+    def test_encoder_shape_below_one(self, chain, tmp_path, capsys, key):
+        out = tmp_path / "out.ckpt"
+        capsys.readouterr()
+        rc = run_cli(*FAST_SETTINGS, "--set", f"{key}=0",
+                     "pretrain", chain["signals.jsonl"], chain["vocab.json"], out)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: config key {key!r}: expected a positive integer, got '0'\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 GOOD_RECORD = {"source_id": "s0", "references": ["the cat sat"], "candidate": "the cat", "rating": 1.0}
 BAD_RECORDS = {

@@ -9,6 +9,7 @@ from pairscore.encoder import (
     Batch,
     EncoderConfig,
     ModelParams,
+    PackedPairs,
     _attention_blocks,
     _attention_softmax,
     _attention_softmax_backward,
@@ -116,6 +117,28 @@ class TestBatchPacking:
         assert batch.ids.shape == batch.mask.shape
         assert batch.mask[1].sum() == 5  # cls + 1 + sep + 1 + sep
         assert (batch.ids[1][batch.mask[1] == 0.0] == vocab.pad_id).all()
+
+    @pytest.mark.parametrize("width", [None, 15])
+    def test_packed_pairs_equal_per_row_packing(self, vocab, width):
+        pairs = make_pairs(vocab, [("the cat sat", "a dog"), ("the", ""), ("a dog sat on the mat", "the cat"),
+                                   ("", "a")])
+        rows = [pack_pair(p, vocab) for p in pairs]
+        shape = (len(rows), width or max(len(ids) for ids, _ in rows))
+        want = {"ids": np.full(shape, vocab.pad_id, dtype=np.int64),
+                "segments": np.zeros(shape, dtype=np.int64), "mask": np.zeros(shape)}
+        for i, (ids, segs) in enumerate(rows):
+            want["ids"][i, : len(ids)] = ids
+            want["segments"][i, : len(segs)] = segs
+            want["mask"][i, : len(ids)] = 1.0
+        packed, batch = PackedPairs(pairs, vocab, width=width), build_batch(pairs, vocab, width=width)
+        for name, array in want.items():
+            for got in (getattr(packed, name), getattr(batch, name)):
+                assert got.dtype == array.dtype and np.array_equal(got, array), name
+
+    def test_width_below_the_longest_pair_errors(self, vocab):
+        pairs = make_pairs(vocab, [("the cat sat", "a dog")])
+        with pytest.raises(DataError, match="width 7"):
+            build_batch(pairs, vocab, width=7)
 
     def test_overlong_sequence_errors(self, vocab, tiny_config):
         params = init_model(tiny_config)
@@ -627,3 +650,9 @@ class TestCheckpoint:
             EncoderConfig(vocab_size=10, d_model=10, n_heads=3)
         with pytest.raises(DataError):
             EncoderConfig(vocab_size=10, max_seq_len=2)
+
+    @pytest.mark.parametrize("key", ["d_model", "n_layers", "n_heads", "d_ff"])
+    def test_shape_below_one_rejected(self, key):
+        for value in (0, -1):
+            with pytest.raises(DataError, match=f"{key} must be >= 1"):
+                EncoderConfig(vocab_size=10, **{key: value})

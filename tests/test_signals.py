@@ -352,6 +352,25 @@ class TestNormalization:
         np.testing.assert_allclose(normed.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(normed.std(axis=0), 1.0, atol=1e-6)
 
+    def test_standardized_vector_equals_a_validated_one(self, vocab, providers):
+        vecs = self._corpus(vocab, providers)
+        stats = fit_normalization(vecs)
+        for vec in vecs:
+            normed = apply_normalization(vec, stats)
+            assert normed == SignalVector(normed.to_json_dict())
+            np.testing.assert_array_equal(
+                normed.regression_concat(), (vec.regression_concat() - stats.mean) / stats.std
+            )
+
+    def test_replaced_regression_values_are_checked(self, vocab, providers):
+        vec = self._corpus(vocab, providers, n=2)[0]
+        flat = vec.regression_concat()
+        flat[4] = math.nan  # in soft_overlap, after bleu and rouge
+        with pytest.raises(NumericError, match="soft_overlap"):
+            vec.replace_regression(flat)
+        with pytest.raises(DataError, match="regression"):
+            vec.replace_regression(flat[:-1])
+
     def test_classification_blocks_untouched(self, vocab, providers):
         vecs = self._corpus(vocab, providers)
         stats = fit_normalization(vecs)

@@ -53,6 +53,10 @@ class TestTokenize:
             twice = tokenize(once.detokenize(), vocab)
             assert once == twice
 
+    def test_ids_equal_per_token_lookup(self, vocab):
+        tokens = ["the", "zyzzyva", "cat", "", "[pad]", "the"]
+        assert TokenSeq.from_tokens(tokens, vocab).ids == tuple(vocab.id(t) for t in tokens)
+
     def test_all_ids_below_vocab_size(self, vocab):
         seq = tokenize("the cat sat on an unseen zyzzyva !", vocab)
         assert all(i < len(vocab) for i in seq.ids)
