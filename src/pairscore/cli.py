@@ -118,14 +118,32 @@ DEFAULTS: dict[str, object] = {
 }
 
 
-# The least value of an integer key that a run can use, and how an error names it.
-_INT_FLOORS = {
-    "seed": (0, "a non-negative integer"),  # numpy's generators take no negative seed
-    **{key: (1, "a positive integer") for key in ("d_model", "n_layers", "n_heads", "d_ff")},
-    "vocab_min_count": (1, "a positive integer"),
-    "vocab_size_cap": (
-        len(RESERVED_TOKENS) + 1, f"an integer above {len(RESERVED_TOKENS)} (the reserved tokens)"
-    ),
+def _at_least(low, what: str):
+    return (lambda value: value >= low), what
+
+
+# Each key's rule, as the dataclass or split that reads the key enforces it, and
+# what an error says the key expects.  Checked as a key is read, so that an error
+# names its `--config` line.
+_RULES: dict[str, tuple[Callable[[object], bool], str]] = {
+    "seed": _at_least(0, "a non-negative integer"),  # numpy's generators take no negative seed
+    **dict.fromkeys(
+        ("d_model", "n_layers", "n_heads", "d_ff", "vocab_min_count", "beam_width", "batch_size",
+         "eval_every"), _at_least(1, "a positive integer")),
+    **dict.fromkeys(
+        ("n_scatter", "n_contiguous", "n_backtranslation", "pretrain_steps", "finetune_steps"),
+        _at_least(0, "a non-negative integer")),
+    **dict.fromkeys(
+        ("gamma_metrics", "gamma_likelihood", "gamma_semantic", "alpha_train", "alpha_test",
+         "pretrain_learning_rate", "finetune_learning_rate"),
+        _at_least(0.0, "a non-negative number")),
+    "vocab_size_cap": _at_least(
+        len(RESERVED_TOKENS) + 1, f"an integer above {len(RESERVED_TOKENS)} (the reserved tokens)"),
+    "max_seq_len": _at_least(3, "an integer of at least 3 ([cls] and two separators)"),
+    "n_bins": _at_least(2, "an integer of at least 2"),
+    "word_drop_rate": ((lambda value: 0.0 <= value <= 1.0), "a number in [0, 1]"),
+    "holdout_fraction": ((lambda value: 0.0 < value < 1.0), "a number in (0, 1)"),
+    "eval_grouping": ((lambda value: value in ("source", "all")), "'source' or 'all'"),
 }
 
 
@@ -133,30 +151,28 @@ def _coerce(key: str, raw: str):
     default = DEFAULTS[key]
     if isinstance(default, bool):
         low = raw.strip().lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise UsageError(f"config key {key!r}: expected a boolean, got {raw!r}")
-    if isinstance(default, int):
+        if low not in ("true", "1", "yes", "false", "0", "no"):
+            raise UsageError(f"config key {key!r}: expected a boolean, got {raw!r}")
+        value = low in ("true", "1", "yes")
+    elif isinstance(default, int):
         try:
             value = int(raw)
         except ValueError as exc:
             raise UsageError(f"config key {key!r}: expected an integer, got {raw!r}") from exc
-        if key in _INT_FLOORS and value < _INT_FLOORS[key][0]:
-            raise UsageError(f"config key {key!r}: expected {_INT_FLOORS[key][1]}, got {raw!r}")
-        return value
-    if isinstance(default, float):
+    elif isinstance(default, float):
         try:
             value = float(raw)
         except ValueError as exc:
             raise UsageError(f"config key {key!r}: expected a number, got {raw!r}") from exc
         if not math.isfinite(value):
             raise UsageError(f"config key {key!r}: expected a finite number, got {raw!r}")
-        return value
-    # One pair of surrounding quotes, as render_config writes them; inner quotes stay.
-    text = raw.strip()
-    return text[1:-1] if len(text) >= 2 and text[0] == text[-1] == '"' else text
+    else:
+        # One pair of surrounding quotes, as render_config writes them; inner quotes stay.
+        text = raw.strip()
+        value = text[1:-1] if len(text) >= 2 and text[0] == text[-1] == '"' else text
+    if key in _RULES and not _RULES[key][0](value):
+        raise UsageError(f"config key {key!r}: expected {_RULES[key][1]}, got {raw!r}")
+    return value
 
 
 def load_config(path: str | None, overrides: Sequence[str]) -> dict:
@@ -189,6 +205,9 @@ def load_config(path: str | None, overrides: Sequence[str]) -> dict:
         if key not in DEFAULTS:
             raise UsageError(f"unknown config key {key!r}")
         config[key] = _coerce(key, raw)
+    model, heads = config["d_model"], config["n_heads"]
+    if model % heads:
+        raise UsageError(f"d_model={model} must be divisible by n_heads={heads}")
     return config
 
 
@@ -274,13 +293,12 @@ def _providers(config: Mapping, examples, children: contextlib.ExitStack) -> Sig
 
 
 def _train_config(config: Mapping, stage: str) -> TrainConfig:
-    steps = config["pretrain_steps"] if stage == "pretrain" else config["finetune_steps"]
-    lr = config["pretrain_learning_rate"] if stage == "pretrain" else config["finetune_learning_rate"]
+    steps = config[f"{stage}_steps"]
     return TrainConfig(
         total_steps=steps,
         eval_every=min(config["eval_every"], steps) if steps else 1,
         batch_size=config["batch_size"],
-        learning_rate=lr,
+        learning_rate=config[f"{stage}_learning_rate"],
         seed=config["seed"],
     )
 
@@ -290,15 +308,8 @@ def _task_weights(config: Mapping):
 
 
 def _encoder_config(config: Mapping, vocab: Vocabulary) -> EncoderConfig:
-    return EncoderConfig(
-        vocab_size=len(vocab),
-        d_model=config["d_model"],
-        n_layers=config["n_layers"],
-        n_heads=config["n_heads"],
-        d_ff=config["d_ff"],
-        max_seq_len=config["max_seq_len"],
-        init_seed=config["seed"],
-    )
+    shape = {key: config[key] for key in ("d_model", "n_layers", "n_heads", "d_ff", "max_seq_len")}
+    return EncoderConfig(vocab_size=len(vocab), init_seed=config["seed"], **shape)
 
 
 def _save_stage(args, chash: str, stage: str, params, vocab: Vocabulary, steps: int, history) -> None:
@@ -436,8 +447,6 @@ def cmd_predict(args, config) -> int:
 
 def cmd_evaluate(args, config) -> int:
     chash = config_hash(config)
-    if config["eval_grouping"] not in ("source", "all"):
-        raise UsageError(f"eval_grouping must be 'source' or 'all', got {config['eval_grouping']!r}")
 
     def prediction(line: str) -> tuple[str, float]:
         cols = line.split("\t")

@@ -487,6 +487,12 @@ def rating_head(params: ModelParams, cls: np.ndarray) -> np.ndarray:
     return cls @ params.tensors["rating.w"] + params.tensors["rating.b"][0]
 
 
+def task_heads(params: ModelParams, cls: np.ndarray) -> dict[str, np.ndarray]:
+    """Each task head's output on the [cls] rows ``cls`` (B, d): name -> (B, dim)."""
+    t = params.tensors
+    return {task.name: cls @ t[f"head.{task.name}.w"] + t[f"head.{task.name}.b"] for task in params.tasks}
+
+
 def _check_finite(x, where):
     if not np.all(np.isfinite(x)):
         raise NumericError(f"non-finite values in {where}")
@@ -615,13 +621,9 @@ def forward(params: ModelParams, batch: Batch, want_cache: bool = False) -> Forw
             cache["layers"].append(keep)
 
     cls = x[:, 0, :]
-    task_outputs = {
-        task.name: cls @ t[f"head.{task.name}.w"] + t[f"head.{task.name}.b"]
-        for task in params.tasks
-    }
     return ForwardResult(
         cls=cls,
-        task_outputs=task_outputs,
+        task_outputs=task_heads(params, cls),
         ratings=rating_head(params, cls),
         cache=cache if want_cache else None,
     )

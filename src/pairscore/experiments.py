@@ -253,6 +253,14 @@ def build_offline_pretraining_data(
     return label_pairs(examples, offline_providers(examples))[0]
 
 
+# The drift study's settings that no run varies.
+DRIFT_NOISE_SD = 3.0
+DRIFT_HOLDOUT_FRACTION = 0.2
+DRIFT_ENCODER = dict(d_model=32, n_layers=2, n_heads=4, d_ff=64, max_seq_len=34)
+DRIFT_PRETRAIN_LEARNING_RATE = 2e-3
+DRIFT_BATCH_SIZE = 32
+
+
 @dataclass
 class DriftStudyConfig:
     """Pinned configuration for the drift study; defaults reproduce the headline run.
@@ -267,20 +275,11 @@ class DriftStudyConfig:
     corpus_size: int = 400
     max_segment_tokens: int = 14
     n_records: int = 1400
-    noise_sd: float = 3.0
-    holdout_fraction: float = 0.2
-    d_model: int = 32
-    n_layers: int = 2
-    n_heads: int = 4
-    d_ff: int = 64
-    max_seq_len: int = 34
     pretrain_steps: int = 3000
     pretrain_eval_every: int = 750
-    pretrain_learning_rate: float = 2e-3
     finetune_steps: int = 400
     finetune_eval_every: int = 100
     finetune_learning_rate: float = 3e-4
-    batch_size: int = 32
     data_seed: int = 101
 
 
@@ -329,38 +328,29 @@ def run_drift_study(
         segments, vocab, GenerationConfig(n_scatter=2, n_contiguous=1, n_backtranslation=1),
         seed=config.data_seed,
     )
-    encoder_config = EncoderConfig(
-        vocab_size=len(vocab),
-        d_model=config.d_model,
-        n_layers=config.n_layers,
-        n_heads=config.n_heads,
-        d_ff=config.d_ff,
-        max_seq_len=config.max_seq_len,
-        init_seed=config.data_seed,
-    )
-    init = init_model(encoder_config)
+    init = init_model(EncoderConfig(vocab_size=len(vocab), init_seed=config.data_seed, **DRIFT_ENCODER))
     pre_cfg = TrainConfig(
         total_steps=config.pretrain_steps,
         eval_every=config.pretrain_eval_every,
-        batch_size=config.batch_size,
-        learning_rate=config.pretrain_learning_rate,
+        batch_size=DRIFT_BATCH_SIZE,
+        learning_rate=DRIFT_PRETRAIN_LEARNING_RATE,
         seed=0,
     )
     say(f"pre-training {config.pretrain_steps} steps")
     pretrained, _ = pretrain(init, synthetic, pre_cfg, vocab)
 
     dataset = build_drift_dataset(
-        segments, vocab, config.n_records, seed=config.data_seed + 1, noise_sd=config.noise_sd
+        segments, vocab, config.n_records, seed=config.data_seed + 1, noise_sd=DRIFT_NOISE_SD
     )
 
     def drift_split(alpha: float, seed: int) -> Split:
         skew = SkewConfig(alpha, alpha, seed=1000 + seed, disjoint=True)
         train_side, test_side = skew_split(dataset, skew)
-        train, validation = split_no_leak(train_side, config.holdout_fraction, seed=seed)
+        train, validation = split_no_leak(train_side, DRIFT_HOLDOUT_FRACTION, seed=seed)
         ft_cfg = TrainConfig(
             total_steps=config.finetune_steps,
             eval_every=config.finetune_eval_every,
-            batch_size=config.batch_size,
+            batch_size=DRIFT_BATCH_SIZE,
             learning_rate=config.finetune_learning_rate,
             seed=seed,
         )

@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .encoder import (
     gradients,
     pretrain_loss,
     rating_head,
+    task_heads,
 )
 from .errors import DataError, NumericError, TrainingDiverged
 from .signals import WEIGHT_GROUPS, TaskSpec, SignalVector, default_task_specs
@@ -169,9 +170,9 @@ def _keep_freed_heap() -> None:
     faults them in again (about 900 a step at the drift study's shapes).
     Pinning the mmap threshold at its ceiling and the trim threshold at
     twice that (glibc's own ratio) keeps them in the heap for reuse.
-    Training (``_fit``) and ``predict_records`` set it; it is process-wide,
-    set once, and does nothing where glibc's ``mallopt`` is missing or
-    refuses a value.
+    Training (``_fit``) and the shared forward-only encoder
+    (``_encode_chunks``) set it; it is process-wide, set once, and does
+    nothing where glibc's ``mallopt`` is missing or refuses a value.
     """
     global _heap_kept
     if _heap_kept:
@@ -250,75 +251,51 @@ def pretrain(
     targets = {task.name: np.stack([vec[task.name] for _, vec in dataset]) for task in tasks}
     pairs = [SentencePair(ex.z, ex.z_tilde) for ex, _ in dataset]
     packed = PackedPairs(pairs, vocab, signal_targets=targets)
+    chunks = _chunks(pairs, config.batch_size)
 
     def full_loss(working: ModelParams) -> float:
-        total, count = 0.0, 0
-        for start in range(0, len(dataset), config.batch_size):
-            idx = np.arange(start, min(start + config.batch_size, len(dataset)))
-            batch = packed.batch(idx)
-            outputs = forward(working, batch).task_outputs
-            loss = pretrain_loss(outputs, batch.signal_targets, tasks)
-            total += loss * len(idx)
-            count += len(idx)
-        return total / count
+        losses = np.empty(len(chunks))
+        for i, cls in _encode_chunks(working, chunks, vocab):
+            start = i * config.batch_size
+            chunk_targets = {name: t[start : start + len(cls)] for name, t in targets.items()}
+            losses[i] = pretrain_loss(task_heads(working, cls), chunk_targets, tasks) * len(cls)
+        # np.cumsum adds in chunk order, where np.sum would add pairwise
+        return float(np.cumsum(losses)[-1]) / len(dataset)
 
     return _fit(params, config, len(dataset), packed.batch, full_loss, maximize=False)
 
 
-# Examples per forward call of predict_ratings.
+# Pairs that share a head's product in predictions, and padded slots (rows x
+# width) per forward call of _encode_chunks.
 PREDICT_CHUNK = 64
-# Padded slots (rows x width) per forward call of predict_records.
 PREDICT_SLOTS = 1024
 
 
-def predict_ratings(
-    params: ModelParams, examples: Sequence[RatedExample], vocab: Vocabulary, batch_size: int = PREDICT_CHUNK
-) -> np.ndarray:
-    """Inference-mode rating predictions, one scalar per example."""
-    out = np.empty(len(examples))
-    for start in range(0, len(examples), batch_size):
-        chunk = examples[start : start + batch_size]
-        batch = build_batch([ex.pair for ex in chunk], vocab)
-        out[start : start + len(chunk)] = forward(params, batch).ratings
-    return out
+def _chunks(items: Sequence, size: int) -> list[Sequence]:
+    return [items[start : start + size] for start in range(0, len(items), size)]
 
 
-def predict_records(
-    params: ModelParams, records: Sequence[Sequence[SentencePair]], vocab: Vocabulary
-) -> np.ndarray:
-    """Each record's score: the max predicted rating over its (reference, candidate) pairs.
+def _encode_chunks(
+    params: ModelParams, chunks: Sequence[Sequence[SentencePair]], vocab: Vocabulary
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Each chunk's index and [cls] rows, bit for bit what ``forward`` gives the chunk packed alone.
 
-    ``records`` holds each record's pairs, as ``text.record_pairs`` makes
-    them.  Bit-identical to ``predict_ratings`` on one record's pairs at a
-    time, then ``max``.  The encoder gives a row the same bits in any batch
-    padded to the same width, but a wider or narrower batch changes them,
-    and so does the number of rows in the rating head's product.  So records
-    are grouped by width W (the longest packed pair of the record, the width
-    it pads to alone); each distinct pair of a width is encoded once, in
-    batches of at most ``PREDICT_SLOTS // W`` rows, every one padded to W
-    even when its own pairs are shorter; and the head runs on each record's
-    rows alone, in reference order.  A record's rows may come from two
-    batches, which keeps their bits, since both are padded to W.  A record of
-    more than ``PREDICT_CHUNK`` pairs is scored alone by ``predict_ratings``,
-    which pads each of its chunks to that chunk's own width.
+    A row's bits depend on the width its batch pads to, not on the other rows.
+    So each distinct pair of chunks of width W (their longest packed pair) is
+    encoded once, in batches of at most ``PREDICT_SLOTS // W`` rows (at least
+    one) padded to W, and a chunk's rows may come from two batches.  Chunks
+    come one width at a time, so that only one width's rows are held.  A
+    head's bits depend on the rows that share its product (see
+    ``rating_head``), so callers run the heads on each chunk's rows alone.
     """
     _keep_freed_heap()
-    scores = np.empty(len(records))
     by_width: dict[int, list[int]] = {}
-    for i, pairs in enumerate(records):
-        if len(pairs) > PREDICT_CHUNK:
-            # predict_ratings reads only the pairs; the rating and id are placeholders
-            examples = [RatedExample(pair, 0.0, str(i)) for pair in pairs]
-            scores[i] = predict_ratings(params, examples, vocab).max()
-            continue
+    for i, pairs in enumerate(chunks):
         width = 3 + max(len(p.reference.ids) + len(p.candidate.ids) for p in pairs)
         by_width.setdefault(width, []).append(i)
-
     for width, members in by_width.items():
-        distinct: dict[tuple, SentencePair] = {}  # (reference ids, candidate ids) -> pair
-        for i in members:
-            for pair in records[i]:
-                distinct.setdefault((pair.reference.ids, pair.candidate.ids), pair)
+        # (reference ids, candidate ids) -> pair; only the ids are packed
+        distinct = {(p.reference.ids, p.candidate.ids): p for i in members for p in chunks[i]}
         row_of = {key: row for row, key in enumerate(distinct)}
         pairs = list(distinct.values())
         step = max(1, PREDICT_SLOTS // width)
@@ -327,9 +304,31 @@ def predict_records(
             for start in range(0, len(pairs), step)
         ])
         for i in members:
-            rows = [row_of[pair.reference.ids, pair.candidate.ids] for pair in records[i]]
-            scores[i] = rating_head(params, cls[rows]).max()
-    return scores
+            yield i, cls[[row_of[p.reference.ids, p.candidate.ids] for p in chunks[i]]]
+
+
+def predict_ratings(
+    params: ModelParams, examples: Sequence[RatedExample], vocab: Vocabulary
+) -> np.ndarray:
+    """Inference-mode rating predictions; the head runs on ``PREDICT_CHUNK`` examples at a time."""
+    out = np.empty(len(examples))
+    for i, cls in _encode_chunks(params, _chunks([ex.pair for ex in examples], PREDICT_CHUNK), vocab):
+        out[i * PREDICT_CHUNK : i * PREDICT_CHUNK + len(cls)] = rating_head(params, cls)
+    return out
+
+
+def predict_records(
+    params: ModelParams, records: Sequence[Sequence[SentencePair]], vocab: Vocabulary
+) -> np.ndarray:
+    """Each record's score: ``predict_ratings`` on its pairs (see ``text.record_pairs``), then max."""
+    chunks, starts = [], []
+    for pairs in records:
+        starts.append(len(chunks))
+        chunks += _chunks(pairs, PREDICT_CHUNK)
+    maxima = np.empty(len(chunks))
+    for i, cls in _encode_chunks(params, chunks, vocab):
+        maxima[i] = rating_head(params, cls).max()
+    return np.maximum.reduceat(maxima, np.array(starts, dtype=np.intp))
 
 
 def validation_kendall(
@@ -337,8 +336,7 @@ def validation_kendall(
 ) -> float:
     """Pooled Kendall of the predictions against the ratings of ``validation``."""
     preds = predict_ratings(params, validation, vocab)
-    human = [ex.rating for ex in validation]
-    return kendall_pairwise(human, list(preds), [0] * len(validation))
+    return kendall_pairwise([ex.rating for ex in validation], list(preds), [0] * len(validation))
 
 
 def finetune(

@@ -7,11 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
+from pairscore import cli
 from pairscore.cli import DEFAULTS, config_hash, load_config, main, render_config
 from pairscore.demo import demo_sentences, load_demo_ratings_path
 from pairscore.encoder import CHECKPOINT_MAGIC, EncoderConfig, init_model, load_checkpoint, save_checkpoint
 from pairscore.errors import UsageError
-from pairscore.experiments import build_offline_pretraining_data
+from pairscore.experiments import DriftStudyConfig, build_offline_pretraining_data
 from pairscore.signals import TASK_NAMES, read_signals
 from pairscore.synth import GenerationConfig
 from pairscore.text import RatingRecord, Vocabulary, read_rating_records, split_tokens
@@ -130,11 +131,16 @@ class TestConfig:
             "vocab_min_count", "vocab_size_cap", "word_drop_rate",
         ]
         fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
-                  for cls in (EncoderConfig, TrainConfig, GenerationConfig)}
+                  for cls in (EncoderConfig, TrainConfig, GenerationConfig, DriftStudyConfig)}
         assert fields == {
             "EncoderConfig": ["vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_seq_len", "init_seed"],
             "TrainConfig": ["total_steps", "eval_every", "batch_size", "learning_rate", "seed", "stage"],
             "GenerationConfig": ["n_scatter", "n_contiguous", "n_backtranslation", "word_drop_rate", "beam_width"],
+            "DriftStudyConfig": [
+                "alphas", "n_seeds", "corpus_size", "max_segment_tokens", "n_records", "pretrain_steps",
+                "pretrain_eval_every", "finetune_steps", "finetune_eval_every", "finetune_learning_rate",
+                "data_seed",
+            ],
         }
 
     def test_dropout_is_not_a_setting(self, tmp_path, capsys):
@@ -195,6 +201,69 @@ class TestConfigValues:
             rc, err, prefix = self.run(tmp_path, capsys, route, key, value)
             assert rc == 2
             assert err == f"error: {prefix}config key {key!r}: expected {expected}, got {value!r}\n"
+
+    # Each key with a rule: values the rule rejects, and values at its edge that it accepts.
+    RULE_CASES = {
+        "seed": (("-1",), ("0",)),
+        "vocab_min_count": (("0",), ("1",)),
+        "vocab_size_cap": (("5",), ("6",)),
+        "d_model": (("0",), ("1",)),
+        "n_layers": (("0",), ("1",)),
+        "n_heads": (("0",), ("1",)),
+        "d_ff": (("0",), ("1",)),
+        "max_seq_len": (("2",), ("3",)),
+        "n_scatter": (("-1",), ("0",)),
+        "n_contiguous": (("-1",), ("0",)),
+        "n_backtranslation": (("-1",), ("0",)),
+        "word_drop_rate": (("-0.1", "1.5"), ("0.0", "1.0")),
+        "beam_width": (("0",), ("1",)),
+        "gamma_metrics": (("-1",), ("0.0",)),
+        "gamma_likelihood": (("-0.5",), ("0.0",)),
+        "gamma_semantic": (("-1",), ("0.0",)),
+        "batch_size": (("0",), ("1",)),
+        "pretrain_steps": (("-1",), ("0",)),
+        "finetune_steps": (("-1",), ("0",)),
+        "eval_every": (("0",), ("1",)),
+        "pretrain_learning_rate": (("-1",), ("0.0",)),
+        "finetune_learning_rate": (("-1e-05",), ("0.0",)),
+        "holdout_fraction": (("0.0", "1.5"), ("1e-09", "0.999")),
+        "alpha_train": (("-1",), ("0.0",)),
+        "alpha_test": (("-1",), ("0.0",)),
+        "n_bins": (("1",), ("2",)),
+        "eval_grouping": (("bogus", "Source"), ("source", "all")),
+    }
+
+    def test_every_rule_has_cases(self):
+        assert sorted(self.RULE_CASES) == sorted(cli._RULES)
+
+    @pytest.mark.parametrize("route", ["set", "config"])
+    @pytest.mark.parametrize("key", sorted(RULE_CASES))
+    def test_value_a_rule_rejects(self, tmp_path, capsys, key, route):
+        for value in self.RULE_CASES[key][0]:
+            rc, err, prefix = self.run(tmp_path, capsys, route, key, value)
+            assert rc == 2
+            assert err == f"error: {prefix}config key {key!r}: expected {cli._RULES[key][1]}, got {value!r}\n"
+
+    @pytest.mark.parametrize("key", sorted(RULE_CASES))
+    def test_value_at_a_rules_edge_is_accepted(self, key):
+        for value in self.RULE_CASES[key][1]:
+            # one head, so that a model width of 1 divides by it
+            config = load_config(None, ["n_heads=1", f"{key}={value}"])
+            assert str(config[key]) == value
+
+    @pytest.mark.parametrize("route", ["set", "config"])
+    def test_heads_that_do_not_divide_the_model_width(self, tmp_path, capsys, route):
+        train, test = tmp_path / "train.tsv", tmp_path / "test.tsv"
+        if route == "set":
+            settings = ["--set", "d_model=10", "--set", "n_heads=3"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("d_model = 10\nn_heads = 3\n", encoding="utf-8")
+            settings = ["--config", cfg]
+        capsys.readouterr()
+        assert run_cli(*settings, "skew-split", load_demo_ratings_path(), train, test) == 2
+        assert capsys.readouterr().err == "error: d_model=10 must be divisible by n_heads=3\n"
+        assert not train.exists() and not test.exists()
 
     def test_vocabulary_of_reserved_tokens_only(self, corpus_file, tmp_path, capsys):
         pairs, vocab = tmp_path / "pairs.jsonl", tmp_path / "vocab.json"

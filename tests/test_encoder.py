@@ -28,8 +28,8 @@ from pairscore.encoder import (
 )
 from pairscore.errors import DataError, NumericError
 from pairscore.signals import TaskSpec
-from pairscore.text import SentencePair, Vocabulary, tokenize
-from pairscore.training import PREDICT_CHUNK
+from pairscore.text import RESERVED_TOKENS, RatedExample, SentencePair, TokenSeq, Vocabulary, tokenize
+from pairscore.training import PREDICT_CHUNK, predict_ratings
 
 # The encoder has no dropout.  These oracle cases once ran at rates 0.0 and
 # 0.1; the one rate left keeps their ids.
@@ -589,6 +589,8 @@ class TestMemory:
     attention in blocks of examples, only the real query rows' weights
     cached and the rebuildable activations rebuilt in backward, they peak
     at 10.4, 6.2 and 12.1 MB.  The bounds sit between the last two sets.
+    ``predict_ratings`` encodes those 64 examples in calls of at most 1,024
+    padded slots, and peaks at 3.3 MB (12.3 MB when it was one call).
     """
 
     @staticmethod
@@ -617,6 +619,24 @@ class TestMemory:
         assert self.traced_peak(lambda: gradients(params, rated)) <= 12.5
         assert self.traced_peak(lambda: forward(params, rated)) <= 7.5
         assert self.traced_peak(lambda: forward(params, wide)) <= 14.5
+
+    def test_prediction_peak(self):
+        config = EncoderConfig(
+            vocab_size=60, d_model=32, n_layers=2, n_heads=4, d_ff=64, max_seq_len=64, init_seed=0
+        )
+        params = init_model(config)
+        vocab = Vocabulary((*RESERVED_TOKENS, *(f"w{i}" for i in range(60 - len(RESERVED_TOKENS)))))
+        rng = np.random.default_rng(1)
+
+        def example(width):
+            words = [vocab.tokens[i] for i in rng.integers(len(RESERVED_TOKENS), len(vocab), width - 3)]
+            half = len(words) // 2
+            pair = SentencePair(TokenSeq.from_tokens(words[:half], vocab), TokenSeq.from_tokens(words[half:], vocab))
+            return RatedExample(pair, 0.0, "s")
+
+        examples = [example(60), *(example(int(w)) for w in rng.integers(8, 60, PREDICT_CHUNK - 1))]
+        predict_ratings(params, examples, vocab)  # the allocator's first touch
+        assert self.traced_peak(lambda: predict_ratings(params, examples, vocab)) <= 6.0
 
 
 class TestCheckpoint:

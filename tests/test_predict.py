@@ -53,13 +53,6 @@ def assert_exact(params, records, vocab):
     assert got == reference_predict_records(params, records, vocab)
 
 
-@pytest.fixture
-def slots(request, monkeypatch):
-    """``PREDICT_SLOTS`` set to the test's parameter: the padded slots a forward call may hold."""
-    monkeypatch.setattr(training, "PREDICT_SLOTS", request.param)
-    return request.param
-
-
 @pytest.mark.parametrize("slots", [1, 2, 32, 1024], indirect=True)
 def test_random_records(params, vocab, slots):
     assert_exact(params, random_records(vocab, 120, seed=slots), vocab)

@@ -11,7 +11,7 @@ import pytest
 
 from pairscore import training
 from pairscore.demo import demo_sentences
-from pairscore.encoder import EncoderConfig, PackedPairs, build_batch, init_model
+from pairscore.encoder import EncoderConfig, PackedPairs, build_batch, forward, init_model, pack_pair
 from pairscore.errors import DataError, NumericError, TrainingDiverged
 from pairscore.experiments import build_offline_pretraining_data
 from pairscore.metrics import sentence_bleu
@@ -38,11 +38,8 @@ from pairscore.training import (
     set_task_weights,
 )
 
+from predict_oracle import reference_predict_ratings
 from training_oracle import reference_finetune, reference_pretrain
-
-# The encoder has no dropout.  These oracle cases once ran at rates 0.0 and
-# 0.1; the one rate left keeps their ids.
-NO_DROPOUT = pytest.mark.parametrize("dropout", [0.0])
 
 SEGMENTS = demo_sentences(60, seed=11)
 SHORT_SEGMENTS = [s for s in SEGMENTS if len(s.split()) <= 12][:40]
@@ -345,12 +342,27 @@ class TestSetTaskWeights:
 
 
 class TestPredictRatings:
-    def test_batched_prediction_matches_single(self, vocab, encoder_config):
-        data = rated_dataset(vocab, n=10)
+    """``predict_ratings`` against the per-chunk oracle of tests/predict_oracle.py, with ``==``."""
+
+    @pytest.mark.parametrize("slots", [1, 2, 32, 1024], indirect=True)
+    @pytest.mark.parametrize("n", [0, 1, 64, 65, 130])
+    def test_equals_per_chunk_oracle(self, vocab, encoder_config, n, slots):
+        data = rated_dataset(vocab, n=n, seed=n)
         params = init_model(encoder_config)
-        batched = predict_ratings(params, data, vocab, batch_size=4)
-        single = predict_ratings(params, data, vocab, batch_size=1)
-        np.testing.assert_allclose(batched, single, atol=1e-12)
+        assert list(predict_ratings(params, data, vocab)) == reference_predict_ratings(params, data, vocab)
+
+    def test_pair_in_two_chunks_of_different_widths(self, vocab, encoder_config):
+        # The narrowest pair opens the first chunk, beside the 63 widest, and
+        # the second, beside four more of its own width of 7.
+        pool = sorted(rated_dataset(vocab, n=200, seed=1), key=lambda ex: len(pack_pair(ex.pair, vocab)[0]))
+        data = [pool[0], *pool[-63:], *pool[:5]]
+        widths = [max(len(pack_pair(ex.pair, vocab)[0]) for ex in chunk) for chunk in (data[:64], data[64:])]
+        assert widths == [27, 7]
+        # At this model size the two paddings give the pair different bits.
+        params = init_model(dataclasses.replace(encoder_config, d_model=32, n_heads=4, d_ff=64, n_layers=2))
+        alone = [forward(params, build_batch([pool[0].pair], vocab, width=w)).cls for w in widths]
+        assert not np.array_equal(*alone)
+        assert list(predict_ratings(params, data, vocab)) == reference_predict_ratings(params, data, vocab)
 
 
 def same_length_rated(vocab, n=24):
@@ -376,16 +388,17 @@ class TestTrainingOracle:
         assert got[1] == want[1]
         assert params_digest(got[0]) == params_digest(want[0])
 
-    @NO_DROPOUT
-    def test_pretrain(self, vocab, synthetic, config2, dropout):
+    # Caps that split a chunk's rows over forward calls, and the package's own.
+    @pytest.mark.parametrize("slots", [1, 7, 1024], indirect=True)
+    def test_pretrain(self, vocab, synthetic, config2, slots):
         params = init_model(config2)
         config = TrainConfig(total_steps=12, eval_every=4, batch_size=8, learning_rate=2e-3, seed=3)
         got = pretrain(params, synthetic[:30], config, vocab)
         self.assert_same(got, reference_pretrain(params, synthetic[:30], config, vocab))
         assert params_digest(got[0]) != params_digest(params)
 
-    @NO_DROPOUT
-    def test_finetune(self, vocab, config2, dropout):
+    @pytest.mark.parametrize("slots", [1, 7, 1024], indirect=True)
+    def test_finetune(self, vocab, config2, slots):
         train, val = split_no_leak(rated_dataset(vocab, n=60), 0.2, seed=2)
         params = init_model(config2)
         config = TrainConfig(total_steps=12, eval_every=4, batch_size=8, learning_rate=2e-3, seed=4)

@@ -1,11 +1,12 @@
 """Per-step reference for ``pairscore.training.pretrain`` and ``finetune``.
 
 This is the plain formulation of the training loop: every step packs its
-examples with ``build_batch``, the pre-training loss is evaluated on batches
-packed the same way, and Adam updates one tensor at a time.  The package
-packs each dataset once, slices its batches from it and updates all tensors
-in one flat pass, and must agree with this module bit for bit.  Divergence
-handling is not modelled.
+examples with ``build_batch``, the pre-training loss and the validation
+ratings are evaluated on batches packed the same way, and Adam updates one
+tensor at a time.  The package packs each training set once, slices its
+batches from it, encodes evaluation pairs in shared width buckets and
+updates all tensors in one flat pass, and must agree with this module bit
+for bit.  Divergence handling is not modelled.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from pairscore.encoder import build_batch, forward, gradients, pretrain_loss
+from pairscore.stats import kendall_pairwise
 from pairscore.text import SentencePair
 from pairscore.training import (
     ADAM_BETA1,
@@ -21,8 +23,9 @@ from pairscore.training import (
     EvalPoint,
     _EpochSampler,
     _eval_steps,
-    validation_kendall,
 )
+
+from predict_oracle import reference_predict_ratings
 
 
 def _adam_step(params, grads, m, v, t, cfg):
@@ -92,5 +95,10 @@ def reference_finetune(params, train_set, validation_set, config, vocab):
     ratings = [ex.rating for ex in train_set]
     return _fit(
         params, config, len(train_set), lambda idx: _batch(pairs, vocab, idx, ratings=ratings),
-        lambda working: validation_kendall(working, validation_set, vocab), maximize=True,
+        lambda working: kendall_pairwise(
+            [ex.rating for ex in validation_set],
+            reference_predict_ratings(working, validation_set, vocab),
+            [0] * len(validation_set),
+        ),
+        maximize=True,
     )
