@@ -16,7 +16,7 @@ import numpy as np
 
 from pairscore import GenerationConfig, StubBacktranslator, Vocabulary, compute_signals, split_tokens
 from pairscore.demo import load_demo_corpus
-from pairscore.signals import generate_pairs, label_pairs, offline_providers
+from pairscore.signals import REGRESSION_DIM, SIGNAL_COLUMNS, generate_pairs, label_pairs, offline_providers
 
 
 def main():
@@ -36,16 +36,18 @@ def main():
 
     providers = offline_providers(examples)
     pairs, _, failures = label_pairs(examples, providers)
-    matrix = np.stack([vec.regression_concat() for _, vec in pairs])
-    print(f"\nsignals for {len(pairs)} pairs ({len(failures)} skipped); normalized regression block:")
+    matrix = np.stack([row[:REGRESSION_DIM] for _, row in pairs])
+    skipped = Counter(task for _, task in failures)
+    print(f"\nsignals for {len(pairs)} pairs ({len(failures)} skipped: {dict(skipped)}); "
+          "normalized regression block:")
     print(f"  per-dim means  ~ {np.abs(matrix.mean(axis=0)).max():.2e} (should be ~0)")
     print(f"  per-dim stds   ~ {matrix.std(axis=0).round(6)}")
 
     ex = pairs[0][0]
-    vec = compute_signals(ex, providers)
-    print(f"\nraw signal vector for the first pair ({ex.origin.kind}):")
+    row = compute_signals(ex, providers)
+    print(f"\nraw signal row for the first pair ({ex.origin.kind}):")
     for name in ("bleu", "rouge", "soft_overlap", "bt_en_fr_cand", "entailment", "bt_flag"):
-        print(f"  {name:16s} {np.round(vec[name], 4)}")
+        print(f"  {name:16s} {np.round(row[SIGNAL_COLUMNS[name]], 4)}")
 
 
 if __name__ == "__main__":

@@ -45,18 +45,18 @@ from .synth import (
     plan_masks,
 )
 from .signals import (
+    SIGNAL_COLUMNS,
     BaselineEntailment,
     NormalizationStats,
     SignalProviders,
-    SignalVector,
     TaskSpec,
     UnigramScorer,
-    apply_normalization,
     backtrans_likelihood,
     compute_signals,
     default_task_specs,
     entailment_probs,
     fit_normalization,
+    signal_row,
 )
 from .encoder import (
     Batch,

@@ -17,6 +17,7 @@ import os
 import shlex
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -381,7 +382,9 @@ def cmd_compute_signals(args, config) -> int:
     }
     _atomic_write({args.out: lambda p: write_signals(normalized, p, stats, meta=meta)})
     print(f"config-hash: {chash}")
-    print(f"wrote {len(normalized)} signal vectors to {args.out} (skipped {len(failed)})")
+    print(f"wrote {len(normalized)} signal vectors to {args.out}")
+    by_task = ", ".join(f"{task} {n}" for task, n in Counter(task for _, task in failed).items())
+    print(f"skipped {len(failed)}" + (f" ({by_task})" if by_task else ""))
     return 0
 
 

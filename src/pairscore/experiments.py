@@ -19,7 +19,7 @@ import numpy as np
 
 from .encoder import EncoderConfig, ModelParams, init_model
 from .errors import DataError
-from .signals import SignalVector, TaskSpec, generate_pairs, label_pairs, offline_providers
+from .signals import TaskSpec, generate_pairs, label_pairs, offline_providers
 # kendall_pairwise is not called here: bench/workloads.py wraps experiments.kendall_pairwise
 # to see every drift tau.
 from .stats import SkewConfig, kendall_pairwise, skew_split
@@ -95,7 +95,7 @@ def run_ablation(
     vocab: Vocabulary,
     encoder_config: EncoderConfig,
     base_tasks: tuple[TaskSpec, ...],
-    synthetic: Sequence[tuple[SyntheticExample, SignalVector]],
+    synthetic: Sequence[tuple[SyntheticExample, np.ndarray]],
     pretrain_config: TrainConfig,
     split: Split,
     mode: str,
@@ -247,7 +247,7 @@ def build_offline_pretraining_data(
     vocab: Vocabulary,
     gen_config: GenerationConfig,
     seed: int,
-) -> list[tuple[SyntheticExample, SignalVector]]:
+) -> list[tuple[SyntheticExample, np.ndarray]]:
     """Synthetic corpus + normalized signals from the stub translator and the offline providers."""
     examples = generate_pairs(segments, vocab, gen_config, StubBacktranslator(), seed)
     return label_pairs(examples, offline_providers(examples))[0]

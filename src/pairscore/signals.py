@@ -3,7 +3,9 @@
 Layout (version 1) is fixed: an 11-dim regression block
   bleu[1] | rouge P,R,F[3] | soft_overlap P,R,F[3] |
   bt_en_fr_ref[1] | bt_en_fr_cand[1] | bt_en_de_ref[1] | bt_en_de_cand[1]
-followed by two classification blocks: entailment[3] and bt_flag[2].
+followed by two classification blocks: entailment[3] and bt_flag[2].  A
+pair's signals are one float64 row in this layout; ``SIGNAL_COLUMNS`` gives
+each task's columns.
 
 Likelihood and entailment providers are pluggable; offline stubs keep all nine
 signals computable without any external model.  External providers speak a
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -75,11 +78,8 @@ def default_task_specs() -> tuple[TaskSpec, ...]:
     )
 
 
-# Built once: SignalVector reads it for every vector.
 _TASKS = default_task_specs()
-TASK_NAMES = tuple(t.name for t in _TASKS)
 REGRESSION_TASKS = tuple(t for t in _TASKS if t.kind == REGRESSION)
-CLASSIFICATION_TASKS = tuple(t for t in _TASKS if t.kind == CLASSIFICATION)
 
 # Tasks sharing one grid-searched weight, in the conventional grouping:
 # string metrics, translation likelihoods, semantic judgments.
@@ -91,80 +91,50 @@ WEIGHT_GROUPS: tuple[tuple[str, ...], ...] = (
 
 
 def regression_dim_labels() -> tuple[str, ...]:
-    labels = []
-    for task in REGRESSION_TASKS:
-        if task.dim == 1:
-            labels.append(task.name)
-        else:
-            for part in ("precision", "recall", "fscore"):
-                labels.append(f"{task.name}.{part}")
-    return tuple(labels)
+    parts = {1: ("",), 3: (".precision", ".recall", ".fscore")}
+    return tuple(task.name + part for task in REGRESSION_TASKS for part in parts[task.dim])
 
 
 REGRESSION_DIM = sum(t.dim for t in REGRESSION_TASKS)  # 11
 
+# Each task's columns in a signal row, in task order (16 in all).
+_ENDS = list(accumulate(t.dim for t in _TASKS))
+SIGNAL_COLUMNS: Mapping[str, slice] = {t.name: slice(end - t.dim, end) for t, end in zip(_TASKS, _ENDS)}
+SIGNAL_DIM = _ENDS[-1]
 
-class SignalVector:
-    """Per-task value blocks for one synthetic pair, validated on construction."""
 
-    def __init__(self, values: Mapping[str, Sequence[float]]):
-        blocks: dict[str, np.ndarray] = {}
-        for task in _TASKS:
-            if task.name not in values:
-                raise DataError(f"signal vector missing task {task.name!r}")
-            arr = np.asarray(values[task.name], dtype=np.float64)
-            if arr.shape != (task.dim,):
-                raise DataError(f"task {task.name!r} expects {task.dim} values, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise NumericError(f"task {task.name!r} has non-finite values")
-            blocks[task.name] = arr
-        extra = set(values) - set(TASK_NAMES)
-        if extra:
-            raise DataError(f"unknown signal tasks: {sorted(extra)}")
+def signal_row(values: Mapping[str, Sequence[float]]) -> np.ndarray:
+    """One pair's task blocks as a validated float64 row laid out by ``SIGNAL_COLUMNS``.
 
-        entail = blocks["entailment"]
-        if np.any(entail < 0) or np.any(entail > 1) or abs(entail.sum() - 1.0) > 1e-9:
-            raise NumericError("entailment block must be a probability simplex point")
-        flag = blocks["bt_flag"]
-        if sorted(flag.tolist()) != [0.0, 1.0]:
-            raise NumericError("bt_flag block must be exactly one-hot")
+    Every task needs exactly its dim of finite values, and no other name may
+    appear; entailment must be a probability simplex point and bt_flag
+    one-hot.
+    """
+    row = np.empty(SIGNAL_DIM)
+    for task in _TASKS:
+        if task.name not in values:
+            raise DataError(f"signal vector missing task {task.name!r}")
+        block = np.asarray(values[task.name], dtype=np.float64)
+        if block.shape != (task.dim,):
+            raise DataError(f"task {task.name!r} expects {task.dim} values, got {block.shape}")
+        if not np.isfinite(block).all():
+            raise NumericError(f"task {task.name!r} has non-finite values")
+        row[SIGNAL_COLUMNS[task.name]] = block
+    extra = set(values) - SIGNAL_COLUMNS.keys()
+    if extra:
+        raise DataError(f"unknown signal tasks: {sorted(extra)}")
 
-        self._blocks = blocks
+    entail = row[SIGNAL_COLUMNS["entailment"]]
+    if np.any(entail < 0) or np.any(entail > 1) or abs(entail.sum() - 1.0) > 1e-9:
+        raise NumericError("entailment block must be a probability simplex point")
+    if sorted(row[SIGNAL_COLUMNS["bt_flag"]].tolist()) != [0.0, 1.0]:
+        raise NumericError("bt_flag block must be exactly one-hot")
+    return row
 
-    def __getitem__(self, task_name: str) -> np.ndarray:
-        return self._blocks[task_name]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SignalVector):
-            return NotImplemented
-        return all(np.array_equal(self._blocks[k], other._blocks[k]) for k in TASK_NAMES)
-
-    def regression_concat(self) -> np.ndarray:
-        return np.concatenate([self._blocks[t.name] for t in REGRESSION_TASKS])
-
-    def replace_regression(self, flat: np.ndarray) -> "SignalVector":
-        """This vector with the regression blocks cut from ``flat``.
-
-        The classification blocks were validated with this vector, so only
-        ``flat`` is checked.
-        """
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (REGRESSION_DIM,):
-            raise DataError(f"regression blocks expect {REGRESSION_DIM} values, got {flat.shape}")
-        blocks = dict(self._blocks)
-        offset = 0
-        for task in REGRESSION_TASKS:
-            blocks[task.name] = flat[offset : offset + task.dim]
-            offset += task.dim
-        if not np.isfinite(flat).all():
-            bad = next(t for t in REGRESSION_TASKS if not np.isfinite(blocks[t.name]).all())
-            raise NumericError(f"task {bad.name!r} has non-finite values")
-        out = SignalVector.__new__(SignalVector)
-        out._blocks = blocks
-        return out
-
-    def to_json_dict(self) -> dict:
-        return {name: [float(x) for x in self._blocks[name]] for name in TASK_NAMES}
+def signal_blocks(row: np.ndarray) -> dict[str, list[float]]:
+    """The task blocks of a signal row, as the JSON of a signals record."""
+    return {name: row[cols].tolist() for name, cols in SIGNAL_COLUMNS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +315,13 @@ class SignalProviders:
 class SignalError(PairscoreError):
     """A provider failed while computing one task; names the task."""
 
+    def __init__(self, task: str, message: str):
+        super().__init__(f"task {task!r}: {message}")
+        self.task = task
 
-def compute_signals(example: SyntheticExample, providers: SignalProviders) -> SignalVector:
-    """Fill all nine task blocks for one synthetic pair.
+
+def compute_signals(example: SyntheticExample, providers: SignalProviders) -> np.ndarray:
+    """The signal row of one synthetic pair: all nine task blocks, validated.
 
     Provider failures are re-raised with the task name attached, except a
     broken external child, which ends the run rather than one pair.  The flag
@@ -363,7 +337,7 @@ def compute_signals(example: SyntheticExample, providers: SignalProviders) -> Si
         except ScorerProtocolError:
             raise
         except PairscoreError as exc:
-            raise SignalError(f"task {task_name!r}: {exc}") from exc
+            raise SignalError(task_name, str(exc)) from exc
 
     run("bleu", lambda: [sentence_bleu(z, z_t)])
     run("rouge", lambda: rouge_n(z, z_t, 1).as_tuple())
@@ -375,11 +349,11 @@ def compute_signals(example: SyntheticExample, providers: SignalProviders) -> Si
     run("entailment", lambda: entailment_probs(z, z_t, providers.entailment).tolist())
     is_bt = example.origin.base_kind() == BACKTRANSLATION
     values["bt_flag"] = [1.0, 0.0] if is_bt else [0.0, 1.0]
-    return SignalVector(values)
+    return signal_row(values)
 
 
 # ---------------------------------------------------------------------------
-# Label normalization over a corpus of signal vectors.
+# Label normalization over a corpus of signal rows.
 # ---------------------------------------------------------------------------
 
 
@@ -405,24 +379,18 @@ class NormalizationStats:
         )
 
 
-def fit_normalization(vectors: Sequence[SignalVector]) -> NormalizationStats:
-    """Mean/std per regression dimension over the corpus (population std)."""
-    if len(vectors) < 2:
+def fit_normalization(matrix: np.ndarray) -> NormalizationStats:
+    """Mean/std per regression column over the rows of a signal matrix (population std)."""
+    if len(matrix) < 2:
         raise DataError("normalization needs at least 2 signal vectors")
-    matrix = np.stack([v.regression_concat() for v in vectors])
-    mean = matrix.mean(axis=0)
-    std = matrix.std(axis=0)
+    regression = matrix[:, :REGRESSION_DIM]
+    mean = regression.mean(axis=0)
+    std = regression.std(axis=0)
     labels = regression_dim_labels()
     for i, s in enumerate(std):
         if s == 0.0:
             raise NumericError(f"zero-variance regression dimension {labels[i]!r}")
     return NormalizationStats(labels=labels, mean=mean, std=std)
-
-
-def apply_normalization(vector: SignalVector, stats: NormalizationStats) -> SignalVector:
-    """Standardize the regression block; classification blocks pass through."""
-    flat = (vector.regression_concat() - stats.mean) / stats.std
-    return vector.replace_regression(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -435,27 +403,27 @@ SIGNALS_VERSION = 1
 
 
 def write_signals(
-    pairs: Sequence[tuple[SyntheticExample, SignalVector]],
+    pairs: Sequence[tuple[SyntheticExample, np.ndarray]],
     path: str | Path,
     stats: NormalizationStats,
     meta: Mapping[str, object] | None = None,
 ) -> None:
-    """Write ``pairs``, whose vectors ``stats`` standardized, with ``stats`` in the header."""
+    """Write ``pairs``, whose rows ``stats`` standardized, with ``stats`` in the header."""
     header = {"normalization": stats.to_json_dict(), **(meta or {})}
-    records = ({**example_record(ex), "signals": vec.to_json_dict()} for ex, vec in pairs)
+    records = ({**example_record(ex), "signals": signal_blocks(row)} for ex, row in pairs)
     write_records(path, SIGNALS_FORMAT, SIGNALS_VERSION, records, header)
 
 
 def read_signals(
     path: str | Path, vocab: Vocabulary
-) -> tuple[list[tuple[SyntheticExample, SignalVector]], NormalizationStats, dict]:
+) -> tuple[list[tuple[SyntheticExample, np.ndarray]], NormalizationStats, dict]:
     """The pairs, normalization stats and header of a signals file.
 
     A header without stats, or a file without records, raises DataError
     naming the file.
     """
-    def parse(obj: dict) -> tuple[SyntheticExample, SignalVector]:
-        return example_from_record(obj, vocab), SignalVector(obj["signals"])
+    def parse(obj: dict) -> tuple[SyntheticExample, np.ndarray]:
+        return example_from_record(obj, vocab), signal_row(obj["signals"])
 
     pairs, header = read_records(path, SIGNALS_FORMAT, SIGNALS_VERSION, parse)
     try:
@@ -498,19 +466,28 @@ def offline_providers(examples: Sequence[SyntheticExample], dim: int = 32) -> Si
 
 def label_pairs(
     examples: Sequence[SyntheticExample], providers: SignalProviders
-) -> tuple[list[tuple[SyntheticExample, SignalVector]], NormalizationStats, list[str]]:
-    """Signals for each example, standardized over the corpus: (pairs, stats, failures).
+) -> tuple[list[tuple[SyntheticExample, np.ndarray]], NormalizationStats, list[tuple[int, str]]]:
+    """Signal rows for each example, standardized over the corpus: (pairs, stats, failures).
 
-    Pairs keep input order.  A pair whose signals fail (say, an empty
-    candidate) goes to ``failures``; a corpus where every pair fails raises.
+    Pairs keep input order, and their rows are those of one (n, SIGNAL_DIM)
+    matrix.  A pair whose signals fail (say, an empty candidate) goes to
+    ``failures`` as (its index in ``examples``, the failing task); a corpus
+    where every pair fails raises.
     """
-    raw, failures = [], []
-    for ex in examples:
+    kept, rows, failures = [], [], []
+    for i, ex in enumerate(examples):
         try:
-            raw.append((ex, compute_signals(ex, providers)))
+            rows.append(compute_signals(ex, providers))
         except SignalError as exc:
-            failures.append(str(exc))
-    if not raw:
+            failures.append((i, exc.task))
+        else:
+            kept.append(ex)
+    if not rows:
         raise DataError("signal computation failed for every example")
-    stats = fit_normalization([vec for _, vec in raw])
-    return [(ex, apply_normalization(vec, stats)) for ex, vec in raw], stats, failures
+    matrix = np.stack(rows)
+    stats = fit_normalization(matrix)
+    matrix[:, :REGRESSION_DIM] = (matrix[:, :REGRESSION_DIM] - stats.mean) / stats.std
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        signal_row(signal_blocks(matrix[bad[0]]))  # raises, naming the non-finite task
+    return list(zip(kept, matrix)), stats, failures

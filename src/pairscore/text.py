@@ -139,6 +139,10 @@ class Vocabulary:
         Tokens are ordered by descending frequency, ties broken alphabetically,
         so the mapping is a pure function of the corpus.
         """
+        if min_count < 1:
+            raise DataError("min_count must be >= 1")
+        if size_cap is not None and size_cap <= len(RESERVED_TOKENS):
+            raise DataError(f"size_cap must be > {len(RESERVED_TOKENS)} (the reserved tokens)")
         counts = Counter()
         for toks in token_lists:
             counts.update(toks)
@@ -149,7 +153,7 @@ class Vocabulary:
             key=lambda t: (-counts[t], t),
         )
         if size_cap is not None:
-            kept = kept[: max(0, size_cap - len(RESERVED_TOKENS))]
+            kept = kept[: size_cap - len(RESERVED_TOKENS)]
         return cls(RESERVED_TOKENS + tuple(kept))
 
     def save(self, path: str | Path) -> None:
@@ -165,6 +169,9 @@ class Vocabulary:
             raise DataError(f"vocabulary {path} is not JSON ({exc.msg})") from None
         if not isinstance(payload, dict) or payload.get("format") != "vocabulary":
             raise DataError(f"{path} is not a vocabulary file")
+        if payload.get("version") != 1:
+            found = f"vocabulary/{payload.get('version')}"
+            raise DataError(f"vocabulary {path}: expected artifact schema 'vocabulary/1', found {found!r}")
         tokens = payload.get("tokens")
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise DataError(f"vocabulary {path} lacks a list of string tokens")

@@ -35,7 +35,7 @@ from .encoder import (
     task_heads,
 )
 from .errors import DataError, NumericError, TrainingDiverged
-from .signals import WEIGHT_GROUPS, TaskSpec, SignalVector, default_task_specs
+from .signals import SIGNAL_COLUMNS, WEIGHT_GROUPS, TaskSpec, default_task_specs
 from .stats import kendall_pairwise
 from .synth import SyntheticExample
 from .text import RatedExample, SentencePair, Vocabulary
@@ -66,6 +66,10 @@ class TrainConfig:
             raise DataError("eval_every must be >= 1")
         if self.total_steps > 0 and self.eval_every > self.total_steps:
             raise DataError("eval_every must not exceed total_steps")
+        if self.learning_rate < 0:
+            raise DataError("learning_rate must be >= 0")
+        if self.seed < 0:
+            raise DataError("seed must be >= 0")
         if self.stage not in ("pretrain", "finetune"):
             raise DataError(f"unknown stage {self.stage!r}")
 
@@ -234,21 +238,22 @@ def _fit(
 
 def pretrain(
     params: ModelParams,
-    dataset: Sequence[tuple[SyntheticExample, SignalVector]],
+    dataset: Sequence[tuple[SyntheticExample, np.ndarray]],
     config: TrainConfig,
     vocab: Vocabulary,
 ) -> tuple[ModelParams, list[EvalPoint]]:
     """Minimize the multitask loss weighted by ``params.tasks``; keep the min-loss checkpoint.
 
     The model's task table is the only source of the weights, so a
-    checkpoint records the weights it was trained with.  Expects normalized
-    signal vectors (regression labels standardized over the corpus).  On
+    checkpoint records the weights it was trained with.  Expects signal
+    rows whose regression columns are standardized over the corpus.  On
     divergence raises TrainingDiverged carrying the last good checkpoint.
     """
     if not dataset:
         raise DataError("pretrain requires a non-empty dataset")
     tasks = params.tasks
-    targets = {task.name: np.stack([vec[task.name] for _, vec in dataset]) for task in tasks}
+    matrix = np.stack([row for _, row in dataset])
+    targets = {task.name: matrix[:, SIGNAL_COLUMNS[task.name]] for task in tasks}
     pairs = [SentencePair(ex.z, ex.z_tilde) for ex, _ in dataset]
     packed = PackedPairs(pairs, vocab, signal_targets=targets)
     chunks = _chunks(pairs, config.batch_size)

@@ -13,7 +13,7 @@ from pairscore.demo import demo_sentences, load_demo_ratings_path
 from pairscore.encoder import CHECKPOINT_MAGIC, EncoderConfig, init_model, load_checkpoint, save_checkpoint
 from pairscore.errors import UsageError
 from pairscore.experiments import DriftStudyConfig, build_offline_pretraining_data
-from pairscore.signals import TASK_NAMES, read_signals
+from pairscore.signals import SIGNAL_COLUMNS, read_signals
 from pairscore.synth import GenerationConfig
 from pairscore.text import RatingRecord, Vocabulary, read_rating_records, split_tokens
 from pairscore.training import TrainConfig, params_digest
@@ -383,6 +383,20 @@ class TestFullChain:
 
 
 class TestCommandContracts:
+    def test_compute_signals_counts_skipped_pairs_by_task(self, chain, tmp_path, capsys):
+        header, *records = [json.loads(line) for line in chain["pairs.jsonl"].read_text().splitlines()]
+        full = [r for r in records if r["z_tilde"]]
+        emptied = [{**r, "z_tilde": []} if i in (1, 4) else r for i, r in enumerate(full)]
+        for name, rows, skipped, line in (("full", full, 0, "skipped 0"),
+                                          ("emptied", emptied, 2, "skipped 2 (bt_en_fr_cand 2)")):
+            pairs, out = tmp_path / f"{name}.jsonl", tmp_path / f"{name}_signals.jsonl"
+            pairs.write_text("".join(json.dumps(r) + "\n" for r in (header, *rows)), encoding="utf-8")
+            capsys.readouterr()
+            assert run_cli(*FAST_SETTINGS, "compute-signals", pairs, chain["vocab.json"], out) == 0
+            stdout = capsys.readouterr().out
+            assert stdout.endswith(f"wrote {len(full) - skipped} signal vectors to {out}\n{line}\n")
+            assert json.loads(out.read_text().splitlines()[0])["skipped"] == skipped
+
     def test_missing_corpus_no_partial_file(self, workdir, capsys):
         out = workdir / "nothing.jsonl"
         rc = run_cli("gen-pairs", workdir / "does-not-exist.txt", out, "--vocab-out", workdir / "v.json")
@@ -579,7 +593,7 @@ class TestOneRecipe:
         library = build_offline_pretraining_data(corpus, vocab, GenerationConfig(), seed=6)
         written, _, _ = read_signals(signals, vocab)
         assert len(written) == len(library)
-        differ = sum(a != b for a, b in zip(written, library))
+        differ = sum(a != b or not np.array_equal(x, y) for (a, x), (b, y) in zip(written, library))
         assert differ == 0, f"{differ} of {len(library)} records differ"
 
 
@@ -851,6 +865,22 @@ class TestMalformedArtifacts:
                            chain["vocab.json"], tmp_path / f"{signals.stem}.ckpt", "--manifest", manifest) == 0
             digests.append(json.loads(manifest.read_text())["stages"][0]["params_digest"])
         assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("command", ["compute-signals", "pretrain"])
+    def test_vocabulary_of_another_version(self, chain, tmp_path, capsys, command):
+        payload = json.loads(chain["vocab.json"].read_text(encoding="utf-8"))
+        bad = tmp_path / "vocab.json"
+        bad.write_text(json.dumps({**payload, "version": 7}), encoding="utf-8")
+        data = chain["pairs.jsonl" if command == "compute-signals" else "signals.jsonl"]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = run_cli(*FAST_SETTINGS, command, data, bad, out)
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"data error: vocabulary {bad}: expected artifact schema 'vocabulary/1', "
+            "found 'vocabulary/7'\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["pretrain", "ablate"])
     def test_signals_header_without_stats(self, chain, tmp_path, capsys, command):
@@ -1344,7 +1374,7 @@ class TestAblate:
             assert rc == 0
         rows = list(csv.reader(outs[0].read_text(encoding="utf-8").splitlines()))
         assert rows[0] == ["task", "mode", "active_tasks", "kendall", "delta_vs_no_pretraining", "error"]
-        assert [row[:2] for row in rows[1:]] == [[name, mode] for name in TASK_NAMES]
+        assert [row[:2] for row in rows[1:]] == [[name, mode] for name in SIGNAL_COLUMNS]
         assert all(row[5] == "" and np.isfinite(float(row[3])) for row in rows[1:])
         assert outs[0].read_bytes() == outs[1].read_bytes()
 

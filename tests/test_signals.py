@@ -10,15 +10,15 @@ from pairscore.errors import DataError, NumericError, ScorerProtocolError
 from pairscore.metrics import EmbeddingTable
 from pairscore.signals import (
     REGRESSION_DIM,
+    SIGNAL_COLUMNS,
+    SIGNAL_DIM,
     BaselineEntailment,
     ExternalEntailment,
     ExternalLikelihoodScorer,
     SignalError,
     SignalProviders,
-    SignalVector,
     TaskSpec,
     UnigramScorer,
-    apply_normalization,
     backtrans_likelihood,
     compute_signals,
     default_task_specs,
@@ -29,6 +29,8 @@ from pairscore.signals import (
     read_signals,
     regression_dim_labels,
     request_reals,
+    signal_blocks,
+    signal_row,
     write_signals,
 )
 from pairscore.synth import (
@@ -62,6 +64,10 @@ def providers(vocab):
 
 def example(vocab, z_text, zt_text, origin=Origin(MASK_SCATTER)):
     return SyntheticExample(tokenize(z_text, vocab), tokenize(zt_text, vocab), origin, seed=0)
+
+
+def block(row, task):
+    return row[SIGNAL_COLUMNS[task]]
 
 
 class FixedScorer:
@@ -162,33 +168,34 @@ class TestEntailmentProbs:
 class TestComputeSignals:
     def test_identity_pair_maxes_metric_blocks(self, vocab, providers):
         ex = example(vocab, "the cat sat on the mat", "the cat sat on the mat")
-        vec = compute_signals(ex, providers)
-        assert vec["bleu"][0] == pytest.approx(1.0)
-        np.testing.assert_allclose(vec["rouge"], [1.0, 1.0, 1.0])
-        np.testing.assert_allclose(vec["soft_overlap"], [1.0, 1.0, 1.0], atol=1e-12)
+        row = compute_signals(ex, providers)
+        assert row.shape == (SIGNAL_DIM,) and row.dtype == np.float64
+        assert block(row, "bleu")[0] == pytest.approx(1.0)
+        np.testing.assert_allclose(block(row, "rouge"), [1.0, 1.0, 1.0])
+        np.testing.assert_allclose(block(row, "soft_overlap"), [1.0, 1.0, 1.0], atol=1e-12)
 
     def test_flag_rule(self, vocab, providers):
         mask_ex = example(vocab, "the cat sat", "the dog sat")
-        np.testing.assert_array_equal(compute_signals(mask_ex, providers)["bt_flag"], [0.0, 1.0])
+        np.testing.assert_array_equal(block(compute_signals(mask_ex, providers), "bt_flag"), [0.0, 1.0])
         bt_ex = example(vocab, "the cat sat", "the cat ran", Origin(BACKTRANSLATION))
-        np.testing.assert_array_equal(compute_signals(bt_ex, providers)["bt_flag"], [1.0, 0.0])
+        np.testing.assert_array_equal(block(compute_signals(bt_ex, providers), "bt_flag"), [1.0, 0.0])
         drop_ex = example(vocab, "the cat sat", "the cat", Origin(WORD_DROP, BACKTRANSLATION))
-        np.testing.assert_array_equal(compute_signals(drop_ex, providers)["bt_flag"], [1.0, 0.0])
+        np.testing.assert_array_equal(block(compute_signals(drop_ex, providers), "bt_flag"), [1.0, 0.0])
 
     def test_likelihood_dims_wired_to_four_combinations(self, vocab, providers):
         ex = example(vocab, "the cat sat on the mat", "the dog ran")
-        vec = compute_signals(ex, providers)
+        row = compute_signals(ex, providers)
         sc = providers.likelihood
-        assert vec["bt_en_fr_ref"][0] == pytest.approx(
+        assert block(row, "bt_en_fr_ref")[0] == pytest.approx(
             backtrans_likelihood(ex.z, ex.z_tilde, sc, "en-fr")
         )
-        assert vec["bt_en_fr_cand"][0] == pytest.approx(
+        assert block(row, "bt_en_fr_cand")[0] == pytest.approx(
             backtrans_likelihood(ex.z_tilde, ex.z, sc, "en-fr")
         )
-        assert vec["bt_en_de_ref"][0] == pytest.approx(
+        assert block(row, "bt_en_de_ref")[0] == pytest.approx(
             backtrans_likelihood(ex.z, ex.z_tilde, sc, "en-de")
         )
-        assert vec["bt_en_de_cand"][0] == pytest.approx(
+        assert block(row, "bt_en_de_cand")[0] == pytest.approx(
             backtrans_likelihood(ex.z_tilde, ex.z, sc, "en-de")
         )
 
@@ -197,10 +204,11 @@ class TestComputeSignals:
         with pytest.raises(SignalError) as info:
             compute_signals(ex, providers)
         assert "bt_en_fr_cand" in str(info.value)
+        assert info.value.task == "bt_en_fr_cand"
 
     def test_deterministic(self, vocab, providers):
         ex = example(vocab, "a big cat sat near a small dog", "the dog sat")
-        assert compute_signals(ex, providers) == compute_signals(ex, providers)
+        np.testing.assert_array_equal(compute_signals(ex, providers), compute_signals(ex, providers))
 
     def test_corpus_skip_failures_preserves_order(self, vocab, providers):
         good1 = example(vocab, "the cat sat", "the dog sat")
@@ -208,9 +216,10 @@ class TestComputeSignals:
         good2 = example(vocab, "the dog ran", "the dog ran fast")
         pairs, stats, failures = label_pairs([good1, bad, good2], providers)
         assert [p[0] for p in pairs] == [good1, good2]
-        assert len(failures) == 1
-        raw = [compute_signals(ex, providers) for ex in (good1, good2)]
-        assert [vec for _, vec in pairs] == [apply_normalization(v, stats) for v in raw]
+        assert failures == [(1, "bt_en_fr_cand")]
+        raw = np.stack([compute_signals(ex, providers) for ex in (good1, good2)])
+        raw[:, :REGRESSION_DIM] = (raw[:, :REGRESSION_DIM] - stats.mean) / stats.std
+        np.testing.assert_array_equal(np.stack([row for _, row in pairs]), raw)
 
     def test_corpus_where_every_example_fails(self, vocab, providers):
         bad = example(vocab, "the cat sat", "", Origin(WORD_DROP, MASK_SCATTER))
@@ -240,6 +249,8 @@ class TestOfflineProviders:
 
 
 class TestSignalVectorValidation:
+    """signal_row: the one constructor of a pair's validated signal row."""
+
     def _values(self):
         return {
             "bleu": [0.5],
@@ -254,33 +265,62 @@ class TestSignalVectorValidation:
         }
 
     def test_valid_vector_roundtrips_json(self):
-        vec = SignalVector(self._values())
-        again = SignalVector(json.loads(json.dumps(vec.to_json_dict())))
-        assert vec == again
+        row = signal_row(self._values())
+        assert signal_blocks(row) == self._values()
+        again = signal_row(json.loads(json.dumps(signal_blocks(row))))
+        np.testing.assert_array_equal(row, again)
+
+    def test_row_layout(self):
+        row = signal_row(self._values())
+        assert row.shape == (SIGNAL_DIM,) == (16,)
+        assert [(c.start, c.stop) for c in SIGNAL_COLUMNS.values()] == [
+            (0, 1), (1, 4), (4, 7), (7, 8), (8, 9), (9, 10), (10, 11), (11, 14), (14, 16)
+        ]
+        assert list(SIGNAL_COLUMNS) == [t.name for t in default_task_specs()]
+        np.testing.assert_array_equal(
+            row, np.concatenate([self._values()[name] for name in SIGNAL_COLUMNS])
+        )
 
     def test_regression_dim_is_eleven(self):
-        vec = SignalVector(self._values())
-        assert vec.regression_concat().shape == (REGRESSION_DIM,)
         assert REGRESSION_DIM == 11
         assert len(regression_dim_labels()) == 11
+        assert all(c.stop <= REGRESSION_DIM for t, c in zip(default_task_specs(), SIGNAL_COLUMNS.values())
+                   if t.kind == "regression")
 
     def test_simplex_violation_rejected(self):
         values = self._values()
         values["entailment"] = [0.9, 0.3, 0.5]
-        with pytest.raises(NumericError):
-            SignalVector(values)
+        with pytest.raises(NumericError, match="entailment"):
+            signal_row(values)
 
     def test_flag_must_be_one_hot(self):
         values = self._values()
         values["bt_flag"] = [0.5, 0.5]
-        with pytest.raises(NumericError):
-            SignalVector(values)
+        with pytest.raises(NumericError, match="bt_flag"):
+            signal_row(values)
 
     def test_missing_task_rejected(self):
         values = self._values()
         del values["rouge"]
-        with pytest.raises(DataError):
-            SignalVector(values)
+        with pytest.raises(DataError, match="missing task 'rouge'"):
+            signal_row(values)
+
+    def test_unknown_task_rejected(self):
+        values = {**self._values(), "chrf": [0.5]}
+        with pytest.raises(DataError, match="unknown signal tasks: \\['chrf'\\]"):
+            signal_row(values)
+
+    @pytest.mark.parametrize("bad", [[0.5, 0.5], [], [[0.5]]])
+    def test_wrong_dim_rejected(self, bad):
+        values = {**self._values(), "bleu": bad}
+        with pytest.raises(DataError, match="task 'bleu' expects 1 values"):
+            signal_row(values)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, value):
+        values = {**self._values(), "soft_overlap": [0.1, value, 0.3]}
+        with pytest.raises(NumericError, match="task 'soft_overlap' has non-finite values"):
+            signal_row(values)
 
     def test_nine_tasks_declared(self):
         specs = default_task_specs()
@@ -298,7 +338,7 @@ class TestSignalVectorValidation:
 
 
 class TestNormalization:
-    def _corpus(self, vocab, providers, n=12):
+    def _corpus(self, vocab, n=12):
         rng = np.random.default_rng(0)
         words = [t for s in CORPUS for t in s]
         out = []
@@ -306,110 +346,70 @@ class TestNormalization:
             z_toks = [words[j] for j in rng.integers(0, len(words), size=6)]
             zt_toks = [words[j] for j in rng.integers(0, len(words), size=5)]
             origin = Origin(BACKTRANSLATION) if i % 2 else Origin(MASK_SCATTER)
-            ex = SyntheticExample(
+            out.append(SyntheticExample(
                 TokenSeq.from_tokens(z_toks, vocab), TokenSeq.from_tokens(zt_toks, vocab), origin, i
-            )
-            out.append(compute_signals(ex, providers))
+            ))
         return out
 
-    def test_two_point_standardization(self):
-        low = SignalVector(
-            {
-                "bleu": [0.0],
-                "rouge": [0.0, 0.1, 0.2],
-                "soft_overlap": [0.3, 0.4, 0.5],
-                "bt_en_fr_ref": [-1.0],
-                "bt_en_fr_cand": [-2.0],
-                "bt_en_de_ref": [-3.0],
-                "bt_en_de_cand": [-4.0],
-                "entailment": [0.2, 0.3, 0.5],
-                "bt_flag": [0.0, 1.0],
-            }
-        )
-        high = SignalVector(
-            {
-                "bleu": [2.0],
-                "rouge": [1.0, 0.3, 0.4],
-                "soft_overlap": [0.5, 0.6, 0.7],
-                "bt_en_fr_ref": [-0.5],
-                "bt_en_fr_cand": [-1.0],
-                "bt_en_de_ref": [-1.5],
-                "bt_en_de_cand": [-2.0],
-                "entailment": [0.2, 0.3, 0.5],
-                "bt_flag": [1.0, 0.0],
-            }
-        )
-        stats = fit_normalization([low, high])
-        normed_low = apply_normalization(low, stats)
-        normed_high = apply_normalization(high, stats)
-        np.testing.assert_allclose(normed_low.regression_concat(), -1.0, atol=1e-12)
-        np.testing.assert_allclose(normed_high.regression_concat(), 1.0, atol=1e-12)
+    def test_two_point_standardization(self, vocab, providers):
+        high = example(vocab, "the cat sat on the mat", "the cat sat on the mat")
+        low = example(vocab, "a big dog ran", "a small rug")  # below high in every dimension
+        pairs, _, _ = label_pairs([high, low], providers)
+        np.testing.assert_allclose(pairs[0][1][:REGRESSION_DIM], 1.0, atol=1e-12)
+        np.testing.assert_allclose(pairs[1][1][:REGRESSION_DIM], -1.0, atol=1e-12)
 
     def test_corpus_mean_zero_std_one(self, vocab, providers):
-        vecs = self._corpus(vocab, providers)
-        stats = fit_normalization(vecs)
-        normed = np.stack([apply_normalization(v, stats).regression_concat() for v in vecs])
+        pairs, _, _ = label_pairs(self._corpus(vocab), providers)
+        normed = np.stack([row[:REGRESSION_DIM] for _, row in pairs])
         np.testing.assert_allclose(normed.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(normed.std(axis=0), 1.0, atol=1e-6)
 
     def test_standardized_vector_equals_a_validated_one(self, vocab, providers):
-        vecs = self._corpus(vocab, providers)
-        stats = fit_normalization(vecs)
-        for vec in vecs:
-            normed = apply_normalization(vec, stats)
-            assert normed == SignalVector(normed.to_json_dict())
+        examples = self._corpus(vocab)
+        pairs, stats, _ = label_pairs(examples, providers)
+        raw = np.stack([compute_signals(ex, providers) for ex in examples])
+        np.testing.assert_array_equal(stats.mean, raw[:, :REGRESSION_DIM].mean(axis=0))
+        np.testing.assert_array_equal(stats.std, raw[:, :REGRESSION_DIM].std(axis=0))
+        for (_, row), raw_row in zip(pairs, raw):
+            np.testing.assert_array_equal(row, signal_row(signal_blocks(row)))
             np.testing.assert_array_equal(
-                normed.regression_concat(), (vec.regression_concat() - stats.mean) / stats.std
+                row[:REGRESSION_DIM], (raw_row[:REGRESSION_DIM] - stats.mean) / stats.std
             )
 
-    def test_replaced_regression_values_are_checked(self, vocab, providers):
-        vec = self._corpus(vocab, providers, n=2)[0]
-        flat = vec.regression_concat()
-        flat[4] = math.nan  # in soft_overlap, after bleu and rouge
-        with pytest.raises(NumericError, match="soft_overlap"):
-            vec.replace_regression(flat)
-        with pytest.raises(DataError, match="regression"):
-            vec.replace_regression(flat[:-1])
+    def test_replaced_regression_values_are_checked(self, vocab):
+        # The two references' likelihoods (1.7e308 over 3 and over 1 tokens)
+        # sum past the float64 maximum, so their columns standardize to nan;
+        # the first such task is named.
+        providers = SignalProviders(
+            embeddings=EmbeddingTable.hashed([t for s in CORPUS for t in s], dim=16),
+            likelihood=FixedScorer(1.7e308),
+            entailment=BaselineEntailment(),
+        )
+        examples = [example(vocab, "the cat sat", "the cat sat"), example(vocab, "dog", "a rug near the mat")]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="task 'bt_en_fr_ref' has non-finite values"):
+                label_pairs(examples, providers)
 
     def test_classification_blocks_untouched(self, vocab, providers):
-        vecs = self._corpus(vocab, providers)
-        stats = fit_normalization(vecs)
-        normed = apply_normalization(vecs[0], stats)
-        np.testing.assert_array_equal(normed["entailment"], vecs[0]["entailment"])
-        np.testing.assert_array_equal(normed["bt_flag"], vecs[0]["bt_flag"])
+        examples = self._corpus(vocab)
+        pairs, _, _ = label_pairs(examples, providers)
+        for ex, row in pairs:
+            np.testing.assert_array_equal(row[REGRESSION_DIM:], compute_signals(ex, providers)[REGRESSION_DIM:])
 
     def test_constant_dimension_errors_with_name(self, vocab, providers):
-        vecs = self._corpus(vocab, providers, n=4)
-        clones = []
-        for v in vecs:
-            values = v.to_json_dict()
-            values["bleu"] = [0.25]
-            clones.append(SignalVector(values))
+        matrix = np.stack([compute_signals(ex, providers) for ex in self._corpus(vocab, n=4)])
+        matrix[:, SIGNAL_COLUMNS["bleu"]] = 0.25
         with pytest.raises(NumericError) as info:
-            fit_normalization(clones)
+            fit_normalization(matrix)
         assert "bleu" in str(info.value)
 
     def test_signals_file_roundtrip(self, vocab, providers, tmp_path):
-        vec_objs = self._corpus(vocab, providers, n=6)
-        rng = np.random.default_rng(1)
-        words = [t for s in CORPUS for t in s]
-        examples = []
-        for i in range(6):
-            toks = [words[j] for j in rng.integers(0, len(words), size=4)]
-            examples.append(
-                SyntheticExample(
-                    TokenSeq.from_tokens(toks, vocab),
-                    TokenSeq.from_tokens(toks[:3], vocab),
-                    Origin(MASK_SCATTER),
-                    i,
-                )
-            )
-        stats = fit_normalization(vec_objs)
-        pairs = [(ex, apply_normalization(v, stats)) for ex, v in zip(examples, vec_objs)]
+        pairs, stats, _ = label_pairs(self._corpus(vocab, n=6), providers)
         path = tmp_path / "signals.jsonl"
         write_signals(pairs, path, stats, meta={"config_hash": "deadbeef"})
         loaded, loaded_stats, header = read_signals(path, vocab)
-        assert loaded == pairs
+        assert [ex for ex, _ in loaded] == [ex for ex, _ in pairs]
+        np.testing.assert_array_equal(np.stack([r for _, r in loaded]), np.stack([r for _, r in pairs]))
         np.testing.assert_array_equal(loaded_stats.mean, stats.mean)
         np.testing.assert_array_equal(loaded_stats.std, stats.std)
         assert header["config_hash"] == "deadbeef"

@@ -72,10 +72,29 @@ class TestVocabulary:
         assert "common" in v
         assert "rare" not in v
 
+    def test_build_rejects_bounds_that_keep_no_word(self):
+        corpus = [["a", "b", "a"]]
+        with pytest.raises(DataError, match="^min_count must be >= 1$"):
+            Vocabulary.build(corpus, min_count=0, size_cap=3)
+        with pytest.raises(DataError, match=r"^size_cap must be > 5 \(the reserved tokens\)$"):
+            Vocabulary.build(corpus, min_count=1, size_cap=len(RESERVED_TOKENS))
+        assert Vocabulary.build(corpus, min_count=1, size_cap=6).tokens == RESERVED_TOKENS + ("a",)
+
     def test_roundtrip_json(self, vocab, tmp_path):
         path = tmp_path / "vocab.json"
         vocab.save(path)
         assert Vocabulary.load(path) == vocab
+
+    def test_load_rejects_another_version(self, vocab, tmp_path):
+        path = tmp_path / "vocab.json"
+        vocab.save(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**payload, "version": 7}), encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            Vocabulary.load(path)
+        assert str(info.value) == (
+            f"vocabulary {path}: expected artifact schema 'vocabulary/1', found 'vocabulary/7'"
+        )
 
     def test_token_id_bijective(self, vocab):
         for tok in vocab.tokens:

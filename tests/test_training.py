@@ -15,7 +15,7 @@ from pairscore.encoder import EncoderConfig, PackedPairs, build_batch, forward, 
 from pairscore.errors import DataError, NumericError, TrainingDiverged
 from pairscore.experiments import build_offline_pretraining_data
 from pairscore.metrics import sentence_bleu
-from pairscore.signals import WEIGHT_GROUPS, SignalVector, default_task_specs
+from pairscore.signals import SIGNAL_COLUMNS, WEIGHT_GROUPS, default_task_specs
 from pairscore.synth import GenerationConfig
 from pairscore.text import (
     RatedExample,
@@ -89,6 +89,13 @@ class TestTrainConfig:
         with pytest.raises(DataError):
             TrainConfig(total_steps=10, eval_every=5, batch_size=0)
         TrainConfig(total_steps=0, eval_every=1)  # zero-step config is allowed
+
+    def test_negative_learning_rate_and_seed_rejected(self):
+        with pytest.raises(DataError, match="^learning_rate must be >= 0$"):
+            TrainConfig(10, 5, learning_rate=-1.0)
+        with pytest.raises(DataError, match="^seed must be >= 0$"):
+            TrainConfig(10, 5, seed=-3)
+        TrainConfig(10, 5, learning_rate=0.0, seed=0)
 
 
 class TestAdam:
@@ -240,9 +247,10 @@ class TestDivergence:
         # An example the first batch does not draw, so only the evaluation sees it.
         first = set(training._EpochSampler(len(dataset), config.batch_size, config.seed).next_indices())
         bad = min(set(range(len(dataset))) - first)
-        ex, vec = dataset[bad]
-        blocks = {t.name: [1e200] if t.name == "bleu" else vec[t.name] for t in default_task_specs()}
-        dataset[bad] = (ex, SignalVector(blocks))
+        ex, row = dataset[bad]
+        row = row.copy()
+        row[SIGNAL_COLUMNS["bleu"]] = 1e200
+        dataset[bad] = (ex, row)
         with pytest.raises(TrainingDiverged) as info:
             pretrain(init_model(encoder_config), dataset, config, vocab)
         assert info.value.step == 1
@@ -380,8 +388,28 @@ class TestTrainingOracle:
 
     @pytest.fixture
     def config2(self, encoder_config):
-        """Two layers, so the first block runs on every row and skips padding."""
-        return dataclasses.replace(encoder_config, n_layers=2)
+        """Two layers, so the first block runs on every row and skips padding.
+
+        At d_model 16 a row kept its bits at every padding width tried, so
+        packing an evaluation batch to a wrong width went unseen; at this
+        size (``TestPredictRatings``' shape) it changes them.
+        """
+        return dataclasses.replace(encoder_config, d_model=32, n_layers=2, n_heads=4, d_ff=64)
+
+    @pytest.mark.parametrize("slots", [1, 7, 1024], indirect=True)
+    def test_evaluated_rows_equal_each_chunk_packed_alone(self, vocab, synthetic, config2, slots):
+        """The rows behind the eval loss and the validation Kendall, compared directly.
+
+        Both metrics absorb a last-bit change in a row: a head output's last
+        bit is far below the summed loss's, and Kendall reads ranks only.
+        """
+        params = init_model(config2)
+        pairs = [SentencePair(ex.z, ex.z_tilde) for ex, _ in synthetic[:30]]
+        val = split_no_leak(rated_dataset(vocab, n=60), 0.2, seed=2)[1]
+        for chunks in (training._chunks(pairs, 8), [[ex.pair for ex in val]]):
+            rows = dict(training._encode_chunks(params, chunks, vocab))
+            for i, chunk in enumerate(chunks):
+                assert np.array_equal(rows[i], forward(params, build_batch(chunk, vocab)).cls), i
 
     @staticmethod
     def assert_same(got, want):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from pairscore.encoder import build_batch, forward, gradients, pretrain_loss
+from pairscore.signals import SIGNAL_COLUMNS
 from pairscore.stats import kendall_pairwise
 from pairscore.text import SentencePair
 from pairscore.training import (
@@ -73,7 +74,7 @@ def _batch(pairs, vocab, idx, ratings=None, targets=None):
 def reference_pretrain(params, dataset, config, vocab):
     tasks = params.tasks
     pairs = [SentencePair(ex.z, ex.z_tilde) for ex, _ in dataset]
-    targets = {task.name: np.stack([vec[task.name] for _, vec in dataset]) for task in tasks}
+    targets = {task.name: np.stack([row[SIGNAL_COLUMNS[task.name]] for _, row in dataset]) for task in tasks}
 
     def full_loss(working):
         total, count = 0.0, 0
