@@ -238,13 +238,22 @@ def config_hash(config: Mapping[str, object]) -> str:
 
 
 def _atomic_write(outputs: Mapping[str, Callable[[Path], None]]) -> None:
-    """Write each output via a temp file + rename; a failure leaves none of them."""
+    """Write each output via a temp file + rename; a failure leaves none of them.
+
+    Every output's directory must exist, or nothing is written.  Outputs get
+    the mode the umask gives a new file (``mkstemp`` alone makes them 0600).
+    """
+    for name in outputs:
+        if not Path(name).parent.is_dir():
+            raise DataError(f"output directory {Path(name).parent} does not exist")
+    umask = os.umask(0)
+    os.umask(umask)
     written: list[Path] = []
     try:
         for name, writer in outputs.items():
             path = Path(name)
-            path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+            os.fchmod(fd, 0o666 & ~umask)
             os.close(fd)
             tmp = Path(tmp_name)
             try:

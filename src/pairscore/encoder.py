@@ -194,55 +194,9 @@ class Batch:
     def size(self) -> int:
         return self.ids.shape[0]
 
-
-def pack_pair(pair: SentencePair, vocab: Vocabulary) -> tuple[list[int], list[int]]:
-    ids = [vocab.cls_id, *pair.reference.ids, vocab.sep_id, *pair.candidate.ids, vocab.sep_id]
-    segs = [0] * (len(pair.reference.ids) + 2) + [1] * (len(pair.candidate.ids) + 1)
-    return ids, segs
-
-
-class PackedPairs:
-    """Pairs packed once, padded to the longest or to ``width``, with their labels.
-
-    Row i is ``pack_pair(pairs[i])`` followed by padding.  ``batch(idx)`` is
-    the batch of the pairs at ``idx``: their rows, cut to the longest of
-    them, which is what packing those pairs alone gives.
-    """
-
-    def __init__(
-        self,
-        pairs: Sequence[SentencePair],
-        vocab: Vocabulary,
-        ratings: Sequence[float] | None = None,
-        signal_targets: Mapping[str, np.ndarray] | None = None,
-        width: int | None = None,
-    ):
-        if not pairs:
-            raise DataError("cannot build an empty batch")
-        ref_lens = np.array([len(p.reference.ids) for p in pairs])
-        self.lengths = ref_lens + np.array([len(p.candidate.ids) for p in pairs]) + 3
-        longest = int(self.lengths.max())
-        if width is None:
-            width = longest
-        elif width < longest:
-            raise DataError(f"cannot pad pairs of length {longest} to width {width}")
-        cols = np.arange(width)
-        real = cols < self.lengths[:, None]
-        head, sep = (vocab.cls_id,), (vocab.sep_id,)
-        flat = list(chain.from_iterable(
-            part for p in pairs for part in (head, p.reference.ids, sep, p.candidate.ids, sep)
-        ))
-        self.ids = np.full(real.shape, vocab.pad_id, dtype=np.int64)
-        self.ids[real] = flat  # row-major, so row by row
-        self.segments = (real & (cols >= ref_lens[:, None] + 2)).astype(np.int64)
-        self.mask = real.astype(np.float64)
-        self.ratings = None if ratings is None else np.asarray(ratings, dtype=np.float64)
-        self.signal_targets = {
-            k: np.asarray(v, dtype=np.float64) for k, v in (signal_targets or {}).items()
-        }
-
-    def batch(self, idx: np.ndarray) -> Batch:
-        width = int(self.lengths[idx].max())
+    def take(self, idx: np.ndarray) -> "Batch":
+        """The rows at ``idx`` cut to the longest of them: what packing those pairs alone gives."""
+        width = int(self.mask[idx].any(axis=0).sum())
         return Batch(
             ids=self.ids[idx, :width],
             segments=self.segments[idx, :width],
@@ -252,16 +206,37 @@ class PackedPairs:
         )
 
 
+def packed_length(pair: SentencePair) -> int:
+    """Slots of ``pair`` packed as [cls] z [sep] z~ [sep]."""
+    return len(pair.reference.ids) + len(pair.candidate.ids) + 3
+
+
 def build_batch(
     pairs: Sequence[SentencePair],
     vocab: Vocabulary,
     ratings: Sequence[float] | None = None,
     signal_targets: Mapping[str, np.ndarray] | None = None,
-    width: int | None = None,
 ) -> Batch:
-    """The batch of ``pairs``, padded to the longest of them or to ``width``."""
-    packed = PackedPairs(pairs, vocab, ratings, signal_targets, width)
-    return Batch(packed.ids, packed.segments, packed.mask, packed.ratings, packed.signal_targets)
+    """The batch of ``pairs``, each packed as [cls] z [sep] z~ [sep] and padded to the longest."""
+    if not pairs:
+        raise DataError("cannot build an empty batch")
+    ref_lens = np.array([len(p.reference.ids) for p in pairs])
+    lengths = np.array([packed_length(p) for p in pairs])
+    cols = np.arange(lengths.max())
+    real = cols < lengths[:, None]
+    head, sep = (vocab.cls_id,), (vocab.sep_id,)
+    flat = list(chain.from_iterable(
+        part for p in pairs for part in (head, p.reference.ids, sep, p.candidate.ids, sep)
+    ))
+    ids = np.full(real.shape, vocab.pad_id, dtype=np.int64)
+    ids[real] = flat  # row-major, so row by row
+    return Batch(
+        ids=ids,
+        segments=(real & (cols >= ref_lens[:, None] + 2)).astype(np.int64),
+        mask=real.astype(np.float64),
+        ratings=None if ratings is None else np.asarray(ratings, dtype=np.float64),
+        signal_targets={k: np.asarray(v, dtype=np.float64) for k, v in (signal_targets or {}).items()},
+    )
 
 
 # ---------------------------------------------------------------------------

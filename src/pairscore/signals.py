@@ -380,16 +380,25 @@ class NormalizationStats:
 
 
 def fit_normalization(matrix: np.ndarray) -> NormalizationStats:
-    """Mean/std per regression column over the rows of a signal matrix (population std)."""
+    """Mean/std per regression column over the rows of a signal matrix (population std).
+
+    Finite values can still overflow the sums; a column whose mean or std is
+    not finite raises NumericError naming it, and so does a zero std.
+    """
     if len(matrix) < 2:
         raise DataError("normalization needs at least 2 signal vectors")
     regression = matrix[:, :REGRESSION_DIM]
-    mean = regression.mean(axis=0)
-    std = regression.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = regression.mean(axis=0)
+        std = regression.std(axis=0)
     labels = regression_dim_labels()
-    for i, s in enumerate(std):
+    for label, m, s in zip(labels, mean, std):
+        if not (math.isfinite(m) and math.isfinite(s)):
+            raise NumericError(
+                f"regression dimension {label!r} has non-finite normalization stats: mean {m}, std {s}"
+            )
         if s == 0.0:
-            raise NumericError(f"zero-variance regression dimension {labels[i]!r}")
+            raise NumericError(f"zero-variance regression dimension {label!r}")
     return NormalizationStats(labels=labels, mean=mean, std=std)
 
 

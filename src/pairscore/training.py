@@ -26,10 +26,10 @@ import numpy as np
 from .encoder import (
     Batch,
     ModelParams,
-    PackedPairs,
     build_batch,
     forward,
     gradients,
+    packed_length,
     pretrain_loss,
     rating_head,
     task_heads,
@@ -190,15 +190,14 @@ def _keep_freed_heap() -> None:
 def _fit(
     params: ModelParams,
     config: TrainConfig,
-    n: int,
-    batch_at: Callable[[np.ndarray], Batch],
+    packed: Batch,
     evaluate: Callable[[ModelParams], float],
     maximize: bool,
 ) -> tuple[ModelParams, list[EvalPoint]]:
-    """Adam over batches of ``n`` examples; keep the best evaluated checkpoint.
+    """Adam over batches of the training set ``packed``; keep the best evaluated checkpoint.
 
-    ``batch_at(idx)`` packs the examples at ``idx``, and its labels pick the
-    loss (see ``gradients``); ``evaluate`` scores the working parameters at
+    A step trains on ``packed.take`` of the sampled rows, whose labels pick
+    the loss (see ``gradients``); ``evaluate`` scores the working parameters at
     each eval step, best being the max when ``maximize`` and the min
     otherwise, the earliest on a tie.  Zero steps return a copy of
     ``params``.  A non-finite value in a step or an evaluation raises
@@ -210,7 +209,7 @@ def _fit(
     if config.total_steps == 0:
         return working, history
     optimizer = AdamOptimizer(working, config)
-    sampler = _EpochSampler(n, config.batch_size, config.seed)
+    sampler = _EpochSampler(packed.size, config.batch_size, config.seed)
     eval_at = set(_eval_steps(config.total_steps, config.eval_every))
     best: tuple[float, ModelParams] | None = None
     _keep_freed_heap()
@@ -218,7 +217,7 @@ def _fit(
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, config.total_steps + 1):
             try:
-                batch = batch_at(sampler.next_indices())
+                batch = packed.take(sampler.next_indices())
                 _, grads = gradients(working, batch)
                 optimizer.step(working, grads)
                 if step in eval_at:
@@ -255,7 +254,7 @@ def pretrain(
     matrix = np.stack([row for _, row in dataset])
     targets = {task.name: matrix[:, SIGNAL_COLUMNS[task.name]] for task in tasks}
     pairs = [SentencePair(ex.z, ex.z_tilde) for ex, _ in dataset]
-    packed = PackedPairs(pairs, vocab, signal_targets=targets)
+    packed = build_batch(pairs, vocab, signal_targets=targets)
     chunks = _chunks(pairs, config.batch_size)
 
     def full_loss(working: ModelParams) -> float:
@@ -267,7 +266,7 @@ def pretrain(
         # np.cumsum adds in chunk order, where np.sum would add pairwise
         return float(np.cumsum(losses)[-1]) / len(dataset)
 
-    return _fit(params, config, len(dataset), packed.batch, full_loss, maximize=False)
+    return _fit(params, config, packed, full_loss, maximize=False)
 
 
 # Pairs that share a head's product in predictions, and padded slots (rows x
@@ -286,9 +285,10 @@ def _encode_chunks(
     """Each chunk's index and [cls] rows, bit for bit what ``forward`` gives the chunk packed alone.
 
     A row's bits depend on the width its batch pads to, not on the other rows.
-    So each distinct pair of chunks of width W (their longest packed pair) is
-    encoded once, in batches of at most ``PREDICT_SLOTS // W`` rows (at least
-    one) padded to W, and a chunk's rows may come from two batches.  Chunks
+    So the distinct pairs of the chunks of width W (their longest packed pair)
+    are packed in one batch, which pads to W since a pair of each chunk is that
+    long, and encoded in consecutive slices of at most ``PREDICT_SLOTS // W``
+    rows (at least one); a chunk's rows may come from two slices.  Chunks
     come one width at a time, so that only one width's rows are held.  A
     head's bits depend on the rows that share its product (see
     ``rating_head``), so callers run the heads on each chunk's rows alone.
@@ -296,17 +296,17 @@ def _encode_chunks(
     _keep_freed_heap()
     by_width: dict[int, list[int]] = {}
     for i, pairs in enumerate(chunks):
-        width = 3 + max(len(p.reference.ids) + len(p.candidate.ids) for p in pairs)
+        width = max(packed_length(p) for p in pairs)
         by_width.setdefault(width, []).append(i)
     for width, members in by_width.items():
         # (reference ids, candidate ids) -> pair; only the ids are packed
         distinct = {(p.reference.ids, p.candidate.ids): p for i in members for p in chunks[i]}
         row_of = {key: row for row, key in enumerate(distinct)}
-        pairs = list(distinct.values())
+        batch = build_batch(list(distinct.values()), vocab)
         step = max(1, PREDICT_SLOTS // width)
         cls = np.concatenate([
-            forward(params, build_batch(pairs[start : start + step], vocab, width=width)).cls
-            for start in range(0, len(pairs), step)
+            forward(params, Batch(batch.ids[rows], batch.segments[rows], batch.mask[rows])).cls
+            for rows in (slice(start, start + step) for start in range(0, batch.size, step))
         ])
         for i in members:
             yield i, cls[[row_of[p.reference.ids, p.candidate.ids] for p in chunks[i]]]
@@ -360,12 +360,11 @@ def finetune(
         raise DataError("finetune requires a non-empty training set")
     if not validation_set:
         raise DataError("finetune requires a non-empty validation set")
-    ratings = [ex.rating for ex in train_set]
-    packed = PackedPairs([ex.pair for ex in train_set], vocab, ratings=ratings)
+    packed = build_batch([ex.pair for ex in train_set], vocab, ratings=[ex.rating for ex in train_set])
     # validation_kendall is looked up at each call, so a rebinding of the module
     # global (bench/layers.py times it that way) sees every evaluation.
     return _fit(
-        params, config, len(train_set), packed.batch,
+        params, config, packed,
         lambda working: validation_kendall(working, validation_set, vocab), maximize=True,
     )
 

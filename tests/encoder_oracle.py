@@ -4,7 +4,8 @@ This is the plain formulation: every block runs on every position of every
 padded row, the softmax exponentiates masked keys too, GELU evaluates its CDF
 in both passes, and the embedding gradients scatter with ``np.add.at``.
 ``pairscore.encoder`` computes only what reaches the [cls] row and must agree
-with this module bit for bit.
+with this module bit for bit.  ``pack_pair`` packs one pair on its own, the
+row ``build_batch`` must give it before padding.
 """
 
 from __future__ import annotations
@@ -18,6 +19,13 @@ from pairscore.encoder import LN_EPS, pretrain_loss, supervised_loss
 from pairscore.signals import REGRESSION
 
 _MASK_BIAS = 1e30
+
+
+def pack_pair(pair, vocab):
+    """(ids, segments) of ``pair`` packed as [cls] z [sep] z~ [sep]."""
+    ids = [vocab.cls_id, *pair.reference.ids, vocab.sep_id, *pair.candidate.ids, vocab.sep_id]
+    segs = [0] * (len(pair.reference.ids) + 2) + [1] * (len(pair.candidate.ids) + 1)
+    return ids, segs
 
 
 def _layer_norm(x, g, b):

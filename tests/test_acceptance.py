@@ -309,6 +309,8 @@ def test_c8_end_to_end_determinism(tmp_path):
     ratings = tmp_path / "ratings.tsv"
     serialize_ratings(build(sentences, vocab, n_records=90, seed=5), ratings, "wmt-tsv")
 
+    for run in ("run1", "run2"):
+        (tmp_path / run).mkdir()
     first = _run_chain(tmp_path / "run1", corpus, ratings)
     second = _run_chain(tmp_path / "run2", corpus, ratings)
     for name in first:

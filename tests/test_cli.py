@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import json
+import os
+import stat
 import struct
 import warnings
 
@@ -75,6 +77,43 @@ def chain(tmp_path_factory):
     assert run_cli(*FAST_SETTINGS, "compute-signals", out["pairs.jsonl"], out["vocab.json"],
                    out["signals.jsonl"]) == 0
     return out
+
+
+class TestOutputFiles:
+    """Outputs get the umask's mode, and a missing output directory writes nothing."""
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_outputs_get_the_umask_mode(self, chain, tmp_path, umask, mode):
+        pairs, vocab = tmp_path / "p.jsonl", tmp_path / "v.json"
+        old = os.umask(umask)
+        try:
+            assert run_cli(*FAST_SETTINGS, "gen-pairs", chain["corpus.txt"], pairs, "--vocab-out", vocab) == 0
+        finally:
+            os.umask(old)
+        assert [stat.S_IMODE(path.stat().st_mode) for path in (pairs, vocab)] == [mode, mode]
+
+    def assert_nothing_written(self, capsys, rc, tmp_path, missing):
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.splitlines() == [f"data error: output directory {missing} does not exist"], err
+        assert not any(tmp_path.iterdir())
+
+    def test_missing_directory_of_the_one_output(self, chain, tmp_path, capsys):
+        missing = tmp_path / "no" / "dir"
+        capsys.readouterr()
+        rc = run_cli(*FAST_SETTINGS, "compute-signals", chain["pairs.jsonl"], chain["vocab.json"],
+                     missing / "s.jsonl")
+        self.assert_nothing_written(capsys, rc, tmp_path, missing)
+
+    @pytest.mark.parametrize("missing_first", [True, False])
+    def test_missing_directory_of_either_gen_pairs_output(self, chain, tmp_path, missing_first, capsys):
+        missing = tmp_path / "no" / "dir"
+        outputs = [missing / "p.jsonl", tmp_path / "v.json"]
+        if not missing_first:
+            outputs.reverse()
+        capsys.readouterr()
+        rc = run_cli(*FAST_SETTINGS, "gen-pairs", chain["corpus.txt"], outputs[0], "--vocab-out", outputs[1])
+        self.assert_nothing_written(capsys, rc, tmp_path, missing)
 
 
 class TestConfig:
@@ -767,6 +806,23 @@ class TestChildProcesses:
         means = dict(zip(header["normalization"]["labels"], header["normalization"]["mean"]))
         z_lengths = [len(json.loads(line)["z"]) for line in out.read_text().splitlines()[1:]]
         assert means["bt_en_fr_ref"] == pytest.approx(sum(-1.25 / n for n in z_lengths) / len(z_lengths))
+
+    def test_overflowing_scorer_is_one_numeric_line(self, small_corpus, tmp_path, capsys, recwarn):
+        # Every answer is finite, but the likelihood columns' sums overflow.
+        pairs, vocab = tmp_path / "pairs.jsonl", tmp_path / "v.json"
+        assert run_cli(*FAST_SETTINGS, "gen-pairs", small_corpus, pairs, "--vocab-out", vocab) == 0
+        out = tmp_path / "signals.jsonl"
+        capsys.readouterr()
+        rc = run_cli(*FAST_SETTINGS, "--set", 'scorer_command=sh -c "while read -r line; do echo 1.7e308; done"',
+                     "compute-signals", pairs, vocab, out)
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err.splitlines() == [
+            "numeric failure: regression dimension 'bt_en_fr_ref' has non-finite normalization stats: "
+            "mean inf, std inf"
+        ], err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
 
     def test_unbalanced_quote_is_usage_error(self, chain, tmp_path, capsys):
         out = tmp_path / "signals.jsonl"

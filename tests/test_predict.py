@@ -7,12 +7,13 @@ import pytest
 
 from pairscore import text, training
 from pairscore.demo import demo_sentences
-from pairscore.encoder import EncoderConfig, init_model, pack_pair
+from pairscore.encoder import EncoderConfig, init_model
 from pairscore.experiments import build_drift_dataset
 from pairscore.synth import StubBacktranslator
 from pairscore.text import RatingRecord, Vocabulary, read_rating_records, record_pairs, split_tokens
 from pairscore.training import predict_records
 
+from encoder_oracle import pack_pair
 from predict_oracle import reference_predict_records
 
 MAX_SEQ_LEN = 48

@@ -376,19 +376,19 @@ class TestNormalization:
                 row[:REGRESSION_DIM], (raw_row[:REGRESSION_DIM] - stats.mean) / stats.std
             )
 
-    def test_replaced_regression_values_are_checked(self, vocab):
+    def test_replaced_regression_values_are_checked(self, vocab, recwarn):
         # The two references' likelihoods (1.7e308 over 3 and over 1 tokens)
-        # sum past the float64 maximum, so their columns standardize to nan;
-        # the first such task is named.
+        # are finite but sum past the float64 maximum, so their columns' means
+        # are not; the first such column is named, and numpy warns of nothing.
         providers = SignalProviders(
             embeddings=EmbeddingTable.hashed([t for s in CORPUS for t in s], dim=16),
             likelihood=FixedScorer(1.7e308),
             entailment=BaselineEntailment(),
         )
         examples = [example(vocab, "the cat sat", "the cat sat"), example(vocab, "dog", "a rug near the mat")]
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match="task 'bt_en_fr_ref' has non-finite values"):
-                label_pairs(examples, providers)
+        with pytest.raises(NumericError, match="regression dimension 'bt_en_fr_ref' has non-finite"):
+            label_pairs(examples, providers)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_classification_blocks_untouched(self, vocab, providers):
         examples = self._corpus(vocab)

@@ -11,7 +11,7 @@ import pytest
 
 from pairscore import training
 from pairscore.demo import demo_sentences
-from pairscore.encoder import EncoderConfig, PackedPairs, build_batch, forward, init_model, pack_pair
+from pairscore.encoder import EncoderConfig, build_batch, forward, init_model, packed_length
 from pairscore.errors import DataError, NumericError, TrainingDiverged
 from pairscore.experiments import build_offline_pretraining_data
 from pairscore.metrics import sentence_bleu
@@ -268,15 +268,14 @@ class TestBestTracker:
     @staticmethod
     def fit(vocab, encoder_config, metrics, maximize, total_steps=None, eval_every=1):
         data = rated_dataset(vocab, n=20)
-        packed = PackedPairs([ex.pair for ex in data], vocab, ratings=[ex.rating for ex in data])
+        packed = build_batch([ex.pair for ex in data], vocab, ratings=[ex.rating for ex in data])
         config = TrainConfig(
             total_steps=total_steps or len(metrics), eval_every=eval_every, batch_size=8,
             learning_rate=1e-3, seed=3,
         )
         scripted = iter(metrics)
         params, history = training._fit(
-            init_model(encoder_config), config, len(data), packed.batch,
-            lambda _: next(scripted), maximize,
+            init_model(encoder_config), config, packed, lambda _: next(scripted), maximize,
         )
         assert [p.metric for p in history] == metrics
         return params_digest(params), [p.step for p in history]
@@ -362,13 +361,13 @@ class TestPredictRatings:
     def test_pair_in_two_chunks_of_different_widths(self, vocab, encoder_config):
         # The narrowest pair opens the first chunk, beside the 63 widest, and
         # the second, beside four more of its own width of 7.
-        pool = sorted(rated_dataset(vocab, n=200, seed=1), key=lambda ex: len(pack_pair(ex.pair, vocab)[0]))
+        pool = sorted(rated_dataset(vocab, n=200, seed=1), key=lambda ex: packed_length(ex.pair))
         data = [pool[0], *pool[-63:], *pool[:5]]
-        widths = [max(len(pack_pair(ex.pair, vocab)[0]) for ex in chunk) for chunk in (data[:64], data[64:])]
+        widths = [max(packed_length(ex.pair) for ex in chunk) for chunk in (data[:64], data[64:])]
         assert widths == [27, 7]
         # At this model size the two paddings give the pair different bits.
         params = init_model(dataclasses.replace(encoder_config, d_model=32, n_heads=4, d_ff=64, n_layers=2))
-        alone = [forward(params, build_batch([pool[0].pair], vocab, width=w)).cls for w in widths]
+        alone = [forward(params, build_batch([pool[0].pair, pool[k].pair], vocab)).cls[0] for k in (-1, 0)]
         assert not np.array_equal(*alone)
         assert list(predict_ratings(params, data, vocab)) == reference_predict_ratings(params, data, vocab)
 
@@ -452,21 +451,22 @@ class TestTrainingOracle:
         train, val = data[:16], data[16:]
         params = init_model(config2)
         config = TrainConfig(total_steps=8, eval_every=4, batch_size=8, learning_rate=2e-3, seed=2)
-        assert PackedPairs([ex.pair for ex in train], vocab).mask.all()
+        assert build_batch([ex.pair for ex in train], vocab).mask.all()
         self.assert_same(
             finetune(params, train, val, config, vocab),
             reference_finetune(params, train, val, config, vocab),
         )
 
     def test_packed_batch_equals_build_batch(self, vocab):
-        pairs = [ex.pair for ex in rated_dataset(vocab, n=40)]
-        packed = PackedPairs(pairs, vocab)
+        data = rated_dataset(vocab, n=40)
+        pairs, ratings = [ex.pair for ex in data], [ex.rating for ex in data]
+        packed = build_batch(pairs, vocab, ratings=ratings)
         rng = np.random.default_rng(0)
         for size in (1, 3, 8, 40):
             idx = rng.permutation(len(pairs))[:size]
-            got = packed.batch(idx)
-            want = build_batch([pairs[i] for i in idx], vocab)
-            for name in ("ids", "segments", "mask"):
+            got = packed.take(idx)
+            want = build_batch([pairs[i] for i in idx], vocab, ratings=[ratings[i] for i in idx])
+            for name in ("ids", "segments", "mask", "ratings"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
 
