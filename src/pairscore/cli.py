@@ -237,15 +237,44 @@ def config_hash(config: Mapping[str, object]) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _output(path: str) -> str:
+    """The ``type`` that marks an output argument; `main` checks each before the work."""
+    return path
+
+
+def _same_file(a: str, b: str) -> bool:
+    both = os.path.exists(a) and os.path.exists(b)
+    return os.path.samefile(a, b) if both else Path(a).resolve() == Path(b).resolve()
+
+
+def _check_outputs(parser: argparse.ArgumentParser, args) -> None:
+    """Refuse an output in a missing directory, on a directory, or on another output or an input."""
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    outputs = []
+    named = [("input", "--config", args.config)] if args.config else []
+    for action in commands.choices[args.command]._actions:
+        name = action.option_strings[0] if action.option_strings else action.dest
+        if action.type is _output and getattr(args, action.dest) is not None:
+            outputs.append((name, getattr(args, action.dest)))
+        elif not action.option_strings:
+            named.append(("input", name, getattr(args, action.dest)))
+    for name, path in outputs:
+        if not Path(path).parent.is_dir():
+            raise DataError(f"output directory {Path(path).parent} does not exist")
+        if Path(path).is_dir():
+            raise DataError(f"output {name} {path} is a directory")
+        for role, other, other_path in named:
+            if _same_file(path, other_path):
+                raise DataError(f"output {name} {path} names the same file as {role} {other}")
+        named.append(("output", name, path))
+
+
 def _atomic_write(outputs: Mapping[str, Callable[[Path], None]]) -> None:
     """Write each output via a temp file + rename; a failure leaves none of them.
 
-    Every output's directory must exist, or nothing is written.  Outputs get
-    the mode the umask gives a new file (``mkstemp`` alone makes them 0600).
+    `main` has checked every output path before the work.  Outputs get the
+    mode the umask gives a new file (``mkstemp`` alone makes them 0600).
     """
-    for name in outputs:
-        if not Path(name).parent.is_dir():
-            raise DataError(f"output directory {Path(name).parent} does not exist")
     umask = os.umask(0)
     os.umask(umask)
     written: list[Path] = []
@@ -337,14 +366,10 @@ def _save_stage(args, chash: str, stage: str, params, vocab: Vocabulary, steps: 
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen_pairs(args, config) -> int:
+def cmd_gen_pairs(args, config, chash: str) -> int:
     corpus = load_demo_corpus() if args.corpus == "demo" else _read_corpus(args.corpus)
-    chash = config_hash(config)
-    vocab = Vocabulary.build(
-        [split_tokens(s) for s in corpus],
-        min_count=config["vocab_min_count"],
-        size_cap=config["vocab_size_cap"],
-    )
+    vocab = Vocabulary.build([split_tokens(s) for s in corpus], min_count=config["vocab_min_count"],
+                             size_cap=config["vocab_size_cap"])
     if len(vocab) == len(RESERVED_TOKENS):
         raise DataError(
             f"no corpus word occurs vocab_min_count={config['vocab_min_count']} times, "
@@ -362,11 +387,8 @@ def cmd_gen_pairs(args, config) -> int:
         args.out: lambda p: write_synthetic(examples, p, meta=meta),
         args.vocab_out: vocab.save,
     })
-    counts: dict[str, int] = {}
-    for ex in examples:
-        key = ex.origin.kind if ex.origin.parent is None else f"{ex.origin.kind}({ex.origin.parent})"
-        counts[key] = counts.get(key, 0) + 1
-    print(f"config-hash: {chash}")
+    counts = Counter(ex.origin.kind if ex.origin.parent is None else f"{ex.origin.kind}({ex.origin.parent})"
+                     for ex in examples)
     print(f"wrote {len(examples)} synthetic pairs to {args.out}")
     for key in sorted(counts):
         print(f"  {key}: {counts[key]}")
@@ -374,8 +396,7 @@ def cmd_gen_pairs(args, config) -> int:
     return 0
 
 
-def cmd_compute_signals(args, config) -> int:
-    chash = config_hash(config)
+def cmd_compute_signals(args, config, chash: str) -> int:
     vocab = Vocabulary.load(args.vocab)
     examples, header = read_synthetic(args.pairs, vocab)
     if not examples:
@@ -390,22 +411,19 @@ def cmd_compute_signals(args, config) -> int:
         "source_pairs": header.get("config_hash"),
     }
     _atomic_write({args.out: lambda p: write_signals(normalized, p, stats, meta=meta)})
-    print(f"config-hash: {chash}")
     print(f"wrote {len(normalized)} signal vectors to {args.out}")
     by_task = ", ".join(f"{task} {n}" for task, n in Counter(task for _, task in failed).items())
     print(f"skipped {len(failed)}" + (f" ({by_task})" if by_task else ""))
     return 0
 
 
-def cmd_pretrain(args, config) -> int:
-    chash = config_hash(config)
+def cmd_pretrain(args, config, chash: str) -> int:
     vocab = Vocabulary.load(args.vocab)
     dataset, _, _ = read_signals(args.signals, vocab)
     params = init_model(_encoder_config(config, vocab), _task_weights(config))
     train_config = _train_config(config, "pretrain")
     params, history = pretrain(params, dataset, train_config, vocab)
     _save_stage(args, chash, "pretrain", params, vocab, train_config.total_steps, history)
-    print(f"config-hash: {chash}")
     final = history[-1].metric if history else float("nan")
     print(f"pre-trained {train_config.total_steps} steps; final loss {final:.6f} -> {args.out}")
     return 0
@@ -419,17 +437,14 @@ def _load_params(path: str):
     return params, Vocabulary(tuple(vocab_tokens)), meta
 
 
-def cmd_finetune(args, config) -> int:
-    chash = config_hash(config)
+def cmd_finetune(args, config, chash: str) -> int:
     params, vocab, _ = _load_params(args.checkpoint)
-    fmt = _ratings_format(args.ratings)
-    examples = ingest_ratings(args.ratings, fmt, vocab).examples
+    examples = ingest_ratings(args.ratings, _ratings_format(args.ratings), vocab).examples
     train, validation = split_no_leak(examples, config["holdout_fraction"], seed=config["seed"])
     train_config = _train_config(config, "finetune")
     params, history = finetune(params, train, validation, train_config, vocab)
     _save_stage(args, chash, "finetune", params, vocab, train_config.total_steps, history)
     best = max((h.metric for h in history), default=float("nan"))
-    print(f"config-hash: {chash}")
     print(unk_summary((ex.pair for ex in examples), vocab))
     print(
         f"fine-tuned {train_config.total_steps} steps on {len(train)} examples; "
@@ -438,28 +453,19 @@ def cmd_finetune(args, config) -> int:
     return 0
 
 
-def cmd_predict(args, config) -> int:
-    chash = config_hash(config)
+def cmd_predict(args, config, chash: str) -> int:
     params, vocab, _ = _load_params(args.checkpoint)
     records, _ = read_rating_records(args.input, _ratings_format(args.input), require_rating=False)
     tokenized = record_pairs(records, vocab)
     scores = predict_records(params, tokenized, vocab)
-    rows = [(record.source_id, float(score)) for record, score in zip(records, scores)]
-
-    def write(p: Path):
-        lines = [f"{source_id}\t{repr(score)}" for source_id, score in rows]
-        p.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-
-    _atomic_write({args.out: write})
-    print(f"config-hash: {chash}")
+    text = "".join(f"{record.source_id}\t{float(score)!r}\n" for record, score in zip(records, scores))
+    _atomic_write({args.out: lambda p: p.write_text(text, encoding="utf-8")})
     print(unk_summary((pair for pairs in tokenized for pair in pairs), vocab))
-    print(f"predicted {len(rows)} records -> {args.out}")
+    print(f"predicted {len(records)} records -> {args.out}")
     return 0
 
 
-def cmd_evaluate(args, config) -> int:
-    chash = config_hash(config)
-
+def cmd_evaluate(args, config, chash: str) -> int:
     def prediction(line: str) -> tuple[str, float]:
         cols = line.split("\t")
         if len(cols) != 2:
@@ -493,13 +499,11 @@ def cmd_evaluate(args, config) -> int:
     report = darr(human, metric, groups, threshold=config["darr_threshold"])
     meta = {"config_hash": chash, "n_records": len(records)}
     _atomic_write({args.out: lambda p: save_report(report, p, meta=meta)})
-    print(f"config-hash: {chash}")
     print(report.to_text_table())
     return 0
 
 
-def cmd_skew_split(args, config) -> int:
-    chash = config_hash(config)
+def cmd_skew_split(args, config, chash: str) -> int:
     fmt = _ratings_format(args.ratings)
     records, raw_scores = read_rating_records(args.ratings, fmt)
     skew = SkewConfig(
@@ -514,7 +518,6 @@ def cmd_skew_split(args, config) -> int:
         args.train_out: lambda p: write_rating_records(train, raw_scores, p, fmt),
         args.test_out: lambda p: write_rating_records(test, raw_scores, p, fmt),
     })
-    print(f"config-hash: {chash}")
     print(
         f"skew split alpha=({skew.alpha_train}, {skew.alpha_test}): "
         f"{len(train)} train, {len(test)} test of {len(records)} records"
@@ -522,12 +525,10 @@ def cmd_skew_split(args, config) -> int:
     return 0
 
 
-def cmd_ablate(args, config) -> int:
-    chash = config_hash(config)
+def cmd_ablate(args, config, chash: str) -> int:
     vocab = Vocabulary.load(args.vocab)
     dataset, _, _ = read_signals(args.signals, vocab)
-    fmt = _ratings_format(args.ratings)
-    examples = ingest_ratings(args.ratings, fmt, vocab).examples
+    examples = ingest_ratings(args.ratings, _ratings_format(args.ratings), vocab).examples
     train_pool, test = split_no_leak(examples, 0.25, seed=config["seed"])
     train, validation = split_no_leak(train_pool, config["holdout_fraction"], seed=config["seed"])
     rows = run_ablation(
@@ -536,7 +537,6 @@ def cmd_ablate(args, config) -> int:
         Split(train, validation, test, _train_config(config, "finetune")), args.mode,
     )
     _atomic_write({args.out: lambda p: ablation_to_csv(rows, p)})
-    print(f"config-hash: {chash}")
     print(unk_summary((ex.pair for ex in examples), vocab))
     for row in rows:
         if row.error:
@@ -574,53 +574,53 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-pairs", help="perturb a corpus into synthetic sentence pairs")
     p.add_argument("corpus", help="text file, one segment per line (or `demo`)")
-    p.add_argument("out", help="output synthetic-pairs JSONL")
-    p.add_argument("--vocab-out", default="vocab.json", help="where to write the vocabulary")
+    p.add_argument("out", type=_output, help="output synthetic-pairs JSONL")
+    p.add_argument("--vocab-out", type=_output, default="vocab.json", help="where to write the vocabulary")
     p.set_defaults(func=cmd_gen_pairs)
 
     p = sub.add_parser("compute-signals", help="attach the nine training signals to each pair")
     p.add_argument("pairs", help="synthetic-pairs JSONL from gen-pairs")
     p.add_argument("vocab", help="vocabulary JSON from gen-pairs")
-    p.add_argument("out", help="output signals JSONL")
+    p.add_argument("out", type=_output, help="output signals JSONL")
     p.set_defaults(func=cmd_compute_signals)
 
     p = sub.add_parser("pretrain", help="multitask pre-training on signal vectors")
     p.add_argument("signals", help="signals JSONL from compute-signals")
     p.add_argument("vocab", help="vocabulary JSON")
-    p.add_argument("out", help="output checkpoint")
-    p.add_argument("--manifest", help="optional training manifest JSON")
+    p.add_argument("out", type=_output, help="output checkpoint")
+    p.add_argument("--manifest", type=_output, help="optional training manifest JSON")
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="fine-tune a checkpoint on human ratings")
     p.add_argument("checkpoint", help="input checkpoint")
     p.add_argument("ratings", help="ratings file (.tsv or .jsonl)")
-    p.add_argument("out", help="output checkpoint")
-    p.add_argument("--manifest", help="optional training manifest JSON")
+    p.add_argument("out", type=_output, help="output checkpoint")
+    p.add_argument("--manifest", type=_output, help="optional training manifest JSON")
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("predict", help="score (reference, candidate) records with a checkpoint")
     p.add_argument("checkpoint")
     p.add_argument("input", help="ratings-format file; rating column optional")
-    p.add_argument("out", help="output TSV of source_id<TAB>score")
+    p.add_argument("out", type=_output, help="output TSV of source_id<TAB>score")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="agreement statistics for predictions vs human ratings")
     p.add_argument("predictions", help="TSV from predict")
     p.add_argument("ratings", help="ratings file with human scores")
-    p.add_argument("out", help="output report JSON")
+    p.add_argument("out", type=_output, help="output report JSON")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("skew-split", help="drift resampling into skewed train/test sides")
     p.add_argument("ratings")
-    p.add_argument("train_out")
-    p.add_argument("test_out")
+    p.add_argument("train_out", type=_output)
+    p.add_argument("test_out", type=_output)
     p.set_defaults(func=cmd_skew_split)
 
     p = sub.add_parser("ablate", help="single-task / leave-one-out pre-training ablations")
     p.add_argument("signals")
     p.add_argument("vocab")
     p.add_argument("ratings")
-    p.add_argument("out", help="output CSV")
+    p.add_argument("out", type=_output, help="output CSV")
     p.add_argument("--mode", choices=["single-task", "leave-one-out"], default="single-task")
     p.set_defaults(func=cmd_ablate)
 
@@ -638,7 +638,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         config = load_config(args.config, args.set)
-        return args.func(args, config)
+        _check_outputs(parser, args)
+        chash = config_hash(config)
+        print(f"config-hash: {chash}")
+        return args.func(args, config, chash)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -648,10 +651,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ScorerProtocolError as exc:
         print(f"data error: {exc.message}", file=sys.stderr)
         return 3
-    except PairscoreError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (PairscoreError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

@@ -1,10 +1,14 @@
+import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import os
+import shlex
 import stat
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,8 +83,34 @@ def chain(tmp_path_factory):
     return out
 
 
+def not_called(*args, **kwargs):
+    raise AssertionError("the command ran its work")
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def tree(root):
+    """Every file's sha256 and every directory under ``root``, by relative path."""
+    return {str(path.relative_to(root)): path.is_dir() or sha256(path) for path in root.rglob("*")}
+
+
+def subcommands():
+    """Each command's parser, by name, as `build_parser` declares them."""
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
+def marked_outputs():
+    """One case per output that `build_parser` marks, with its command's actions."""
+    return [pytest.param(command, sub._actions, action, id=f"{command}-{action.dest}")
+            for command, sub in subcommands().items() for action in sub._actions
+            if action.type is cli._output]
+
+
 class TestOutputFiles:
-    """Outputs get the umask's mode, and a missing output directory writes nothing."""
+    """Outputs get the umask's mode; `main` refuses a bad output path before any work."""
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
     def test_outputs_get_the_umask_mode(self, chain, tmp_path, umask, mode):
@@ -92,18 +122,29 @@ class TestOutputFiles:
             os.umask(old)
         assert [stat.S_IMODE(path.stat().st_mode) for path in (pairs, vocab)] == [mode, mode]
 
-    def assert_nothing_written(self, capsys, rc, tmp_path, missing):
-        err = capsys.readouterr().err
-        assert rc == 3
-        assert err.splitlines() == [f"data error: output directory {missing} does not exist"], err
-        assert not any(tmp_path.iterdir())
+    def refuse(self, capsys, root, line, *argv):
+        """``argv`` exits 3 with ``line`` alone, prints nothing, keeps every input's bytes and
+        creates nothing under ``root``."""
+        def state():
+            return tree(root), {str(a): sha256(a) for a in argv if os.path.isfile(a)}
+
+        before = state()
+        capsys.readouterr()
+        rc = run_cli(*argv)
+        captured = capsys.readouterr()
+        assert (rc, captured.err, captured.out) == (3, f"data error: {line}\n", "")
+        assert state() == before
+
+    @pytest.fixture
+    def ratings(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.tsv").write_bytes(load_demo_ratings_path().read_bytes())
+        return "r.tsv"
 
     def test_missing_directory_of_the_one_output(self, chain, tmp_path, capsys):
         missing = tmp_path / "no" / "dir"
-        capsys.readouterr()
-        rc = run_cli(*FAST_SETTINGS, "compute-signals", chain["pairs.jsonl"], chain["vocab.json"],
-                     missing / "s.jsonl")
-        self.assert_nothing_written(capsys, rc, tmp_path, missing)
+        self.refuse(capsys, tmp_path, f"output directory {missing} does not exist", *FAST_SETTINGS,
+                    "compute-signals", chain["pairs.jsonl"], chain["vocab.json"], missing / "s.jsonl")
 
     @pytest.mark.parametrize("missing_first", [True, False])
     def test_missing_directory_of_either_gen_pairs_output(self, chain, tmp_path, missing_first, capsys):
@@ -111,9 +152,59 @@ class TestOutputFiles:
         outputs = [missing / "p.jsonl", tmp_path / "v.json"]
         if not missing_first:
             outputs.reverse()
-        capsys.readouterr()
-        rc = run_cli(*FAST_SETTINGS, "gen-pairs", chain["corpus.txt"], outputs[0], "--vocab-out", outputs[1])
-        self.assert_nothing_written(capsys, rc, tmp_path, missing)
+        self.refuse(capsys, tmp_path, f"output directory {missing} does not exist", *FAST_SETTINGS,
+                    "gen-pairs", chain["corpus.txt"], outputs[0], "--vocab-out", outputs[1])
+
+    def test_missing_directory_before_training(self, chain, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "pretrain", not_called)
+        missing = tmp_path / "no" / "dir"
+        self.refuse(capsys, tmp_path, f"output directory {missing} does not exist", *FAST_SETTINGS,
+                    "pretrain", chain["signals.jsonl"], chain["vocab.json"], missing / "pre.ckpt")
+
+    def test_output_that_names_an_input(self, ratings, tmp_path, capsys):
+        self.refuse(capsys, tmp_path, "output train_out r.tsv names the same file as input ratings",
+                    "--set", "alpha_train=1", "skew-split", ratings, ratings, "t.tsv")
+        absolute = tmp_path / ratings
+        self.refuse(capsys, tmp_path, f"output test_out {absolute} names the same file as input ratings",
+                    "skew-split", ratings, "t.tsv", absolute)
+
+    def test_output_that_names_the_config_file(self, ratings, tmp_path, capsys):
+        (tmp_path / "c.conf").write_text("alpha_train = 1.0\n", encoding="utf-8")
+        self.refuse(capsys, tmp_path, "output test_out c.conf names the same file as input --config",
+                    "--config", "c.conf", "skew-split", ratings, "x.tsv", "c.conf")
+
+    def test_two_outputs_that_name_one_file(self, ratings, tmp_path, capsys):
+        self.refuse(capsys, tmp_path, "output test_out x.tsv names the same file as output train_out",
+                    "--set", "alpha_train=1", "--set", "alpha_test=1",
+                    "skew-split", ratings, "x.tsv", "x.tsv")
+        absolute = tmp_path / "x.tsv"
+        self.refuse(capsys, tmp_path, f"output test_out {absolute} names the same file as output train_out",
+                    "skew-split", ratings, "x.tsv", absolute)
+        self.refuse(capsys, tmp_path, "output --vocab-out p.jsonl names the same file as output out",
+                    "gen-pairs", "demo", "p.jsonl", "--vocab-out", "p.jsonl")
+
+    def test_output_that_is_a_directory(self, ratings, tmp_path, capsys):
+        (tmp_path / "d").mkdir()
+        self.refuse(capsys, tmp_path, "output train_out d is a directory",
+                    "skew-split", ratings, "d", "t.tsv")
+        self.refuse(capsys, tmp_path, "output --vocab-out d is a directory",
+                    "gen-pairs", "demo", "p.jsonl", "--vocab-out", "d")
+
+    def test_every_command_marks_an_output(self):
+        assert {case.values[0] for case in marked_outputs()} == set(subcommands())
+
+    @pytest.mark.parametrize("command, actions, output", marked_outputs())
+    def test_every_output_is_checked_before_the_inputs(self, tmp_path, capsys, monkeypatch, command,
+                                                       actions, output):
+        # Every input is missing, so a command that reached its work would report an input.
+        monkeypatch.setattr(cli, "pretrain", not_called)
+        missing = tmp_path / "no" / "dir"
+        argv = [command]
+        for action in actions:
+            if action.type is cli._output or not action.option_strings:
+                path = (missing if action is output else tmp_path) / action.dest
+                argv += [*action.option_strings[:1], path]
+        self.refuse(capsys, tmp_path, f"output directory {missing} does not exist", *argv)
 
 
 class TestConfig:
@@ -1466,3 +1557,23 @@ class TestUnkSummary:
         assert run_cli(*FAST_SETTINGS, "--set", "max_seq_len=64", *argv) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line for line in lines if line.startswith("[unk]")] == [expected]
+
+
+def readme_cli_lines():
+    """The ``pairscore ...`` lines of the README's CLI code block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("pairscore ")]
+
+
+class TestReadme:
+    """The README's command lines parse as documented; nothing runs."""
+
+    @pytest.mark.parametrize("line", readme_cli_lines())
+    def test_command_line_parses(self, line):
+        args = cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        assert args.dump_defaults or args.command
+
+    def test_every_command_is_documented(self):
+        lines = [shlex.split(line, comments=True) for line in readme_cli_lines()]
+        assert {word for argv in lines for word in argv} >= set(subcommands())
